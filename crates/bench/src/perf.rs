@@ -18,7 +18,7 @@ use crate::runner::{default_schemes, drive, StudyConfig};
 use cable_compress::EngineKind;
 use cable_core::{BaselineKind, FaultConfig};
 use cable_sim::throughput::{run_group_arena, run_group_warmed_linear};
-use cable_sim::{FabricResult, FabricSim, Scheme, SimArena, SystemConfig};
+use cable_sim::{FabricSim, Scheme, SimArena, SystemConfig};
 use cable_telemetry::{JsonlSink, Report, Telemetry, TracerConfig, LATENCY_METRIC_PREFIX};
 use cable_trace::WorkloadGen;
 use std::time::Instant;
@@ -163,73 +163,10 @@ pub fn run_sim_bench() -> FigureResult<'static> {
     }
 }
 
-/// Identifier of the emitted sharded-fabric JSON result
-/// (`BENCH_shard.json`).
-pub const SHARD_BENCH_ID: &str = "BENCH_shard";
-
-/// The workload the sharded mesh sweep replays. mcf is memory-bound, so
-/// nearly every step exercises a link pipeline — the functional phase the
-/// shard workers parallelize.
-pub const SHARD_BENCH_WORKLOAD: &str = "mcf";
-
-/// Columns of the emitted sharded-fabric figure, in order.
-pub const SHARD_BENCH_COLUMNS: &[&str] = &[
-    "accesses_per_sec",
-    "speedup_vs_1w",
-    "elapsed_ms",
-    "workers",
-    "endpoints",
-    "simulated_accesses",
-    "host_cores",
-];
-
-/// Worker counts swept by [`run_shard_bench`] (the figure's x axis).
-pub const SHARD_BENCH_WORKERS: &[usize] = &[1, 2, 4, 8];
-
-/// Mesh size of the sharded sweep: 71 chips means `2 * 71^2 = 10082` link
-/// endpoints (every chip drives one directional pipeline per peer plus a
-/// local-memory path, two endpoints each) — the "10k-endpoint" operating
-/// point. Quick mode shrinks to 23 chips (1058 endpoints).
-#[must_use]
-pub fn shard_bench_nodes() -> usize {
-    if is_quick() {
-        23
-    } else {
-        71
-    }
-}
-
-/// Link endpoints of an `n`-chip fabric: `n^2` links (per chip: `n - 1`
-/// directional peer pipelines plus one local-memory path), two endpoints
-/// each.
-#[must_use]
-pub fn shard_bench_endpoints(nodes: usize) -> usize {
-    2 * nodes * nodes
-}
-
-/// Worker sweep override: `CABLE_SHARD_WORKERS=2` (or `1,2,4`) restricts
-/// the sweep — CI uses it to pin a cheap 2-worker run and a 1-worker
-/// fallback. Unset or unparsable falls back to [`SHARD_BENCH_WORKERS`].
-fn shard_worker_sweep() -> Vec<usize> {
-    let parsed: Vec<usize> = std::env::var("CABLE_SHARD_WORKERS")
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w >= 1)
-                .collect()
-        })
-        .unwrap_or_default();
-    if parsed.is_empty() {
-        SHARD_BENCH_WORKERS.to_vec()
-    } else {
-        parsed
-    }
-}
-
-/// Per-chip cache geometry of the sharded mesh: scaled far below Table IV
-/// so 71 chips x 71 links fit in memory and the sweep measures engine
-/// overhead, not cache capacity misses.
-fn shard_mesh_config() -> SystemConfig {
+/// Per-chip cache geometry of the degradation and latency fabrics: scaled
+/// far below Table IV so short runs force LLC/L4 evictions and dirty
+/// write-backs across the coherence pipelines.
+fn mesh_bench_config() -> SystemConfig {
     SystemConfig {
         l1_bytes: 4 << 10,
         l1_ways: 2,
@@ -240,78 +177,6 @@ fn shard_mesh_config() -> SystemConfig {
         l4_bytes: 16 << 10,
         l4_ways: 8,
         ..SystemConfig::paper_defaults()
-    }
-}
-
-/// Measures the epoch-parallel fabric engine's sustained
-/// simulated-accesses/sec against worker count on the 10k-endpoint mesh
-/// (quick mode: ~1k endpoints). Every sharded run is digest-checked
-/// against a single-threaded `run` oracle before its rate is reported, so
-/// the figure cannot ship numbers from a diverged run. `host_cores`
-/// records the machine the sweep ran on — on a single-core host the
-/// speedup column is honestly ~1.0. Honors `CABLE_QUICK` and
-/// `CABLE_SHARD_WORKERS`.
-///
-/// # Panics
-///
-/// Panics if the benchmark workload is missing from the profile table or
-/// a sharded run diverges from the single-threaded oracle.
-#[must_use]
-pub fn run_shard_bench() -> FigureResult<'static> {
-    let cfg = shard_mesh_config();
-    let profile = cable_trace::by_name(SHARD_BENCH_WORKLOAD).expect("benchmark workload exists");
-    let nodes = shard_bench_nodes();
-    let instrs = if is_quick() { 200 } else { 1_500 };
-    let ptp = 19.2e9;
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let endpoints = shard_bench_endpoints(nodes);
-
-    let oracle = {
-        let mut sim =
-            FabricSim::with_config(profile, Scheme::Cable(EngineKind::Lbe), nodes, ptp, &cfg);
-        sim.run(instrs);
-        (sim.total_accesses(), sim.timing_fingerprint())
-    };
-
-    let mut base_rate = None;
-    let rows = shard_worker_sweep()
-        .into_iter()
-        .map(|workers| {
-            let mut sim =
-                FabricSim::with_config(profile, Scheme::Cable(EngineKind::Lbe), nodes, ptp, &cfg);
-            let start = Instant::now();
-            sim.run_sharded(instrs, workers);
-            let elapsed = start.elapsed();
-            assert_eq!(
-                oracle,
-                (sim.total_accesses(), sim.timing_fingerprint()),
-                "sharded({workers}) diverged from the single-threaded oracle"
-            );
-            let accesses = sim.total_accesses();
-            let rate = accesses as f64 / elapsed.as_secs_f64().max(1e-12);
-            let speedup = rate / *base_rate.get_or_insert(rate);
-            (
-                format!("{workers}w"),
-                vec![
-                    rate,
-                    speedup,
-                    elapsed.as_secs_f64() * 1e3,
-                    workers as f64,
-                    endpoints as f64,
-                    accesses as f64,
-                    host_cores as f64,
-                ],
-            )
-        })
-        .collect();
-    FigureResult {
-        id: SHARD_BENCH_ID,
-        title: "Sharded fabric throughput vs worker count (10k-endpoint mesh)",
-        columns: SHARD_BENCH_COLUMNS
-            .iter()
-            .map(|c| (*c).to_string())
-            .collect(),
-        rows,
     }
 }
 
@@ -529,21 +394,19 @@ fn worst_level(sim: &FabricSim) -> cable_sim::DegradeLevel {
 /// All columns are simulated quantities, so the figure is bit-stable; the
 /// bench itself asserts the behavior the figure claims: simulated
 /// throughput degrades monotonically as the fault rate rises, the ladder
-/// steps down during the burst, fully re-arms afterwards, and the whole
-/// storyline replays identically under every sharded worker count. Honors
-/// `CABLE_QUICK` and `CABLE_SHARD_WORKERS`.
+/// steps down during the burst, and fully re-arms afterwards. Honors
+/// `CABLE_QUICK`.
 ///
 /// # Panics
 ///
 /// Panics if the benchmark workload is missing from the profile table, if
-/// throughput fails to degrade monotonically, if the burst fails to step
-/// the ladder down (or recovery fails to re-arm it), or if a sharded
-/// replay diverges from the sequential storyline.
+/// throughput fails to degrade monotonically, or if the burst fails to
+/// step the ladder down (or recovery fails to re-arm it).
 #[must_use]
 pub fn run_degrade_bench() -> FigureResult<'static> {
     let profile = cable_trace::by_name(DEGRADE_BENCH_WORKLOAD).expect("benchmark workload exists");
     let ptp = 19.2e9;
-    let base_cfg = shard_mesh_config();
+    let base_cfg = mesh_bench_config();
     let steady_instrs = if is_quick() { 3_000 } else { 10_000 };
     let (pre_end, burst_end, post_end) = if is_quick() {
         (1_500, 5_500, 16_000)
@@ -623,36 +486,30 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
     }
 
     // Burst storyline: healthy -> 1e-3 burst -> recovery, one fabric.
-    let storyline = |run: &mut dyn FnMut(&mut FabricSim, u64) -> FabricResult| {
-        let cfg = SystemConfig {
-            degrade: Some(degrade_bench_policy()),
-            ..base_cfg
-        };
-        let mut sim = FabricSim::with_config(
-            profile,
-            Scheme::Cable(EngineKind::Lbe),
-            DEGRADE_BENCH_NODES,
-            ptp,
-            &cfg,
-        );
-        let mut snaps = Vec::new();
-        let r = run(&mut sim, pre_end);
-        snaps.push((degrade_snap(&sim, r.elapsed_ps), worst_level(&sim)));
-        sim.set_fault_injection(Some(FaultConfig::with_rate(
-            FAULT_BENCH_SEED,
-            DEGRADE_BENCH_BURST_RATE,
-        )));
-        let r = run(&mut sim, burst_end);
-        snaps.push((degrade_snap(&sim, r.elapsed_ps), worst_level(&sim)));
-        sim.set_fault_injection(None);
-        let r = run(&mut sim, post_end);
-        snaps.push((degrade_snap(&sim, r.elapsed_ps), worst_level(&sim)));
-        let levels = sim.degrade_levels();
-        (snaps, levels, sim.timing_fingerprint())
+    let cfg = SystemConfig {
+        degrade: Some(degrade_bench_policy()),
+        ..base_cfg
     };
-
-    let (snaps, levels, fingerprint) = storyline(&mut |sim, n| sim.run(n));
-    let (pre, burst, post) = (&snaps[0], &snaps[1], &snaps[2]);
+    let mut sim = FabricSim::with_config(
+        profile,
+        Scheme::Cable(EngineKind::Lbe),
+        DEGRADE_BENCH_NODES,
+        ptp,
+        &cfg,
+    );
+    let phase = |sim: &mut FabricSim, end: u64| {
+        let r = sim.run(end);
+        (degrade_snap(sim, r.elapsed_ps), worst_level(sim))
+    };
+    let pre = phase(&mut sim, pre_end);
+    sim.set_fault_injection(Some(FaultConfig::with_rate(
+        FAULT_BENCH_SEED,
+        DEGRADE_BENCH_BURST_RATE,
+    )));
+    let burst = phase(&mut sim, burst_end);
+    sim.set_fault_injection(None);
+    let post = phase(&mut sim, post_end);
+    let levels = sim.degrade_levels();
     assert_eq!(pre.0.demotions, 0, "healthy pre-phase must not demote");
     assert!(
         burst.0.demotions > pre.0.demotions,
@@ -670,23 +527,6 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
         "every pipeline must fully re-arm after the burst: {levels:?}"
     );
     assert!(post.0.scheduled_resyncs > 0, "resync cadence must fire");
-
-    // The storyline must replay bit-identically under the sharded engine
-    // for every worker count — including the mid-run arm/disarm events.
-    for workers in shard_worker_sweep() {
-        let sharded = storyline(&mut |sim, n| sim.run_sharded(n, workers));
-        assert!(
-            sharded.2 == fingerprint
-                && sharded.1 == levels
-                && (0..snaps.len()).all(|i| {
-                    let (a, b) = (&sharded.0[i], &snaps[i]);
-                    a.1 == b.1
-                        && degrade_row(&a.0, &DegradeSnap::default(), a.1)
-                            == degrade_row(&b.0, &DegradeSnap::default(), b.1)
-                }),
-            "sharded({workers}) degradation storyline diverged from the sequential run"
-        );
-    }
 
     rows.push((
         "burst/pre".to_string(),
@@ -829,16 +669,13 @@ pub const LATENCY_BENCH_COLUMNS: &[&str] = &[
 type LatTable = Vec<(String, u64, u64, u64, u64, u64, u64)>;
 
 /// Runs the latency fabric once and returns its latency-table state.
-fn latency_fabric_table(scheme: Scheme, cfg: &SystemConfig, workers: Option<usize>) -> LatTable {
+fn latency_fabric_table(scheme: Scheme, cfg: &SystemConfig) -> LatTable {
     let profile = cable_trace::by_name(LATENCY_BENCH_WORKLOAD).expect("benchmark workload exists");
     let instrs = if is_quick() { 1_500 } else { 6_000 };
     let mut sim = FabricSim::with_config(profile, scheme, LATENCY_BENCH_NODES, 19.2e9, cfg);
     let tel = Telemetry::enabled();
     sim.set_telemetry(tel.clone());
-    match workers {
-        Some(w) => sim.run_sharded(instrs, w),
-        None => sim.run(instrs),
-    };
+    sim.run(instrs);
     let rep = Report::from_telemetry(&tel);
     let mut table: LatTable = rep
         .histograms
@@ -893,40 +730,25 @@ fn latency_row(table: &LatTable, label: &str) -> Vec<f64> {
 
 /// Simulates the latency-attribution fabric per scheme (plus one faulted
 /// CABLE row) and reports per-stage percentile columns. All columns are
-/// simulated quantities; before returning, the gated scheme's run is
-/// replayed under `run_sharded` for every swept worker count and its
-/// *entire* latency-table state (every histogram's count, sum, and
-/// p50/p90/p99/p999) must be bit-identical to the single-threaded run.
-/// Honors `CABLE_QUICK` and `CABLE_SHARD_WORKERS`.
+/// simulated quantities. Honors `CABLE_QUICK`.
 ///
 /// # Panics
 ///
 /// Panics if the workload is missing, a stage histogram is absent, the
-/// exact-sum attribution invariant breaks, the faulted row charges no
-/// retry time, or a sharded replay diverges from the sequential oracle.
+/// exact-sum attribution invariant breaks, or the faulted row charges no
+/// retry time.
 #[must_use]
 pub fn run_latency_bench() -> FigureResult<'static> {
-    let cfg = shard_mesh_config();
+    let cfg = mesh_bench_config();
     let mut rows = Vec::new();
     for scheme in [
         Scheme::Uncompressed,
         Scheme::Baseline(BaselineKind::Cpack),
         Scheme::Cable(EngineKind::Lbe),
     ] {
-        let table = latency_fabric_table(scheme, &cfg, None);
+        let table = latency_fabric_table(scheme, &cfg);
         let label = scheme.label();
         rows.push((label.clone(), latency_row(&table, &label)));
-        if scheme == Scheme::Cable(EngineKind::Lbe) {
-            // The gated scheme's percentile state must be worker-count
-            // invariant — the acceptance bar for the sharded engine.
-            for workers in shard_worker_sweep() {
-                let sharded = latency_fabric_table(scheme, &cfg, Some(workers));
-                assert_eq!(
-                    sharded, table,
-                    "sharded({workers}) latency state diverged from the sequential run"
-                );
-            }
-        }
     }
 
     // One faulted row: retry/resync penalties must show up in the retry
@@ -936,7 +758,7 @@ pub fn run_latency_bench() -> FigureResult<'static> {
         ..cfg
     };
     let label = Scheme::Cable(EngineKind::Lbe).label();
-    let table = latency_fabric_table(Scheme::Cable(EngineKind::Lbe), &faulted_cfg, None);
+    let table = latency_fabric_table(Scheme::Cable(EngineKind::Lbe), &faulted_cfg);
     let row = latency_row(&table, &label);
     assert!(
         lat_stage(&table, &label, "retry").2 > 0,
@@ -988,11 +810,6 @@ mod tests {
         assert_eq!(SIM_BENCH_COLUMNS[0], "accesses_per_sec");
         assert_eq!(SIM_BENCH_COLUMNS[2], "speedup");
         assert_eq!(SIM_BENCH_COLUMNS.len(), 5);
-        assert_eq!(SHARD_BENCH_COLUMNS[0], "accesses_per_sec");
-        assert_eq!(SHARD_BENCH_COLUMNS[1], "speedup_vs_1w");
-        assert_eq!(SHARD_BENCH_COLUMNS.len(), 7);
-        assert_eq!(SHARD_BENCH_WORKERS, &[1, 2, 4, 8]);
-        assert_eq!(shard_bench_endpoints(71), 10_082);
         assert_eq!(FAULT_BENCH_COLUMNS[0], "compression_ratio");
         assert_eq!(FAULT_BENCH_COLUMNS.len(), 8);
         assert_eq!(DEGRADE_BENCH_COLUMNS[0], "accesses_per_sec");

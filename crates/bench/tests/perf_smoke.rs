@@ -5,11 +5,10 @@
 //! paying the full measurement cost in every local `cargo test`.
 
 use cable_bench::perf::{
-    run_degrade_bench, run_encode_bench, run_fault_bench, run_latency_bench, run_shard_bench,
-    run_sim_bench, run_telemetry_bench, shard_bench_endpoints, shard_bench_nodes, BENCH_COLUMNS,
-    BENCH_ID, DEGRADE_BENCH_COLUMNS, DEGRADE_BENCH_ID, DEGRADE_BENCH_RATES, FAULT_BENCH_COLUMNS,
-    FAULT_BENCH_ID, FAULT_BENCH_RATES, FAULT_BENCH_WORKLOADS, LATENCY_BENCH_COLUMNS,
-    LATENCY_BENCH_ID, SHARD_BENCH_COLUMNS, SHARD_BENCH_ID, SHARD_BENCH_WORKERS, SIM_BENCH_COLUMNS,
+    run_degrade_bench, run_encode_bench, run_fault_bench, run_latency_bench, run_sim_bench,
+    run_telemetry_bench, BENCH_COLUMNS, BENCH_ID, DEGRADE_BENCH_COLUMNS, DEGRADE_BENCH_ID,
+    DEGRADE_BENCH_RATES, FAULT_BENCH_COLUMNS, FAULT_BENCH_ID, FAULT_BENCH_RATES,
+    FAULT_BENCH_WORKLOADS, LATENCY_BENCH_COLUMNS, LATENCY_BENCH_ID, SIM_BENCH_COLUMNS,
     SIM_BENCH_ID, TELEMETRY_BENCH_COLUMNS, TELEMETRY_BENCH_ID,
 };
 use cable_bench::report::load_json;
@@ -131,75 +130,6 @@ fn sim_bench_completes_and_roundtrips_schema() {
 }
 
 #[test]
-fn shard_bench_scales_and_roundtrips_schema() {
-    if !quick() {
-        eprintln!("skipping: set CABLE_QUICK=1 to run the sharded mesh sweep");
-        return;
-    }
-
-    let result = run_shard_bench();
-    assert_eq!(result.id, SHARD_BENCH_ID);
-    assert_eq!(result.columns, SHARD_BENCH_COLUMNS);
-    let sweep: Vec<usize> = std::env::var("CABLE_SHARD_WORKERS")
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    let sweep = if sweep.is_empty() {
-        SHARD_BENCH_WORKERS.to_vec()
-    } else {
-        sweep
-    };
-    assert_eq!(result.rows.len(), sweep.len(), "one row per worker count");
-
-    let endpoints = shard_bench_endpoints(shard_bench_nodes()) as f64;
-    let mut accesses_seen = None;
-    for ((label, values), &workers) in result.rows.iter().zip(&sweep) {
-        assert_eq!(values.len(), SHARD_BENCH_COLUMNS.len(), "{label}: columns");
-        assert_eq!(label, &format!("{workers}w"), "row order follows the sweep");
-        let (rate, speedup, elapsed_ms) = (values[0], values[1], values[2]);
-        assert!(rate.is_finite() && rate > 0.0, "{label}: bad rate {rate}");
-        assert!(
-            speedup.is_finite() && speedup > 0.0,
-            "{label}: bad speedup {speedup}"
-        );
-        assert!(
-            elapsed_ms.is_finite() && elapsed_ms > 0.0,
-            "{label}: bad elapsed {elapsed_ms}"
-        );
-        assert_eq!(values[3], workers as f64, "{label}: workers column");
-        assert_eq!(values[4], endpoints, "{label}: endpoints column");
-        // run_shard_bench digest-checks each run against the oracle, so
-        // every row simulated the same accesses.
-        let accesses = values[5];
-        assert!(
-            accesses > 0.0 && accesses.fract() == 0.0,
-            "{label}: accesses"
-        );
-        assert_eq!(
-            *accesses_seen.get_or_insert(accesses),
-            accesses,
-            "{label}: worker counts must simulate identical work"
-        );
-        assert!(values[6] >= 1.0, "{label}: host_cores column");
-    }
-
-    // The emitted JSON parses back with the same schema and values.
-    let loaded = load_json(&result.to_json()).expect("emitted JSON parses");
-    assert_eq!(loaded.id, SHARD_BENCH_ID);
-    assert_eq!(loaded.columns, SHARD_BENCH_COLUMNS);
-    for (label, values) in &result.rows {
-        for (col, v) in SHARD_BENCH_COLUMNS.iter().zip(values) {
-            let got = loaded
-                .value(label, col)
-                .unwrap_or_else(|| panic!("{label}/{col} missing after roundtrip"));
-            assert!(
-                (got - v).abs() <= v.abs() * 1e-9,
-                "{label}/{col}: {got} != {v}"
-            );
-        }
-    }
-}
-
-#[test]
 fn fault_bench_detects_and_recovers_everything() {
     if !quick() {
         eprintln!("skipping: set CABLE_QUICK=1 to run the fault-injection benchmark");
@@ -301,9 +231,8 @@ fn degrade_bench_steps_down_and_recovers() {
 
     // run_degrade_bench asserts the hard claims itself before returning a
     // single row: monotone throughput degradation per policy family, ladder
-    // step-down during the burst, full re-arm after it, and bit-identical
-    // sharded replay of the whole storyline for every worker count. This
-    // test pins the figure schema and the storyline's observable shape.
+    // step-down during the burst, and full re-arm after it. This test pins
+    // the figure schema and the storyline's observable shape.
     let result = run_degrade_bench();
     assert_eq!(result.id, DEGRADE_BENCH_ID);
     assert_eq!(result.columns, DEGRADE_BENCH_COLUMNS);
@@ -386,8 +315,7 @@ fn latency_bench_attributes_stages_and_roundtrips_schema() {
     }
 
     // run_latency_bench asserts the hard claims itself: exact per-stage
-    // decomposition on every row, retry time on the faulted row, and
-    // bit-identical sharded percentile state for every worker count. This
+    // decomposition on every row and retry time on the faulted row. This
     // test pins the figure schema and the simulated-determinism contract.
     let result = run_latency_bench();
     assert_eq!(result.id, LATENCY_BENCH_ID);

@@ -1,8 +1,8 @@
-//! Compile-time pin: link state must stay `Send` so the sharded engine
-//! (`cable-sim::shard`) can move per-chip pipelines into worker threads.
-//! Every boxed engine trait object carries a `+ Send` bound; if one is
-//! ever dropped, this file stops compiling instead of the shard engine
-//! breaking at a distance.
+//! Compile-time pin: link state must stay `Send` so a link, or a
+//! simulator that owns one, can be handed to another thread. Every boxed
+//! engine trait object carries a `+ Send` bound; if one is ever dropped,
+//! this file stops compiling instead of a downstream caller breaking at a
+//! distance.
 
 use cable_core::{BaselineLink, CableLink, FaultyChannel, OooLink};
 

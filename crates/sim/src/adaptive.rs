@@ -16,7 +16,7 @@
 //!
 //! When a [`DegradePolicy`] is armed the controller also closes the fault
 //! loop: per sample window (counted in *link operations*, never sim time,
-//! so decisions replay identically under the sharded engine) it inspects
+//! so decisions do not depend on link bandwidth or scheduling) it inspects
 //! its own NACK-window observables and steps a ladder
 //!
 //! ```text
@@ -77,9 +77,9 @@ impl DegradeLevel {
 ///
 /// All windows are counted in *link operations* (fills, write-backs,
 /// remote hits — anything that calls `note_op`), never in simulated time:
-/// the ladder must make identical decisions in the event-driven, linear
-/// and sharded engines, and operation counts are the only clock all three
-/// share exactly.
+/// the ladder must make identical decisions in the event-driven and
+/// linear schedulers and in the untimed NUMA study, and operation counts
+/// are the only clock all three share exactly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DegradePolicy {
     /// Sample window length in link operations.
@@ -437,8 +437,7 @@ impl OnOffController {
     /// Returns the wire cost in bits of a scheduled resync when one fired
     /// on this operation (at most one per call) so the caller can charge
     /// it to link busy time; `None` otherwise. Purely functional: decision
-    /// state never reads the simulation clock, so sharded replays are
-    /// bit-identical.
+    /// state never reads the simulation clock.
     pub fn note_op(&mut self, link: &mut CompressedLink) -> Option<u64> {
         let policy = self.policy?;
         self.ops += 1;

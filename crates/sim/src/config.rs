@@ -63,9 +63,8 @@ pub struct SystemConfig {
     /// Fault injection on the mesh (PTP) coherence pipelines. When set it
     /// *overrides* `fault` on those pipelines: each remote `(requester,
     /// home)` pipeline is armed with a schedule decorrelated per hop and
-    /// per direction from this master seed, so the sharded engine replays
-    /// bit-identically and `cable report --hops` can localize a lossy
-    /// wire. Chip-local pipelines and NUMA-pair links are unaffected.
+    /// per direction from this master seed, so `cable report --hops` can
+    /// localize a lossy wire. Chip-local pipelines and NUMA-pair links are unaffected.
     pub mesh_fault: Option<FaultConfig>,
     /// Restricts `mesh_fault` to the single mesh wire with this
     /// triangular pair index (`None` = every wire) — the

@@ -14,9 +14,7 @@
 //!
 //! # Functional/timing split
 //!
-//! A chip's step is decomposed into two halves so the sharded engine
-//! ([`crate::shard`]) can parallelise it without changing a single
-//! result bit:
+//! A chip's step is decomposed into two halves:
 //!
 //! - [`ChipNode::step_functional`] touches only *chip-private* state (the
 //!   workload generator, the private L1/L2, and this chip's directional
@@ -28,10 +26,11 @@
 //!   chip's clock, in exactly the operation order of the original fused
 //!   step.
 //!
-//! Crucially, no functional decision ever reads `now_ps`, so a chip's
-//! functional future is independent of every other chip: traces can be
-//! produced arbitrarily far ahead, in parallel, and replayed in global
-//! `(now_ps, chip)` order afterwards.
+//! No functional decision ever reads `now_ps`, so a chip's caches and
+//! pipelines see the same access stream at every link bandwidth. While the
+//! functional half runs, pipeline events stamp at the chip's
+//! contention-free `fn_clock`; `FabricSim::step_chip` resyncs it to the
+//! true clock after each replay.
 
 use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
 use crate::config::{CompressionLatency, SystemConfig};
@@ -60,8 +59,8 @@ pub fn wire_pair_index(nodes: usize, a: usize, b: usize) -> usize {
 
 /// Decorrelates the master mesh-fault schedule for one directional
 /// pipeline: every `(hop, direction)` lane gets its own seed, derived
-/// purely from the master seed, so single-threaded and sharded runs
-/// replay the same per-wire fault history bit for bit. The multiplier is
+/// purely from the master seed, so a wire's fault history never depends
+/// on which other pipelines are armed. The multiplier is
 /// distinct from the node-keyed one in [`FabricSim::set_fault_injection`]
 /// so mesh and plain schedules never collide.
 fn mesh_fault_config(fault: FaultConfig, hop: usize, requester: usize, home: usize) -> FaultConfig {
@@ -140,7 +139,7 @@ pub struct HopStats {
 /// The timing-relevant record of one functional step, replayed against the
 /// shared resources by [`FabricSim::apply_step_timing`].
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct StepTrace {
+struct StepTrace {
     /// Compute-gap time preceding the access.
     gap_ps: u64,
     /// Fixed hit/miss latency the chip waits through (L1, +L2, +LLC for
@@ -186,10 +185,8 @@ struct ResyncTrace {
 
 /// One chip: its workload, private hierarchy, and every compression
 /// pipeline it drives (the directional `(self, home)` pipelines plus the
-/// local memory path in the self slot). Owning the pipelines per chip is
-/// what lets the shard engine hand disjoint `&mut ChipNode`s to worker
-/// threads.
-pub(crate) struct ChipNode {
+/// local memory path in the self slot).
+struct ChipNode {
     gen: WorkloadGen,
     l1: SetAssocCache,
     l2: SetAssocCache,
@@ -199,8 +196,7 @@ pub(crate) struct ChipNode {
     /// Memory accesses simulated (one per step).
     accesses: u64,
     /// Stamp clock for functional-phase telemetry: synced to `now_ps`
-    /// whenever timing is known (single-threaded mode after every step,
-    /// sharded mode at each epoch refill), advanced contention-free by the
+    /// after every step's timing replay, advanced contention-free by the
     /// functional phase in between.
     fn_clock: u64,
     /// `links[home]`: the compression pipeline toward `home`;
@@ -209,7 +205,7 @@ pub(crate) struct ChipNode {
     /// `controllers[home]`: the closed-loop degradation controller of the
     /// matching pipeline. Empty unless `config.degrade` armed a policy —
     /// chip-private state, so ladder decisions and scheduled resyncs are
-    /// part of the functional half and replay identically under sharding.
+    /// part of the functional half.
     controllers: Vec<OnOffController>,
 }
 
@@ -218,7 +214,7 @@ impl ChipNode {
     /// compression pipeline(s). Touches no shared timing state; returns
     /// the [`StepTrace`] for replay. `tel` stamps pipeline events at the
     /// chip's contention-free stamp clock.
-    pub(crate) fn step_functional(
+    fn step_functional(
         &mut self,
         nodes: usize,
         config: &SystemConfig,
@@ -365,19 +361,7 @@ impl ChipNode {
         )
     }
 
-    pub(crate) fn retired(&self) -> u64 {
-        self.retired
-    }
-
-    pub(crate) fn now_ps(&self) -> u64 {
-        self.now_ps
-    }
-
-    pub(crate) fn sync_fn_clock(&mut self) {
-        self.fn_clock = self.now_ps;
-    }
-
-    pub(crate) fn set_link_telemetry(&mut self, tel: &Telemetry) {
+    fn set_link_telemetry(&mut self, tel: &Telemetry) {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
@@ -389,9 +373,8 @@ impl ChipNode {
 
 /// Per-access latency probes, resolved once when an enabled telemetry
 /// handle attaches. Recording happens exclusively inside
-/// [`FabricSim::apply_step_timing`] — the only clock-advancing code,
-/// which the shard engine replays sequentially in heap order — so the
-/// histogram state is bit-identical for every worker count.
+/// [`FabricSim::apply_step_timing`], the only clock-advancing code, so
+/// every sample sees the final queueing state of its access.
 struct FabricLatency {
     /// Fabric-wide per-stage histograms (`lat.{scheme}.measure.{stage}`).
     access: LatencyRecorder,
@@ -403,7 +386,7 @@ struct FabricLatency {
 /// A fully-connected multi-chip CMP with compressed coherence links.
 pub struct FabricSim {
     nodes: usize,
-    pub(crate) chips: Vec<ChipNode>,
+    chips: Vec<ChipNode>,
     /// Per unordered chip pair: the shared physical PTP wire.
     wires: Vec<SharedLink>,
     local_wires: Vec<SharedLink>,
@@ -413,7 +396,7 @@ pub struct FabricSim {
     latency: CompressionLatency,
     /// PTP link bandwidth in bytes/s.
     ptp_bytes_per_sec: f64,
-    pub(crate) tel: Telemetry,
+    tel: Telemetry,
     lat: Option<FabricLatency>,
 }
 
@@ -580,10 +563,6 @@ impl FabricSim {
         self.nodes
     }
 
-    pub(crate) fn sim_params(&self) -> (SystemConfig, CompressionLatency) {
-        (self.config, self.latency)
-    }
-
     fn wire_index(&self, a: usize, b: usize) -> usize {
         wire_pair_index(self.nodes, a, b)
     }
@@ -618,13 +597,6 @@ impl FabricSim {
         self.result()
     }
 
-    /// Runs until every chip retires `instructions_per_chip`, sharded
-    /// across `workers` OS threads — bit-identical to [`FabricSim::run`]
-    /// for every worker count (see [`crate::shard`]).
-    pub fn run_sharded(&mut self, instructions_per_chip: u64, workers: usize) -> FabricResult {
-        crate::shard::run_fabric_sharded(self, instructions_per_chip, workers)
-    }
-
     /// The seed O(N)-scan scheduler, kept verbatim as the equivalence
     /// oracle for [`FabricSim::run`]: the `sched_equivalence` tests and the
     /// `BENCH_sim` speedup measurement both drive it.
@@ -640,21 +612,21 @@ impl FabricSim {
         self.result()
     }
 
-    pub(crate) fn result(&self) -> FabricResult {
+    fn result(&self) -> FabricResult {
         FabricResult {
             instructions: self.chips.iter().map(|c| c.retired).sum(),
             elapsed_ps: self.chips.iter().map(|c| c.now_ps).max().unwrap_or(0),
         }
     }
 
-    /// One fused step: functional half, then its timing replay. The
-    /// single-threaded drivers call this back-to-back, so the stamp clock
-    /// can track the true clock exactly.
+    /// One fused step: functional half, then its timing replay, then the
+    /// stamp clock resynced to the true clock.
     fn step_chip(&mut self, idx: usize) {
         let trace =
             self.chips[idx].step_functional(self.nodes, &self.config, self.latency, &self.tel);
         self.apply_step_timing(idx, &trace);
-        self.chips[idx].sync_fn_clock();
+        let chip = &mut self.chips[idx];
+        chip.fn_clock = chip.now_ps;
     }
 
     /// Replays one [`StepTrace`] against the shared timing resources, in
@@ -662,7 +634,7 @@ impl FabricSim {
     /// advance, then L4 + DRAM + compression latency + wire for a blocking
     /// miss, then the (non-blocking) victim write-back's wire occupancy at
     /// the step's final clock.
-    pub(crate) fn apply_step_timing(&mut self, idx: usize, trace: &StepTrace) {
+    fn apply_step_timing(&mut self, idx: usize, trace: &StepTrace) {
         let c = &self.config;
         self.chips[idx].now_ps += trace.gap_ps + trace.wait_ps;
         if let Some(b) = &trace.blocking {
@@ -797,7 +769,7 @@ impl FabricSim {
     /// Per-wire rollup of every PTP mesh hop in triangular hop order:
     /// wire occupancy from the shared link, fault counters summed over the
     /// two directional pipelines riding the wire. The localization surface
-    /// of `cable report --hops` and the shard-equivalence digests.
+    /// of `cable report --hops` and the run-equivalence digests.
     #[must_use]
     pub fn hop_stats(&self) -> Vec<HopStats> {
         let mut out = Vec::with_capacity(self.wires.len());
@@ -864,8 +836,7 @@ impl FabricSim {
     /// Arms (`Some`) or disarms (`None`) the mesh-pipeline fault override
     /// mid-run, optionally pinned to one wire — the mesh half of the
     /// degradation sweep. Seeds decorrelate per `(hop, direction)` exactly
-    /// like [`FabricSim::with_config`], so a sharded replay of the same
-    /// arming sequence stays bit-identical.
+    /// like [`FabricSim::with_config`].
     pub fn set_mesh_fault_injection(&mut self, fault: Option<FaultConfig>, hop: Option<u32>) {
         self.config.mesh_fault = fault;
         self.config.mesh_fault_hop = hop;
@@ -887,7 +858,7 @@ impl FabricSim {
 
     /// A digest of every shared timing resource plus per-chip clocks and
     /// access counts — two runs are timing-equivalent iff their
-    /// fingerprints match. Used by the shard-determinism tests.
+    /// fingerprints match. Used by the run-equivalence tests.
     #[must_use]
     pub fn timing_fingerprint(&self) -> Vec<u64> {
         let mut fp = Vec::with_capacity(self.nodes * 3 + self.wires.len() * 2);
@@ -916,7 +887,7 @@ impl FabricSim {
 
     /// Per-link stats of every coherence pipeline, in `(requester, home)`
     /// row-major order (requester != home) — the byte-identity surface of
-    /// the shard equivalence tests.
+    /// the run-equivalence tests.
     #[must_use]
     pub fn pipeline_stats(&self) -> Vec<LinkStats> {
         let mut out = Vec::with_capacity(self.nodes * (self.nodes - 1));

@@ -14,9 +14,6 @@
 //! - [`adaptive`]: the §VI-D on/off compression controller;
 //! - [`sched`]: the event-driven [`Scheduler`]/[`DoneTracker`] core shared
 //!   by every multi-actor timing loop;
-//! - [`shard`]: the epoch-synchronized parallel engine behind
-//!   [`FabricSim::run_sharded`] and [`NumaSim::run_sharded`] —
-//!   bit-identical to the single-threaded runs for every worker count;
 //! - [`arena`]: the [`SimArena`] warm-state cache that amortises group
 //!   warm-up across sweep points.
 //!
@@ -44,7 +41,6 @@ mod hier;
 pub mod numa;
 pub mod resources;
 pub mod sched;
-pub mod shard;
 pub mod single;
 pub mod thread;
 pub mod throughput;
@@ -56,7 +52,6 @@ pub use fabric::{wire_pair_index, FabricResult, FabricSim, HopStats};
 pub use numa::NumaSim;
 pub use resources::{DramModel, SharedLink};
 pub use sched::{DoneTracker, Scheduler};
-pub use shard::{ShardPlan, EPOCH_STEPS};
 pub use single::{run_single, run_single_telemetry, run_single_warmed, SingleResult};
 pub use thread::{CompressedLink, Scheme, ThreadSim};
 pub use throughput::{

@@ -11,10 +11,9 @@
 use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
 use crate::config::SystemConfig;
 use crate::sched::Scheduler;
-use crate::shard::{for_each_shard, ShardPlan};
 use crate::thread::{CompressedLink, Scheme};
 use cable_cache::CacheGeometry;
-use cable_common::{Address, LineData};
+use cable_common::Address;
 use cable_core::{FaultConfig, FaultStats, LinkStats};
 use cable_telemetry::{LatencyRecorder, StageSpans, Telemetry};
 use cable_trace::{WorkloadGen, WorkloadProfile};
@@ -24,41 +23,6 @@ use cable_trace::{WorkloadGen, WorkloadProfile};
 /// functional; the clock only spreads trace timestamps so `cable
 /// report` timelines and phase windows are meaningful.
 pub const NUMA_OP_PITCH_PS: u64 = 1_000;
-
-/// Accesses dispatched per epoch by [`NumaSim::run_sharded`] before the
-/// parallel link-drain barrier. Bounds queued-op memory; the value does
-/// not affect results, only wall-clock.
-pub const NUMA_EPOCH_OPS: u64 = 4_096;
-
-/// One remote access, fully materialized by the sequential dispatch pass
-/// so any worker can replay it against the owning link.
-#[derive(Clone, Copy, Debug)]
-struct LinkOp {
-    link: usize,
-    addr: Address,
-    memory: LineData,
-    store: Option<LineData>,
-    now_ps: u64,
-}
-
-/// Pairs each link with its op queue and degradation controller so one
-/// `chunks_mut` hands all three to a worker.
-fn zip_queues<'a>(
-    links: &'a mut [CompressedLink],
-    queues: &'a mut [Vec<LinkOp>],
-    controllers: &'a mut [OnOffController],
-) -> Vec<(
-    &'a mut CompressedLink,
-    &'a mut Vec<LinkOp>,
-    &'a mut OnOffController,
-)> {
-    links
-        .iter_mut()
-        .zip(queues.iter_mut())
-        .zip(controllers.iter_mut())
-        .map(|((l, q), c)| (l, q, c))
-        .collect()
-}
 
 /// A NUMA compression study over one benchmark.
 pub struct NumaSim {
@@ -78,8 +42,7 @@ pub struct NumaSim {
     /// Per-remote-op latency probe. The study is functional, so every
     /// remote access charges one coarse [`NUMA_OP_PITCH_PS`] hierarchy
     /// span — the percentile tables still gain the access *counts* per
-    /// scheme, and the recorder's histograms live in the shared registry,
-    /// so sharded drains produce bit-identical state.
+    /// scheme.
     lat: Option<LatencyRecorder>,
 }
 
@@ -189,10 +152,10 @@ impl NumaSim {
     /// compresses, not when — but it now sits on the shared
     /// [`Scheduler`](crate::Scheduler) event core like every other
     /// multi-actor loop: the generator is an actor enqueued at its next
-    /// operation time (one [`NUMA_OP_PITCH_PS`] per access), so the shard
-    /// engine and the report timelines see the same event-driven clock
-    /// discipline as the timed simulators. The seed straight-line loop is
-    /// kept verbatim as [`NumaSim::run_linear`], the equivalence oracle.
+    /// operation time (one [`NUMA_OP_PITCH_PS`] per access), so the report
+    /// timelines see the same event-driven clock discipline as the timed
+    /// simulators. The seed straight-line loop is kept verbatim as
+    /// [`NumaSim::run_linear`], the equivalence oracle.
     pub fn run(&mut self, accesses: u64) {
         let mut sched = Scheduler::with_capacity(1);
         let mut remaining = accesses;
@@ -202,21 +165,37 @@ impl NumaSim {
         while let Some((t, actor)) = sched.pop() {
             self.now_ps = t;
             self.tel.set_now_ps(self.now_ps);
-            let op = self.next_op();
-            if let Some(op) = op {
-                Self::apply_op(&mut self.links[op.link], &self.tel, self.lat.as_ref(), &op);
-                self.controllers[op.link].note_op(&mut self.links[op.link]);
-            }
             remaining -= 1;
             if remaining > 0 {
                 sched.push(self.now_ps + NUMA_OP_PITCH_PS, actor);
             }
+            let access = self.gen.next_access();
+            let node = self.home_node(access.addr);
+            if node == 0 {
+                self.local_accesses += 1;
+                continue;
+            }
+            self.remote_accesses += 1;
+            let link = &mut self.links[node - 1];
+            let memory = self.gen.content(access.addr);
+            if access.is_write {
+                link.request_exclusive(access.addr, memory);
+                link.remote_store(access.addr, self.gen.store_data(access.addr));
+            } else {
+                link.request(access.addr, memory);
+            }
+            if let Some(lat) = &self.lat {
+                lat.record(&StageSpans {
+                    hier: NUMA_OP_PITCH_PS,
+                    ..StageSpans::default()
+                });
+            }
+            self.controllers[node - 1].note_op(link);
         }
     }
 
     /// The seed O(accesses) straight-line loop, kept verbatim as the
-    /// equivalence oracle for [`NumaSim::run`] and
-    /// [`NumaSim::run_sharded`].
+    /// equivalence oracle for [`NumaSim::run`].
     #[doc(hidden)]
     pub fn run_linear(&mut self, accesses: u64) {
         for _ in 0..accesses {
@@ -245,116 +224,6 @@ impl NumaSim {
                 });
             }
             self.controllers[node - 1].note_op(&mut self.links[node - 1]);
-        }
-    }
-
-    /// Runs `accesses` accesses with the per-link work sharded across
-    /// `workers` OS threads — bit-identical to [`NumaSim::run`] for every
-    /// worker count.
-    ///
-    /// The generator is a single sequential stream, so each epoch first
-    /// dispatches [`NUMA_EPOCH_OPS`] accesses inline (advancing the
-    /// generator and the coarse clock exactly as [`NumaSim::run`] does,
-    /// including the in-order `content`/`store_data` calls), queueing each
-    /// remote operation — with its payloads and timestamp — onto its
-    /// link's queue. The links are then drained in parallel: every link is
-    /// driven by exactly one worker, each op under the shard's forked
-    /// telemetry clock set to the op's dispatch stamp, so per-link state,
-    /// stats and event stamps match the sequential run exactly.
-    pub fn run_sharded(&mut self, accesses: u64, workers: usize) {
-        let plan = ShardPlan::new(self.links.len(), workers);
-        let parent = self.tel.clone();
-        let forks: Vec<Telemetry> = (0..plan.shards()).map(|_| parent.fork_shard()).collect();
-        if parent.is_enabled() {
-            for (i, link) in self.links.iter_mut().enumerate() {
-                link.set_telemetry(forks[plan.shard_of(i)].clone());
-            }
-            for (i, ctl) in self.controllers.iter_mut().enumerate() {
-                ctl.set_telemetry(&forks[plan.shard_of(i)]);
-            }
-        }
-
-        let mut queues: Vec<Vec<LinkOp>> = vec![Vec::new(); self.links.len()];
-        let mut remaining = accesses;
-        while remaining > 0 {
-            let epoch = remaining.min(NUMA_EPOCH_OPS);
-            for _ in 0..epoch {
-                self.now_ps += NUMA_OP_PITCH_PS;
-                self.tel.set_now_ps(self.now_ps);
-                if let Some(op) = self.next_op() {
-                    queues[op.link].push(op);
-                }
-            }
-            remaining -= epoch;
-
-            let lat = self.lat.as_ref();
-            let mut work = zip_queues(&mut self.links, &mut queues, &mut self.controllers);
-            for_each_shard(&mut work, plan.chunk_len(), |shard, pairs| {
-                let tel = &forks[shard];
-                for (link, queue, ctl) in pairs.iter_mut() {
-                    for op in queue.iter() {
-                        Self::apply_op(link, tel, lat, op);
-                        ctl.note_op(link);
-                    }
-                    queue.clear();
-                }
-            });
-        }
-
-        if parent.is_enabled() {
-            for link in &mut self.links {
-                link.set_telemetry(parent.clone());
-            }
-            for ctl in &mut self.controllers {
-                ctl.set_telemetry(&parent);
-            }
-            parent.absorb_shards(&forks);
-        }
-    }
-
-    /// Generates one access and classifies it: `None` for a local access
-    /// (counted, touches no link), or the fully-materialized remote
-    /// operation. All generator calls happen here, in the exact order of
-    /// the seed loop, so the single stream stays deterministic no matter
-    /// who later drives the link.
-    fn next_op(&mut self) -> Option<LinkOp> {
-        let access = self.gen.next_access();
-        let node = self.home_node(access.addr);
-        if node == 0 {
-            self.local_accesses += 1;
-            return None;
-        }
-        self.remote_accesses += 1;
-        let memory = self.gen.content(access.addr);
-        let store = access.is_write.then(|| self.gen.store_data(access.addr));
-        Some(LinkOp {
-            link: node - 1,
-            addr: access.addr,
-            memory,
-            store,
-            now_ps: self.now_ps,
-        })
-    }
-
-    /// Drives one queued operation into its link under `tel`'s clock.
-    fn apply_op(
-        link: &mut CompressedLink,
-        tel: &Telemetry,
-        lat: Option<&LatencyRecorder>,
-        op: &LinkOp,
-    ) {
-        tel.set_now_ps(op.now_ps);
-        if let Some(data) = op.store {
-            link.request_exclusive(op.addr, op.memory);
-            link.remote_store(op.addr, data);
-        } else {
-            link.request(op.addr, op.memory);
-        }
-        if let Some(lat) = lat {
-            lat.record(&StageSpans {
-                hier: NUMA_OP_PITCH_PS,
-                ..StageSpans::default()
-            });
         }
     }
 

@@ -11,8 +11,7 @@ use cable_telemetry::{hop_metric_id, Counter, Event, Histogram, Telemetry, HOP_D
 use std::collections::VecDeque;
 
 /// Hop-keyed wire metrics (`mesh.hop.{N}.*`), resolved once when a link
-/// has both a hop id and an enabled telemetry handle. Counters commute,
-/// so per-hop totals are identical between sequential and sharded runs.
+/// has both a hop id and an enabled telemetry handle.
 #[derive(Clone, Debug, Default)]
 struct HopWireTelemetry {
     bits: Counter,

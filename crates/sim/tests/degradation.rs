@@ -44,7 +44,7 @@ fn drive(
 }
 
 /// Small geometries so a few thousand instructions produce plenty of
-/// pipeline traffic (same scaling trick as the shard-equivalence suite).
+/// pipeline traffic (same scaling trick as the run-equivalence suite).
 fn small_config() -> SystemConfig {
     SystemConfig {
         l1_bytes: 4 << 10,

@@ -5,9 +5,7 @@
 //! hierarchy time, codec time, link queue wait, wire serialization,
 //! retry/resync penalty, and DRAM service — that sum *exactly* to the
 //! end-to-end total. Each stage (and the total) streams into a registry
-//! histogram with HDR-style fixed-relative-precision buckets, so sharded
-//! runs (which share the registry across forks) reproduce percentile
-//! state bit-identically for every worker count.
+//! histogram with HDR-style fixed-relative-precision buckets.
 //!
 //! Ids follow `lat.{scheme}.{phase}.{stage}`, with an optional `h{N}`
 //! segment before the stage for hop-keyed wire spans

@@ -83,10 +83,7 @@ use std::sync::Arc;
 
 /// Shared state behind an enabled [`Telemetry`] handle.
 struct Inner {
-    /// Behind its own [`Arc`] so shard forks ([`Telemetry::fork_shard`])
-    /// can share one registry (atomic metric updates commute across
-    /// shards) while owning private tracers and clocks.
-    registry: Arc<Registry>,
+    registry: Registry,
     tracer: Tracer,
     /// The current simulated time in picoseconds; event stamps read this.
     now_ps: AtomicU64,
@@ -122,7 +119,7 @@ impl Telemetry {
     pub fn with_config(cfg: TracerConfig) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                registry: Arc::new(Registry::new()),
+                registry: Registry::new(),
                 tracer: Tracer::new(cfg),
                 now_ps: AtomicU64::new(0),
             })),
@@ -138,60 +135,11 @@ impl Telemetry {
     pub fn streaming(cfg: TracerConfig, sink: Box<dyn EventSink>) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                registry: Arc::new(Registry::new()),
+                registry: Registry::new(),
                 tracer: Tracer::with_sink(cfg, sink),
                 now_ps: AtomicU64::new(0),
             })),
         }
-    }
-
-    /// Forks a per-shard handle for a parallel simulation phase: the fork
-    /// *shares* this handle's metrics registry (counter, gauge and
-    /// histogram updates are atomic and commute across shards) but owns a
-    /// private tracer and sim-time clock, so concurrent shards never race
-    /// on `set_now_ps` or interleave their event sequences. The fork is
-    /// ring-only even when the parent streams; merge its events back with
-    /// [`Self::absorb_shards`]. Forking a disabled handle yields a
-    /// disabled handle.
-    #[must_use]
-    pub fn fork_shard(&self) -> Telemetry {
-        match &self.inner {
-            Some(inner) => Telemetry {
-                inner: Some(Arc::new(Inner {
-                    registry: Arc::clone(&inner.registry),
-                    tracer: Tracer::new(inner.tracer.config()),
-                    now_ps: AtomicU64::new(self.now_ps()),
-                })),
-            },
-            None => Telemetry::disabled(),
-        }
-    }
-
-    /// Merges the buffered events of shard forks back into this handle's
-    /// trace. Events are interleaved in global `(now_ps, shard index,
-    /// shard seq)` order — shard-local order is preserved, cross-shard
-    /// ties resolve lowest shard first — and re-recorded here, so they
-    /// receive fresh, dense sequence numbers in merged order (the dense
-    /// seq invariant the exporters rely on). Returns the number of events
-    /// merged. Shard drop counts are folded into this handle's tracer so
-    /// ring overflow in a fork is still visible as a drop.
-    pub fn absorb_shards(&self, shards: &[Telemetry]) -> usize {
-        let Some(inner) = &self.inner else { return 0 };
-        let mut merged: Vec<(u64, usize, u64, Event)> = Vec::new();
-        let mut dropped = 0;
-        for (shard_idx, shard) in shards.iter().enumerate() {
-            for te in shard.events() {
-                merged.push((te.now_ps, shard_idx, te.seq, te.event));
-            }
-            dropped += shard.dropped_events();
-        }
-        merged.sort_by_key(|&(now_ps, shard_idx, seq, _)| (now_ps, shard_idx, seq));
-        let n = merged.len();
-        for (now_ps, _, _, event) in merged {
-            inner.tracer.push(now_ps, event);
-        }
-        inner.tracer.add_dropped(dropped);
-        n
     }
 
     /// Whether this handle collects anything.

@@ -1682,10 +1682,16 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Report artifacts
+/// and trace lines nest a handful of levels; the cap turns hostile input
+/// into an error before the recursive parser can exhaust the stack.
+const MAX_JSON_DEPTH: usize = 64;
+
 fn parse_json(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -1699,6 +1705,8 @@ fn parse_json(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -1732,8 +1740,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -1741,6 +1749,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -2208,6 +2231,22 @@ mod tests {
         assert!(err.contains("1 of 2 lines malformed"), "{err}");
         let err = Report::from_jsonl("{\"no_type\":1}").unwrap_err();
         assert!(err.contains("missing \"type\""), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Report::from_jsonl(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let err = Report::from_report_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_obj = "{\"a\":".repeat(200_000);
+        let err = Report::from_report_json(&deep_obj).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The cap itself is inclusive: exactly MAX_JSON_DEPTH levels parse.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nest(MAX_JSON_DEPTH + 1)).is_err());
     }
 
     #[test]

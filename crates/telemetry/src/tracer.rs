@@ -199,18 +199,6 @@ impl Tracer {
         self.shared.lock().expect("tracer poisoned").dropped
     }
 
-    /// The sizing this tracer was built with (shard forks mirror it).
-    #[must_use]
-    pub fn config(&self) -> TracerConfig {
-        self.cfg
-    }
-
-    /// Folds externally-counted drops (e.g. a merged shard tracer's) into
-    /// this tracer's drop count.
-    pub fn add_dropped(&self, n: u64) {
-        self.shared.lock().expect("tracer poisoned").dropped += n;
-    }
-
     /// Events written to the sink so far.
     #[must_use]
     pub fn drained(&self) -> u64 {

@@ -160,11 +160,12 @@ impl TraceReader {
         }
         let count = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
         let body_len = (bytes.len() - HEADER_BYTES) as u64;
-        if body_len < count * RECORD_BYTES as u64 {
+        let need = count
+            .checked_mul(RECORD_BYTES as u64)
+            .ok_or_else(|| TraceFormatError::new(format!("record count {count} overflows")))?;
+        if body_len < need {
             return Err(TraceFormatError::new(format!(
-                "body holds {} bytes, need {}",
-                body_len,
-                count * RECORD_BYTES as u64
+                "body holds {body_len} bytes, need {need}"
             )));
         }
         Ok(TraceReader {
@@ -274,6 +275,19 @@ mod tests {
         let full = w.finish();
         let truncated = full[0..full.len() - 10].to_vec();
         assert!(TraceReader::new(truncated).is_err());
+    }
+
+    #[test]
+    fn overflowing_record_count_rejected() {
+        // count * 73 wraps to 71 bytes, so a wrapping size check would
+        // accept this 200-byte body and the reader would slice past it.
+        let count: u64 = u64::MAX / RECORD_BYTES as u64 + 1;
+        let mut bytes = Vec::from(*MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.resize(HEADER_BYTES + 200, 0);
+        let err = TraceReader::new(bytes).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
