@@ -3,6 +3,7 @@
 //! The JSON emitter is hand-rolled: the result shape is a flat
 //! label/number table, which does not justify a serialization dependency.
 
+use cable_telemetry::json;
 use std::fs;
 use std::path::Path;
 
@@ -72,18 +73,6 @@ pub struct FigureResult<'a> {
     pub rows: Vec<(String, Vec<f64>)>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl FigureResult<'_> {
     /// Serializes the result as JSON.
     #[must_use]
@@ -91,7 +80,7 @@ impl FigureResult<'_> {
         let cols = self
             .columns
             .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
+            .map(|c| format!("\"{}\"", json::escape(c)))
             .collect::<Vec<_>>()
             .join(", ");
         let rows = self
@@ -111,15 +100,15 @@ impl FigureResult<'_> {
                     .join(", ");
                 format!(
                     "    {{\"label\": \"{}\", \"values\": [{vals}]}}",
-                    json_escape(label)
+                    json::escape(label)
                 )
             })
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
             "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"columns\": [{cols}],\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-            json_escape(self.id),
-            json_escape(self.title)
+            json::escape(self.id),
+            json::escape(self.title)
         )
     }
 }
@@ -147,49 +136,47 @@ impl LoadedFigure {
 }
 
 /// Parses the restricted JSON emitted by [`save_json`] (this module's own
-/// format — not a general JSON parser).
+/// format — not a general JSON parser). Strings are decoded in one
+/// left-to-right pass, so every label the emitter escapes reads back
+/// unchanged.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural mismatch.
 pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
-    fn string_after<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
+    fn string_after(text: &str, key: &str) -> Result<String, String> {
         let pat = format!("\"{key}\": \"");
         let start = text
             .find(&pat)
             .ok_or_else(|| format!("missing key {key}"))?
             + pat.len();
-        let end = text[start..]
-            .find('"')
-            .ok_or_else(|| format!("unterminated string for {key}"))?;
-        Ok(&text[start..start + end])
+        let (s, _) = read_string(&text[start..]).map_err(|e| format!("{key}: {e}"))?;
+        Ok(s)
     }
-    fn unescape(s: &str) -> String {
-        s.replace("\\n", "\n")
-            .replace("\\\"", "\"")
-            .replace("\\\\", "\\")
-    }
-    let id = unescape(string_after(text, "id")?);
-    let title = unescape(string_after(text, "title")?);
+    let id = string_after(text, "id")?;
+    let title = string_after(text, "title")?;
     // Columns array.
     const COLS_PAT: &str = "\"columns\": [";
     let cstart = text.find(COLS_PAT).ok_or("missing columns")? + COLS_PAT.len();
-    let cend = text[cstart..].find(']').ok_or("unterminated columns")? + cstart;
-    let columns: Vec<String> = text[cstart..cend]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(unescape)
-        .collect();
+    let mut rest = &text[cstart..];
+    let mut columns = Vec::new();
+    while let Some(body) = rest.trim_start_matches([',', ' ']).strip_prefix('"') {
+        let (column, after) = read_string(body).map_err(|e| format!("column: {e}"))?;
+        columns.push(column);
+        rest = after;
+    }
+    rest = rest
+        .trim_start_matches(' ')
+        .strip_prefix(']')
+        .ok_or("unterminated columns")?;
     // Rows.
     let mut rows = Vec::new();
-    let mut rest = &text[cend..];
     const LABEL_PAT: &str = "{\"label\": \"";
     const VALUES_PAT: &str = "\"values\": [";
     while let Some(pos) = rest.find(LABEL_PAT) {
-        rest = &rest[pos + LABEL_PAT.len()..];
-        let lend = rest.find('"').ok_or("unterminated row label")?;
-        let label = unescape(&rest[..lend]);
+        let (label, after) =
+            read_string(&rest[pos + LABEL_PAT.len()..]).map_err(|e| format!("row label: {e}"))?;
+        rest = after;
         let vstart = rest.find(VALUES_PAT).ok_or("missing values")? + VALUES_PAT.len();
         let vend = rest[vstart..].find(']').ok_or("unterminated values")? + vstart;
         let values: Vec<f64> = rest[vstart..vend]
@@ -206,6 +193,13 @@ pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
         columns,
         rows,
     })
+}
+
+/// Decodes the string literal whose body (the text after its opening
+/// quote) starts `body`, returning it and the text after its closing quote.
+fn read_string(body: &str) -> Result<(String, &str), String> {
+    let (s, end) = json::decode_string(body, 0)?;
+    Ok((s.into_owned(), &body[end..]))
 }
 
 /// Writes a figure result as JSON under `results/` (best effort: printing
@@ -284,5 +278,26 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("null"));
         assert!(json.contains("\"values\": [1.5]"));
+    }
+
+    #[test]
+    fn escaped_labels_round_trip_through_loader() {
+        let labels = ["a\\nb", "tab\there", "bell\u{7}", "quote \" / slash \\"];
+        let r = FigureResult {
+            id: "fig\\00",
+            title: "\"quoted\"\r\n",
+            columns: labels.iter().map(|l| (*l).to_string()).collect(),
+            rows: labels
+                .iter()
+                .map(|l| ((*l).to_string(), vec![1.0, 2.0]))
+                .collect(),
+        };
+        let json = r.to_json();
+        json::validate_json(&json).expect("emitted JSON is well-formed");
+        let loaded = load_json(&json).unwrap();
+        assert_eq!(loaded.id, r.id);
+        assert_eq!(loaded.title, r.title);
+        assert_eq!(loaded.columns, labels);
+        assert_eq!(loaded.rows, r.rows);
     }
 }

@@ -5,6 +5,13 @@
 //! output actually parses. This is a strict RFC 8259 recursive-descent
 //! recognizer: it accepts exactly well-formed JSON text and reports the
 //! byte offset of the first violation. It builds no value tree.
+//!
+//! [`escape`] and [`decode_string`] are the string writer and reader
+//! shared by the exporters, the `cable report` parser and the figure
+//! loader. The validator keeps its own string scan so that it stays an
+//! independent check of both.
+
+use std::borrow::Cow;
 
 /// Validates that `s` is one well-formed JSON value (with optional
 /// surrounding whitespace).
@@ -198,6 +205,77 @@ fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Decodes the JSON string literal whose opening `"` ends just before
+/// byte `start` of `text`, in one left-to-right pass. Returns the string
+/// and the offset just past its closing `"`. Each run between escapes
+/// ends at a `"`, `\` or control byte, all ASCII, so it ends on a char
+/// boundary and is taken as one slice; the result borrows from `text`
+/// unless the literal holds an escape. A `\u` escape that names no
+/// scalar value (a lone surrogate) decodes to U+FFFD.
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset of a raw control byte or a
+/// malformed escape, or that the literal is unterminated.
+///
+/// # Panics
+///
+/// Panics if `start` is past the end of `text` or not on a char
+/// boundary; a position just past an opening `"` is always valid.
+pub fn decode_string(text: &str, start: usize) -> Result<(Cow<'_, str>, usize), String> {
+    let bytes = text.as_bytes();
+    let mut pos = start;
+    let mut owned: Option<String> = None;
+    loop {
+        let run_start = pos;
+        pos += bytes[pos..]
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+            .unwrap_or(bytes.len() - pos);
+        let run = &text[run_start..pos];
+        match bytes.get(pos) {
+            None => return Err("unterminated string".to_string()),
+            Some(b'"') => {
+                let s = match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                };
+                return Ok((s, pos + 1));
+            }
+            Some(b'\\') => {
+                let out = owned.get_or_insert_with(String::new);
+                out.push_str(run);
+                pos += 1;
+                match bytes.get(pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let code = text
+                            .get(pos + 1..pos + 5)
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("invalid \\u escape at byte {pos}"))?;
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        pos += 4;
+                    }
+                    _ => return Err(format!("invalid escape at byte {pos}")),
+                }
+                pos += 1;
+            }
+            Some(_) => return Err(format!("unescaped control byte in string at {pos}")),
+        }
+    }
+}
+
 /// Escapes `s` for inclusion inside a JSON string literal.
 #[must_use]
 pub fn escape(s: &str) -> String {
@@ -217,41 +295,48 @@ pub fn escape(s: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Well-formed JSON texts; the report parser is held to the same
+    /// lists (`report::tests::parser_and_validator_share_one_grammar`).
+    pub(crate) const WELL_FORMED: &[&str] = &[
+        "{}",
+        "[]",
+        "null",
+        "true",
+        "-0.5e+10",
+        "\"a\\nb\\u00e9\"",
+        "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
+        "  [1, 2]  ",
+    ];
+
+    /// Malformed JSON texts.
+    pub(crate) const MALFORMED: &[&str] = &[
+        "",
+        "{",
+        "[1,]",
+        "{\"a\":}",
+        "{'a':1}",
+        "01",
+        "1.",
+        "1e",
+        "\"unterminated",
+        "truex",
+        "[1] [2]",
+        "{\"a\":1,}",
+    ];
 
     #[test]
     fn accepts_well_formed_values() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "true",
-            "-0.5e+10",
-            "\"a\\nb\\u00e9\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
-            "  [1, 2]  ",
-        ] {
+        for ok in WELL_FORMED {
             validate_json(ok).unwrap_or_else(|e| panic!("{ok:?} rejected: {e}"));
         }
     }
 
     #[test]
     fn rejects_malformed_values() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{'a':1}",
-            "01",
-            "1.",
-            "1e",
-            "\"unterminated",
-            "truex",
-            "[1] [2]",
-            "{\"a\":1,}",
-        ] {
+        for bad in MALFORMED {
             assert!(validate_json(bad).is_err(), "{bad:?} accepted");
         }
     }

@@ -23,6 +23,7 @@ use crate::latency::{
 };
 use crate::registry::MetricValue;
 use crate::Telemetry;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -785,7 +786,7 @@ impl Report {
         ] {
             if let Some(Value::Obj(pairs)) = val.get(key) {
                 for (id, v) in pairs {
-                    out.push((id.clone(), v.as_u64().unwrap_or(0)));
+                    out.push((id.to_string(), v.as_u64().unwrap_or(0)));
                 }
             }
         }
@@ -1183,7 +1184,7 @@ fn int_array(values: &[u64]) -> String {
 /// Applies one parsed trace line to the aggregation accumulators.
 /// Errors are bare messages; the caller prefixes the line number.
 fn apply_trace_line(
-    val: &Value,
+    val: &Value<'_>,
     samples: &mut Vec<Stamped>,
     counters: &mut Vec<(String, u64)>,
     gauges: &mut Vec<(String, u64)>,
@@ -1633,25 +1634,28 @@ fn percentile(h: &HistData, q_permille: u64) -> u64 {
 // ---------------------------------------------------------------------
 // Minimal JSON value parser (the export schema is integer/string-heavy,
 // but the parser accepts full JSON so foreign tooling output parses
-// too). The workspace takes no external crates.
+// too). One linear pass; strings borrow from the input unless they carry
+// an escape ([`json::decode_string`]). It accepts exactly the RFC 8259
+// grammar of [`json::validate_json`]. The workspace takes no external
+// crates.
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Debug, PartialEq)]
-enum Value {
+enum Value<'a> {
     Null,
     Bool(bool),
     Int(u64),
     Float(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+    Str(Cow<'a, str>),
+    Arr(Vec<Value<'a>>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl Value<'_> {
     /// First value under `key` (exported event lines can legally repeat
     /// a key — e.g. marker events carry their own `"name"` argument —
     /// and the schema field always comes first).
-    fn get(&self, key: &str) -> Option<&Value> {
+    fn get(&self, key: &str) -> Option<&Self> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -1687,8 +1691,9 @@ impl Value {
 /// into an error before the recursive parser can exhaust the stack.
 const MAX_JSON_DEPTH: usize = 64;
 
-fn parse_json(text: &str) -> Result<Value, String> {
+fn parse_json(text: &str) -> Result<Value<'_>, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -1703,13 +1708,14 @@ fn parse_json(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -1729,7 +1735,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, text: &str, v: Value<'a>) -> Result<Value<'a>, String> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(v)
@@ -1738,7 +1744,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value<'a>, String> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
@@ -1746,14 +1752,17 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
     }
 
     /// Parses one container a level deeper, refusing to pass
     /// [`MAX_JSON_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value<'a>, String>,
+    ) -> Result<Value<'a>, String> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
@@ -1766,7 +1775,7 @@ impl Parser<'_> {
         v
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -1793,7 +1802,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -1816,70 +1825,41 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
+        let (s, end) = json::decode_string(self.text, self.pos)?;
+        self.pos = end;
+        Ok(s)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A plain
+    /// non-negative integer that fits is [`Value::Int`], accumulated
+    /// from the digits as they are scanned; anything else is a float.
+    fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let bad = || format!("bad number at offset {start}");
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let mut int = Some(0u64);
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    int = int
+                        .and_then(|v| v.checked_mul(10))
+                        .and_then(|v| v.checked_add(u64::from(d - b'0')));
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(bad()),
         }
-        let mut is_float = false;
+        let mut is_float = negative;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits().ok_or_else(bad)?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -1887,20 +1867,24 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits().ok_or_else(bad)?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes")?;
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Int(v));
-            }
+        match int {
+            Some(v) if !is_float => Ok(Value::Int(v)),
+            _ => self.text[start..self.pos]
+                .parse::<f64>()
+                .map(Value::Float)
+                .map_err(|_| bad()),
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| format!("bad number at offset {start}"))
+    }
+
+    /// Consumes one or more ASCII digits; `None` when there is none.
+    fn digits(&mut self) -> Option<()> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(())
     }
 }
 
@@ -1959,6 +1943,88 @@ mod tests {
         assert_eq!(v.get("b"), Some(&Value::Float(-150.0)));
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn parser_and_validator_share_one_grammar() {
+        // Leading zeros, a fraction without digits, a raw control byte in
+        // a string and a signed `\u` escape: all outside RFC 8259.
+        let strict = ["01", "-01", "1.", "1.e5", "\"a\u{1}b\"", "\"\\u+0041\""];
+        for s in strict {
+            assert!(json::validate_json(s).is_err(), "{s:?} accepted");
+        }
+        let more = [
+            "-",
+            "-0",
+            "0.5",
+            "1E+2",
+            "1e-0",
+            "18446744073709551616",
+            "\"\\u00E9\\uD83D\\uDE00\"",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\u{7f}\"",
+            "[\"a\",]",
+            "{\"a\" 1}",
+        ];
+        for s in json::tests::WELL_FORMED
+            .iter()
+            .chain(json::tests::MALFORMED)
+            .chain(&strict)
+            .chain(&more)
+        {
+            assert_eq!(
+                parse_json(s).is_ok(),
+                json::validate_json(s).is_ok(),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parsed_strings_borrow_unless_escaped() {
+        let v = parse_json("{\"plain\":\"caf\u{e9}\",\"esc\":\"a\\tb\\u0041\\\"\"}").unwrap();
+        let Value::Obj(pairs) = &v else {
+            panic!("not an object: {v:?}")
+        };
+        assert!(pairs.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(
+            v.get("plain"),
+            Some(Value::Str(Cow::Borrowed("caf\u{e9}")))
+        ));
+        assert!(matches!(
+            v.get("esc"),
+            Some(Value::Str(Cow::Owned(s))) if s == "a\tbA\""
+        ));
+    }
+
+    /// Length of the string value the linear-parse tests carry. A parse
+    /// that rescans the rest of the line for every character needs tens
+    /// of seconds for it in a debug build; a linear one, milliseconds.
+    const LONG_STRING: usize = 1 << 20;
+
+    #[test]
+    fn from_jsonl_is_linear_in_line_length() {
+        let pad = "x".repeat(LONG_STRING);
+        let line = format!("{{\"type\":\"meta\",\"pad\":\"{pad}\"}}");
+        let t = std::time::Instant::now();
+        let rep = Report::from_jsonl(&line).expect("one long meta line parses");
+        let elapsed = t.elapsed();
+        assert!(elapsed.as_secs() < 2, "1 MiB line took {elapsed:?}");
+        assert_eq!(rep.malformed_lines, 0);
+    }
+
+    #[test]
+    fn from_report_json_is_linear_in_string_length() {
+        let name = "x".repeat(LONG_STRING);
+        let text = format!(
+            "{{\"type\":\"cable_report\",\"version\":1,\"phases\":[{{\"name\":\"{name}\"}}]}}"
+        );
+        let t = std::time::Instant::now();
+        let rep = Report::from_report_json(&text).expect("artifact parses");
+        let elapsed = t.elapsed();
+        assert!(elapsed.as_secs() < 2, "1 MiB phase name took {elapsed:?}");
+        assert_eq!(rep.phases[0].name, name);
     }
 
     #[test]
