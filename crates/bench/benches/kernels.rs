@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks for the hot kernels: each compression
-//! engine, the signature/search pipeline, and the end-to-end link request.
+//! engine, signature extraction and H3 hashing, the search pipeline, and
+//! the end-to-end link request.
 //!
 //! These measure the *host* cost of the model (lines/second of simulation),
 //! not the modelled hardware latency — Table IV cycle counts cover that.
 
 use cable_common::{Address, LineData, SplitMix64};
 use cable_compress::{Bdi, Compressor, Cpack, EngineKind, Lbe, Lzss, Oracle, SeededCompressor};
-use cable_core::{CableConfig, CableLink};
+use cable_core::h3::H3;
+use cable_core::{CableConfig, CableLink, SignatureBuf, SignatureExtractor};
 use cable_trace::WorkloadGen;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -96,6 +98,56 @@ fn bench_seeded(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_signature_extract(c: &mut Criterion) {
+    let extractor = SignatureExtractor::new(1);
+    let lines = test_lines(256, 0);
+    let mut group = c.benchmark_group("signature_extract");
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("search", |b| {
+        let mut sigs = SignatureBuf::new();
+        let mut i = 0;
+        b.iter(|| {
+            extractor.search_signatures_into(&lines[i % lines.len()], &mut sigs);
+            i += 1;
+            sigs.len()
+        });
+    });
+    group.bench_function("insert", |b| {
+        let mut sigs = SignatureBuf::new();
+        let mut i = 0;
+        b.iter(|| {
+            extractor.insert_signatures_into(&lines[i % lines.len()], 2, &mut sigs);
+            i += 1;
+            sigs.len()
+        });
+    });
+    group.finish();
+}
+
+fn bench_h3(c: &mut Criterion) {
+    let h = H3::new(0xcab1e, 32);
+    let words: Vec<[u32; 16]> = test_lines(256, 1).iter().map(LineData::to_words).collect();
+    let mut group = c.benchmark_group("h3_hash");
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("hash_line", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let hs = h.hash_line(&words[i % words.len()]);
+            i += 1;
+            hs.iter().fold(0u64, |a, &x| a ^ x)
+        });
+    });
+    group.bench_function("hash_per_word", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let ws = &words[i % words.len()];
+            i += 1;
+            ws.iter().fold(0u64, |a, &w| a ^ h.hash(w))
+        });
+    });
+    group.finish();
+}
+
 fn bench_link(c: &mut Criterion) {
     let mut group = c.benchmark_group("cable_link");
     group.throughput(Throughput::Bytes(64));
@@ -166,6 +218,8 @@ criterion_group!(
     benches,
     bench_engines,
     bench_seeded,
+    bench_signature_extract,
+    bench_h3,
     bench_link,
     bench_search
 );

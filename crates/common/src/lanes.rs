@@ -9,9 +9,10 @@
 //!
 //! Everything here is plain integer arithmetic — portable stable Rust, no
 //! `unsafe`, no `std::simd` — chosen so the compiler can keep the whole
-//! comparison in registers. Every caller keeps its scalar loop in-tree as an
-//! oracle; the kernels must be *bit-identical* to those loops, and the
-//! equivalence suites enforce it on encoded wire bytes.
+//! comparison in registers. Every caller keeps its scalar loop as an oracle
+//! (in its unit tests, or as the fallback for inputs wider than one
+//! movemask); the kernels must be *bit-identical* to those loops, and the
+//! oracle proptests enforce it on encoded wire bytes.
 
 /// Low bit of each 32-bit lane of a `u64`.
 const LANE_LO: u64 = 0x0000_0001_0000_0001;

@@ -12,9 +12,8 @@
 //! - [`SplitMix64`]: a tiny deterministic RNG used where a full `rand`
 //!   dependency would be overkill (e.g. H3 matrix generation).
 //! - [`lanes`]: SWAR kernels (broadcast-compare, movemask) that the encode
-//!   hot path uses to process whole lines lane-parallel. Gated behind the
-//!   `vectorized` cargo feature (default on); with the feature off, every
-//!   caller falls back to its scalar oracle loop.
+//!   hot path uses to process whole lines lane-parallel. Each caller's
+//!   scalar loop lives on in its unit tests as the oracle.
 //!
 //! # Examples
 //!

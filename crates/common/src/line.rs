@@ -131,30 +131,12 @@ impl LineData {
     /// Computes the 16-bit coverage bit vector (CBV) of `candidate` against
     /// `self`: bit `i` is set when word `i` matches exactly (§III-C).
     ///
-    /// With the `vectorized` feature (default), the comparison runs over
-    /// `u64` lane blocks via [`crate::lanes::line_eq_mask`]; the scalar
-    /// per-word loop stays available as [`LineData::coverage_vector_scalar`]
-    /// and the two are bit-identical by construction.
+    /// The comparison runs over `u64` lane blocks via
+    /// [`crate::lanes::line_eq_mask`]; the unit tests check it against the
+    /// per-word loop.
     #[must_use]
     pub fn coverage_vector(&self, candidate: &LineData) -> u16 {
-        if cfg!(feature = "vectorized") {
-            crate::lanes::line_eq_mask(&self.as_lanes(), &candidate.as_lanes())
-        } else {
-            self.coverage_vector_scalar(candidate)
-        }
-    }
-
-    /// Scalar oracle for [`LineData::coverage_vector`]: the per-word
-    /// comparison loop the lane kernel is verified against.
-    #[must_use]
-    pub fn coverage_vector_scalar(&self, candidate: &LineData) -> u16 {
-        let mut cbv = 0u16;
-        for i in 0..WORDS_PER_LINE {
-            if self.word(i) == candidate.word(i) {
-                cbv |= 1 << i;
-            }
-        }
-        cbv
+        crate::lanes::line_eq_mask(&self.as_lanes(), &candidate.as_lanes())
     }
 }
 
@@ -259,6 +241,18 @@ mod tests {
         assert_eq!(lanes[1], 0);
     }
 
+    /// Scalar oracle for [`LineData::coverage_vector`]: the per-word
+    /// comparison loop the lane kernel is verified against.
+    fn coverage_vector_scalar(a: &LineData, b: &LineData) -> u16 {
+        let mut cbv = 0u16;
+        for i in 0..WORDS_PER_LINE {
+            if a.word(i) == b.word(i) {
+                cbv |= 1 << i;
+            }
+        }
+        cbv
+    }
+
     #[test]
     fn coverage_vector_matches_scalar_oracle() {
         let mut rng = crate::SplitMix64::new(99);
@@ -271,7 +265,7 @@ mod tests {
                 b[i] = rng.next_u32() & 0x8000_0003;
             }
             let (a, b) = (LineData::from_words(a), LineData::from_words(b));
-            assert_eq!(a.coverage_vector(&b), a.coverage_vector_scalar(&b));
+            assert_eq!(a.coverage_vector(&b), coverage_vector_scalar(&a, &b));
         }
     }
 

@@ -6,12 +6,11 @@
 //! (immediates). Each line is encoded independently — BDI keeps no state
 //! across lines, which is why the paper classes it as non-dictionary.
 //!
-//! The vectorized encoder materializes each segment width once into a stack
-//! buffer and probes all six base+delta encodings against those shared
-//! arrays — one pass per width instead of a fresh heap-allocated segment
-//! vector per candidate encoding. The original allocating path survives as
-//! the scalar oracle ([`Bdi::compress_scalar`]) and is the compiled path
-//! when the `vectorized` feature is off; both emit identical bytes.
+//! The encoder materializes each segment width once into a stack buffer and
+//! probes all six base+delta encodings against those shared arrays — one
+//! pass per width instead of a fresh heap-allocated segment vector per
+//! candidate encoding. The unit tests check it against the original
+//! allocating probe.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded};
 use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
@@ -87,7 +86,7 @@ const DELTA_ORDER: [Encoding; 6] = [
 ];
 
 /// Fills `buf` with the line's `size`-byte little-endian segments and
-/// returns the filled prefix. Stack-only replacement for [`segments`].
+/// returns the filled prefix.
 fn segments_into<'a>(line: &LineData, size: usize, buf: &'a mut [u64; 32]) -> &'a [u64] {
     let n = LINE_BYTES / size;
     for (i, slot) in buf[..n].iter_mut().enumerate() {
@@ -102,7 +101,7 @@ fn segments_into<'a>(line: &LineData, size: usize, buf: &'a mut [u64; 32]) -> &'
 
 /// True if every segment is reachable from the zero base or the first
 /// non-near-zero base with `delta_bytes`-byte deltas (the BDI feasibility
-/// test, shared by both encoder paths).
+/// test).
 fn delta_encoding_ok(segs: &[u64], delta_bytes: usize, base_bytes: usize) -> (bool, u64) {
     let base = segs
         .iter()
@@ -113,19 +112,6 @@ fn delta_encoding_ok(segs: &[u64], delta_bytes: usize, base_bytes: usize) -> (bo
         delta_fits(s, 0, delta_bytes, base_bytes) || delta_fits(s, base, delta_bytes, base_bytes)
     });
     (ok, base)
-}
-
-fn segments(line: &LineData, size: usize) -> Vec<u64> {
-    line.as_bytes()
-        .chunks(size)
-        .map(|chunk| {
-            let mut v = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                v |= u64::from(b) << (8 * i);
-            }
-            v
-        })
-        .collect()
 }
 
 fn delta_fits(value: u64, base: u64, delta_bytes: usize, base_bytes: usize) -> bool {
@@ -167,18 +153,10 @@ impl Bdi {
         Bdi
     }
 
-    fn pick_encoding(line: &LineData) -> Encoding {
-        if cfg!(feature = "vectorized") {
-            Self::pick_encoding_lanes(line)
-        } else {
-            Self::pick_encoding_scalar(line)
-        }
-    }
-
     /// Batched encoding probe: the 8-byte segments are exactly the line's
     /// `u64` lane blocks, and the 4-/2-byte widths are materialized once
     /// into stack buffers shared by every candidate encoding.
-    fn pick_encoding_lanes(line: &LineData) -> Encoding {
+    fn pick_encoding(line: &LineData) -> Encoding {
         if line.is_zero() {
             return Encoding::Zeros;
         }
@@ -204,36 +182,8 @@ impl Bdi {
         Encoding::Uncompressed
     }
 
-    /// Scalar oracle probe: the original per-encoding scan with one fresh
-    /// segment vector per candidate.
-    fn pick_encoding_scalar(line: &LineData) -> Encoding {
-        if line.is_zero() {
-            return Encoding::Zeros;
-        }
-        let segs8 = segments(line, 8);
-        if segs8.iter().all(|&s| s == segs8[0]) {
-            return Encoding::Repeat;
-        }
-        for enc in DELTA_ORDER {
-            let (base_bytes, delta_bytes) = enc.base_delta().expect("delta encodings only");
-            let segs = segments(line, base_bytes);
-            // One arbitrary base (first segment not near zero) + zero base.
-            if delta_encoding_ok(&segs, delta_bytes, base_bytes).0 {
-                return enc;
-            }
-        }
-        Encoding::Uncompressed
-    }
-
-    /// Scalar-oracle twin of [`Compressor::compress`] (BDI is stateless, so
-    /// only the probe differs); byte-identical output by construction.
-    #[must_use]
-    pub fn compress_scalar(&self, line: &LineData) -> Encoded {
-        Self::emit(line, Self::pick_encoding_scalar(line))
-    }
-
-    /// Serializes `line` under the chosen encoding. Shared by both probe
-    /// paths, using a stack segment buffer (no per-line allocation).
+    /// Serializes `line` under the chosen encoding, using a stack segment
+    /// buffer (no per-line allocation).
     fn emit(line: &LineData, enc: Encoding) -> Encoded {
         let mut out = BitWriter::new();
         out.write_bits(enc.tag(), TAG_BITS);
@@ -370,6 +320,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn segments(line: &LineData, size: usize) -> Vec<u64> {
+        line.as_bytes()
+            .chunks(size)
+            .map(|chunk| {
+                let mut v = 0u64;
+                for (i, &b) in chunk.iter().enumerate() {
+                    v |= u64::from(b) << (8 * i);
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// Scalar oracle for [`Bdi::pick_encoding`]: the original per-encoding
+    /// scan with one fresh segment vector per candidate.
+    fn pick_encoding_scalar(line: &LineData) -> Encoding {
+        if line.is_zero() {
+            return Encoding::Zeros;
+        }
+        let segs8 = segments(line, 8);
+        if segs8.iter().all(|&s| s == segs8[0]) {
+            return Encoding::Repeat;
+        }
+        for enc in DELTA_ORDER {
+            let (base_bytes, delta_bytes) = enc.base_delta().expect("delta encodings only");
+            let segs = segments(line, base_bytes);
+            // One arbitrary base (first segment not near zero) + zero base.
+            if delta_encoding_ok(&segs, delta_bytes, base_bytes).0 {
+                return enc;
+            }
+        }
+        Encoding::Uncompressed
+    }
+
     fn round_trip(line: LineData) -> usize {
         let payload = Bdi::new().compress(&line);
         assert_eq!(Bdi::new().decompress(&payload).unwrap(), line);
@@ -477,8 +461,9 @@ mod tests {
             );
         }
 
-        /// Batched probe vs scalar oracle: byte-identical payloads. Narrow
-        /// byte values keep the delta encodings in play.
+        /// Batched probe vs scalar oracle: the same encoding, so the same
+        /// payload bytes. Narrow byte values keep the delta encodings in
+        /// play.
         #[test]
         fn prop_matches_scalar_oracle(
             bytes in proptest::collection::vec(prop_oneof![Just(0u8), 0u8..4, any::<u8>()], 64)
@@ -486,10 +471,7 @@ mod tests {
             let mut arr = [0u8; 64];
             arr.copy_from_slice(&bytes);
             let line = LineData::from_bytes(arr);
-            let fast = Bdi::new().compress(&line);
-            let slow = Bdi::new().compress_scalar(&line);
-            prop_assert_eq!(fast.len_bits(), slow.len_bits());
-            prop_assert_eq!(fast.as_bytes(), slow.as_bytes());
+            prop_assert_eq!(Bdi::pick_encoding(&line), pick_encoding_scalar(&line));
         }
     }
 }

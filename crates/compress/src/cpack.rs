@@ -29,13 +29,12 @@
 //!
 //! The per-word encoder cost is dominated by the dictionary scan, which
 //! classifies every entry against three patterns (`mmmm`, `mmmx`, `mmxx`).
-//! The vectorized path computes all three match masks for the whole
+//! The lane probe computes all three match masks for the whole
 //! dictionary in one pass ([`cable_common::lanes::cpack_match_masks`]) and
-//! picks the first match of each class with `trailing_zeros`. The original
-//! branchy scan stays in-tree as the scalar oracle
-//! ([`Cpack::compress_seeded_scalar`], [`Cpack::compress_scalar`]); both
-//! produce byte-identical payloads, and the scalar probe is the only one
-//! compiled when the `vectorized` feature is off.
+//! picks the first match of each class with `trailing_zeros`. The masks are
+//! one `u64` each, so dictionaries beyond 64 entries take the original
+//! branchy scan instead; the unit tests hold the two probes identical on
+//! every dictionary that fits a movemask.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded, SeededCompressor};
 use cable_common::{bits_for, lanes, BitReader, BitWriter, LineData, WORDS_PER_LINE, WORD_BYTES};
@@ -147,78 +146,57 @@ impl Cpack {
     }
 
     fn encode_line(&mut self, line: &LineData, out: &mut BitWriter) {
-        self.encode_line_impl(line, out, cfg!(feature = "vectorized"));
-    }
-
-    /// Encodes one line; `lane_probe` selects the vectorized dictionary
-    /// probe (used when the dictionary fits a 64-lane movemask) or the
-    /// scalar oracle scan. Both emit identical bits.
-    fn encode_line_impl(&mut self, line: &LineData, out: &mut BitWriter, lane_probe: bool) {
         let b = self.index_bits();
         for word in line.words() {
-            if word == 0 {
-                out.write_bits(CODE_ZZZZ, 2);
-                continue;
+            self.encode_word(word, b, out);
+        }
+    }
+
+    /// Encodes one word with `b`-bit dictionary indices, pushing partial
+    /// matches and literals into the dictionary.
+    #[inline]
+    fn encode_word(&mut self, word: u32, b: u32, out: &mut BitWriter) {
+        if word == 0 {
+            out.write_bits(CODE_ZZZZ, 2);
+            return;
+        }
+        if word & 0xffff_ff00 == 0 {
+            out.write_bits(CODE_ZZZX, 4);
+            out.write_bits(u64::from(word & 0xff), 8);
+            return;
+        }
+        // The dictionary mutates word-by-word (partial matches and
+        // literals are pushed), so the probe is per word — but it
+        // classifies the whole dictionary in one pass when it fits a
+        // 64-lane movemask.
+        let probe = if self.dict.len() <= 64 {
+            probe_lanes(&self.dict, word)
+        } else {
+            probe_scalar(&self.dict, word)
+        };
+        match probe {
+            Probe::Full(i) => {
+                out.write_bits(CODE_MMMM, 2);
+                out.write_bits(i as u64, b);
             }
-            if word & 0xffff_ff00 == 0 {
-                out.write_bits(CODE_ZZZX, 4);
+            Probe::Hi24(i) => {
+                out.write_bits(CODE_MMMX, 4);
+                out.write_bits(i as u64, b);
                 out.write_bits(u64::from(word & 0xff), 8);
-                continue;
+                self.push(word);
             }
-            // The dictionary mutates word-by-word (partial matches and
-            // literals are pushed), so the probe is per word — but it now
-            // classifies the whole dictionary in one pass.
-            let probe = if lane_probe && self.dict.len() <= 64 {
-                probe_lanes(&self.dict, word)
-            } else {
-                probe_scalar(&self.dict, word)
-            };
-            match probe {
-                Probe::Full(i) => {
-                    out.write_bits(CODE_MMMM, 2);
-                    out.write_bits(i as u64, b);
-                }
-                Probe::Hi24(i) => {
-                    out.write_bits(CODE_MMMX, 4);
-                    out.write_bits(i as u64, b);
-                    out.write_bits(u64::from(word & 0xff), 8);
-                    self.push(word);
-                }
-                Probe::Hi16(i) => {
-                    out.write_bits(CODE_MMXX, 4);
-                    out.write_bits(i as u64, b);
-                    out.write_bits(u64::from(word & 0xffff), 16);
-                    self.push(word);
-                }
-                Probe::Miss => {
-                    out.write_bits(CODE_XXXX, 2);
-                    out.write_bits(u64::from(word), 32);
-                    self.push(word);
-                }
+            Probe::Hi16(i) => {
+                out.write_bits(CODE_MMXX, 4);
+                out.write_bits(i as u64, b);
+                out.write_bits(u64::from(word & 0xffff), 16);
+                self.push(word);
+            }
+            Probe::Miss => {
+                out.write_bits(CODE_XXXX, 2);
+                out.write_bits(u64::from(word), 32);
+                self.push(word);
             }
         }
-    }
-
-    /// Scalar-oracle twin of [`Compressor::compress`]: same dictionary
-    /// update, same wire bytes, branchy per-entry probe.
-    pub fn compress_scalar(&mut self, line: &LineData) -> Encoded {
-        if !self.persist {
-            self.dict.clear();
-        }
-        let mut out = BitWriter::new();
-        self.encode_line_impl(line, &mut out, false);
-        Encoded::new(out)
-    }
-
-    /// Scalar-oracle twin of [`SeededCompressor::compress_seeded`]; the
-    /// equivalence suite checks it byte-for-byte against the lane probe.
-    #[must_use]
-    pub fn compress_seeded_scalar(&self, refs: &[LineData], line: &LineData) -> Encoded {
-        let mut scratch = self.clone();
-        scratch.seed_dict(refs);
-        let mut out = BitWriter::new();
-        scratch.encode_line_impl(line, &mut out, false);
-        Encoded::new(out)
     }
 
     fn decode_line(&mut self, r: &mut BitReader<'_>) -> Result<LineData, DecodeError> {
@@ -304,7 +282,8 @@ enum Probe {
     Miss,
 }
 
-/// Scalar oracle probe: the original early-exit linear scan.
+/// Early-exit linear scan: the probe for dictionaries beyond 64 entries,
+/// and the oracle [`probe_lanes`] is tested against.
 fn probe_scalar(dict: &[u32], word: u32) -> Probe {
     let mut hi24 = None;
     let mut hi16 = None;
@@ -688,6 +667,22 @@ mod tests {
         assert_eq!(third, 34 + 15 * 2, "a must have been evicted");
     }
 
+    /// Encodes `line` word by word, checking before each word that the lane
+    /// probe and the scalar probe classify it identically against the
+    /// dictionary as it stands.
+    fn assert_probes_agree(engine: &mut Cpack, line: &LineData) {
+        let b = engine.index_bits();
+        let mut out = BitWriter::new();
+        for word in line.words() {
+            assert!(engine.dict.len() <= 64);
+            assert_eq!(
+                probe_lanes(&engine.dict, word),
+                probe_scalar(&engine.dict, word)
+            );
+            engine.encode_word(word, b, &mut out);
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_per_line_round_trip(words in proptest::array::uniform16(any::<u32>())) {
@@ -696,10 +691,13 @@ mod tests {
 
         #[test]
         fn prop_streaming_round_trip(
-            lines in proptest::collection::vec(proptest::array::uniform16(any::<u32>()), 1..20)
+            lines in proptest::collection::vec(proptest::array::uniform16(any::<u32>()), 1..20),
+            dict_bytes in prop_oneof![Just(128usize), Just(512)],
         ) {
-            let mut enc = Cpack::streaming(128);
-            let mut dec = Cpack::streaming(128);
+            // The 128-entry dictionary outgrows the movemask and takes the
+            // scalar probe.
+            let mut enc = Cpack::streaming(dict_bytes);
+            let mut dec = Cpack::streaming(dict_bytes);
             for words in lines {
                 let line = LineData::from_words(words);
                 let payload = enc.compress(&line);
@@ -728,30 +726,36 @@ mod tests {
             prop_assert!(payload.len_bits() <= 16 * 34);
         }
 
-        /// Lane probe vs scalar probe: byte-identical seeded payloads. The
-        /// word pool shares high bytes so every pattern class fires.
+        /// Lane probe vs scalar probe on every seeded dictionary state. The
+        /// word pool shares high bytes so every pattern class fires; the
+        /// adversarial families add all-zero, all-miss and clashy lines.
         #[test]
         fn prop_seeded_matches_scalar_oracle(
-            target in proptest::array::uniform16(prop_oneof![
-                Just(0u32), Just(0x7fu32), Just(0x1234_5600u32), Just(0x1234_0042u32),
-                Just(0x1234_5678u32), any::<u32>(),
-            ]),
-            r0 in proptest::array::uniform16(prop_oneof![
-                Just(0x1234_5600u32), Just(0x1234_0000u32), any::<u32>(),
-            ]),
-            r1 in proptest::array::uniform16(any::<u32>()),
+            (refs, line) in prop_oneof![
+                (
+                    (
+                        proptest::array::uniform16(prop_oneof![
+                            Just(0x1234_5600u32), Just(0x1234_0000u32), any::<u32>(),
+                        ]),
+                        proptest::array::uniform16(any::<u32>()),
+                    )
+                        .prop_map(|(r0, r1)| vec![LineData::from_words(r0), LineData::from_words(r1)]),
+                    proptest::array::uniform16(prop_oneof![
+                        Just(0u32), Just(0x7fu32), Just(0x1234_5600u32), Just(0x1234_0042u32),
+                        Just(0x1234_5678u32), any::<u32>(),
+                    ])
+                    .prop_map(LineData::from_words),
+                ),
+                crate::test_lines::family_case(),
+            ],
         ) {
-            let engine = Cpack::seeded();
-            let refs = [LineData::from_words(r0), LineData::from_words(r1)];
-            let line = LineData::from_words(target);
-            let fast = engine.compress_seeded(&refs, &line);
-            let slow = engine.compress_seeded_scalar(&refs, &line);
-            prop_assert_eq!(fast.len_bits(), slow.len_bits());
-            prop_assert_eq!(fast.as_bytes(), slow.as_bytes());
+            let mut engine = Cpack::seeded();
+            engine.seed_dict(&refs);
+            assert_probes_agree(&mut engine, &line);
         }
 
-        /// Streaming equivalence: identical payloads and identical
-        /// dictionary evolution across a line sequence.
+        /// Streaming equivalence: the probes agree on every dictionary state
+        /// a line sequence builds.
         #[test]
         fn prop_streaming_matches_scalar_oracle(
             lines in proptest::collection::vec(
@@ -761,14 +765,9 @@ mod tests {
                 1..16,
             )
         ) {
-            let mut fast = Cpack::streaming(128);
-            let mut slow = Cpack::streaming(128);
+            let mut engine = Cpack::streaming(128);
             for words in lines {
-                let line = LineData::from_words(words);
-                let a = fast.compress(&line);
-                let b = slow.compress_scalar(&line);
-                prop_assert_eq!(a.len_bits(), b.len_bits());
-                prop_assert_eq!(a.as_bytes(), b.as_bytes());
+                assert_probes_agree(&mut engine, &LineData::from_words(words));
             }
         }
     }

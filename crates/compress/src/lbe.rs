@@ -35,11 +35,10 @@
 //! per-word compare loops), and the window match search broadcasts the
 //! anchor word across the whole window with [`cable_common::lanes::eq_mask`]
 //! and walks only the set bits. Seeded calls build their window in a stack
-//! buffer — no engine clone, no allocation. The original per-word encoder
-//! is kept as the scalar oracle ([`Lbe::compress_seeded_scalar`],
-//! [`Lbe::compress_scalar`]); both paths are bit-identical on the wire, and
-//! with the `vectorized` cargo feature disabled the oracle is the only path
-//! compiled in.
+//! buffer — no engine clone, no allocation. The movemask is one `u64`, so
+//! windows beyond 64 words (LBE512 and up) take the original per-word
+//! encoder instead; the unit tests hold the two bit-identical on the wire
+//! for every window that fits a movemask.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded, SeededCompressor};
 use cable_common::{bits_for, lanes, BitReader, BitWriter, LineData, WORDS_PER_LINE, WORD_BYTES};
@@ -159,36 +158,12 @@ impl Lbe {
             heap
         }
     }
-
-    /// Scalar-oracle twin of [`Compressor::compress`]: same window update,
-    /// same wire bytes, per-word reference encoder.
-    pub fn compress_scalar(&mut self, line: &LineData) -> Encoded {
-        let mut out = BitWriter::new();
-        encode_words_scalar(&self.window, self.offset_bits(), &line.to_words(), &mut out);
-        if self.persist {
-            self.push_line(line);
-        }
-        Encoded::new(out)
-    }
-
-    /// Scalar-oracle twin of [`SeededCompressor::compress_seeded`]. The
-    /// vectorized encoder must produce byte-identical output; the
-    /// equivalence suite enforces this on every payload.
-    #[must_use]
-    pub fn compress_seeded_scalar(&self, refs: &[LineData], line: &LineData) -> Encoded {
-        let mut stack = [0u32; LANE_WINDOW_WORDS];
-        let mut heap = Vec::new();
-        let win = self.seeded_window(refs, &mut stack, &mut heap);
-        let mut out = BitWriter::new();
-        encode_words_scalar(win, self.offset_bits(), &line.to_words(), &mut out);
-        Encoded::new(out)
-    }
 }
 
 /// Encodes one line against a frozen window, dispatching to the lane
-/// kernels when they are compiled in and the window fits a movemask.
+/// kernels when the window fits a movemask.
 fn encode_words(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: &mut BitWriter) {
-    if cfg!(feature = "vectorized") && win.len() <= LANE_WINDOW_WORDS {
+    if win.len() <= LANE_WINDOW_WORDS {
         encode_words_lanes(win, ob, words, out);
     } else {
         encode_words_scalar(win, ob, words, out);
@@ -260,9 +235,9 @@ fn encode_words_lanes(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: 
     }
 }
 
-/// Scalar oracle encoder: the original per-word loop, kept verbatim as the
-/// specification the lane kernels are tested against (and as the only path
-/// when the `vectorized` feature is off or the window exceeds 64 words).
+/// Per-word encoder: the original loop, kept verbatim as the specification
+/// the lane kernels are tested against and as the path for windows beyond
+/// 64 words.
 fn encode_words_scalar(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: &mut BitWriter) {
     let mut i = 0;
     while i < WORDS_PER_LINE {
@@ -353,7 +328,7 @@ fn best_copy_lanes(win: &[u32], words: &[u32; WORDS_PER_LINE], i: usize) -> Opti
     best
 }
 
-/// Scalar oracle for [`best_copy_lanes`]: the original linear window scan.
+/// Linear window scan: [`encode_words_scalar`]'s copy search.
 fn best_copy_scalar(
     win: &[u32],
     words: &[u32; WORDS_PER_LINE],
@@ -668,6 +643,17 @@ mod tests {
         assert!(engine.decompress_seeded(&[], &Encoded::new(w)).is_err());
     }
 
+    /// Runs both encoders on one window that fits a movemask; they must
+    /// emit byte-identical wire bits, not just round-trip-equal ones.
+    fn assert_kernels_agree(win: &[u32], ob: u32, line: &LineData) {
+        assert!(win.len() <= LANE_WINDOW_WORDS);
+        let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+        encode_words_lanes(win, ob, &line.to_words(), &mut fast);
+        encode_words_scalar(win, ob, &line.to_words(), &mut slow);
+        assert_eq!(fast.len_bits(), slow.len_bits());
+        assert_eq!(fast.as_slice(), slow.as_slice());
+    }
+
     /// Lines whose word alphabet is tiny, so zero runs, repeats, and window
     /// copies all fire and fight over every position.
     fn clashy_line() -> impl Strategy<Value = LineData> {
@@ -698,11 +684,13 @@ mod tests {
 
         #[test]
         fn prop_streaming_round_trip(
-            lines in proptest::collection::vec(proptest::array::uniform16(0u32..8), 1..24)
+            lines in proptest::collection::vec(proptest::array::uniform16(0u32..8), 1..24),
+            window_bytes in prop_oneof![Just(256usize), Just(1024)],
         ) {
-            // Small word alphabet maximizes window matches.
-            let mut enc = Lbe::streaming(256);
-            let mut dec = Lbe::streaming(256);
+            // Small word alphabet maximizes window matches; the 256-word
+            // window outgrows the movemask and takes the per-word encoder.
+            let mut enc = Lbe::streaming(window_bytes);
+            let mut dec = Lbe::streaming(window_bytes);
             for words in lines {
                 let line = LineData::from_words(words);
                 let payload = enc.compress(&line);
@@ -718,34 +706,33 @@ mod tests {
             prop_assert!(payload.len_bits() <= 16 * 35);
         }
 
-        /// The vectorized seeded encoder and the scalar oracle must emit
-        /// byte-identical wire payloads, not just round-trip-equal ones.
+        /// Lane encoder vs the per-word oracle on seeded windows, over
+        /// clashy lines and the adversarial families.
         #[test]
         fn prop_seeded_matches_scalar_oracle(
-            target in clashy_line(),
-            refs in proptest::collection::vec(clashy_line(), 0..=3),
+            (refs, target) in prop_oneof![
+                (proptest::collection::vec(clashy_line(), 0..=3), clashy_line()),
+                crate::test_lines::family_case(),
+            ],
         ) {
             let engine = Lbe::seeded();
-            let fast = engine.compress_seeded(&refs, &target);
-            let slow = engine.compress_seeded_scalar(&refs, &target);
-            prop_assert_eq!(fast.len_bits(), slow.len_bits());
-            prop_assert_eq!(fast.as_bytes(), slow.as_bytes());
+            let mut stack = [0u32; LANE_WINDOW_WORDS];
+            let mut heap = Vec::new();
+            let win = engine.seeded_window(&refs, &mut stack, &mut heap);
+            assert_kernels_agree(win, engine.offset_bits(), &target);
         }
 
-        /// Streaming equivalence: both engines see the same line sequence,
-        /// so their windows must also evolve identically.
+        /// Streaming equivalence: the two encoders agree on every window
+        /// the line sequence builds.
         #[test]
         fn prop_streaming_matches_scalar_oracle(
             lines in proptest::collection::vec(proptest::array::uniform16(0u32..6), 1..20)
         ) {
-            let mut fast = Lbe::streaming(256);
-            let mut slow = Lbe::streaming(256);
+            let mut engine = Lbe::streaming(256);
             for words in lines {
                 let line = LineData::from_words(words);
-                let a = fast.compress(&line);
-                let b = slow.compress_scalar(&line);
-                prop_assert_eq!(a.len_bits(), b.len_bits());
-                prop_assert_eq!(a.as_bytes(), b.as_bytes());
+                assert_kernels_agree(&engine.window, engine.offset_bits(), &line);
+                engine.compress(&line);
             }
         }
     }

@@ -54,6 +54,9 @@ pub mod lzss;
 pub mod oracle;
 pub mod zce;
 
+#[cfg(test)]
+mod test_lines;
+
 pub use bdi::Bdi;
 pub use cpack::{Cpack, IdealDictionary};
 pub use lbe::Lbe;

@@ -275,12 +275,10 @@ impl BaselineLink {
         for (i, a) in batch.iter().enumerate() {
             // Same software pipelining as the CABLE link: warm the next
             // element's tag sets while this element computes.
-            if cfg!(feature = "vectorized") {
-                if let Some(next) = batch.get(i + 1) {
-                    let next_addr = next.addr.line_aligned();
-                    self.home.warm(next_addr);
-                    self.remote.warm(next_addr);
-                }
+            if let Some(next) = batch.get(i + 1) {
+                let next_addr = next.addr.line_aligned();
+                self.home.warm(next_addr);
+                self.remote.warm(next_addr);
             }
             let t = match a.op {
                 crate::BatchOp::Read => self.request(a.addr, a.memory),

@@ -449,6 +449,33 @@ mod tests {
             prop_assert!(c.parse_guarded(framed.as_slice(), cut).is_err());
         }
 
+        /// A seeded LBE or CPACK diff of an adversarial line survives the
+        /// full fault-mode framing (payload header + line CRC + frame CRC):
+        /// it parses back, decodes to the exact line, and the line CRC
+        /// covers the decoded bytes.
+        #[test]
+        fn prop_seeded_diff_survives_guarded_frame(
+            (refs, line) in crate::test_lines::family_case(),
+        ) {
+            use cable_compress::{Cpack, Lbe, SeededCompressor};
+            let c = PayloadCodec::new(10, 16);
+            let engines: [&dyn SeededCompressor; 2] = [&Lbe::seeded(), &Cpack::seeded()];
+            for engine in engines {
+                let diff = engine.compress_seeded(&refs, &line);
+                let framed = c.encode_compressed(&[0, 1, 2], &diff);
+                let guarded = c.encode_guarded(&framed, &line);
+                let (parsed, line_crc) = c
+                    .parse_guarded(guarded.as_slice(), guarded.len_bits())
+                    .expect("self-produced frame verifies");
+                let ParsedPayload::Compressed { ref_lids, diff } = parsed else {
+                    panic!("{}: compressed payload parsed as raw", engine.name());
+                };
+                prop_assert_eq!(ref_lids, vec![0, 1, 2]);
+                prop_assert_eq!(engine.decompress_seeded(&refs, &diff).unwrap(), line);
+                prop_assert_eq!(line_crc, crc32(line.as_bytes()));
+            }
+        }
+
         /// Random byte soup never panics the parser — it errors or parses.
         #[test]
         fn prop_byte_soup_never_panics(

@@ -158,9 +158,7 @@ impl SignatureTable {
     /// Inserts `lid` under every signature in `sigs` (bucket semantics of
     /// [`SignatureTable::insert`]), warming the target buckets first.
     pub fn insert_all(&mut self, sigs: &[Signature], lid: u32) {
-        if cfg!(feature = "vectorized") {
-            self.warm(sigs);
-        }
+        self.warm(sigs);
         for &sig in sigs {
             self.insert(sig, lid);
         }
@@ -169,9 +167,7 @@ impl SignatureTable {
     /// Removes every occurrence of `lid` across the buckets of `sigs`,
     /// warming the target buckets first.
     pub fn remove_all(&mut self, sigs: &[Signature], lid: u32) {
-        if cfg!(feature = "vectorized") {
-            self.warm(sigs);
-        }
+        self.warm(sigs);
         for &sig in sigs {
             self.remove(sig, lid);
         }

@@ -60,6 +60,12 @@ pub mod signature;
 pub mod super_wmt;
 pub mod wmt;
 
+// The adversarial line families are shared with cable-compress's oracle
+// tests; test-only items do not cross crates, so the file is included.
+#[cfg(test)]
+#[path = "../../compress/src/test_lines.rs"]
+mod test_lines;
+
 pub use baseline::{BaselineKind, BaselineLink};
 pub use cable_compress::{DecodeError, DecodeErrorKind};
 pub use channel::{FaultConfig, FaultStats, FaultyChannel, NoticeFate, ResyncReport, Transmission};

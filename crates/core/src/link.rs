@@ -805,12 +805,10 @@ impl CableLink {
             // before servicing this one, so the next element's (random,
             // usually cold) tag-array lines are fetched while this element
             // computes. Pure cache warming — element semantics unchanged.
-            if cfg!(feature = "vectorized") {
-                if let Some(next) = batch.get(i + 1) {
-                    let next_addr = next.addr.line_aligned();
-                    self.home.warm(next_addr);
-                    self.remote.warm(next_addr);
-                }
+            if let Some(next) = batch.get(i + 1) {
+                let next_addr = next.addr.line_aligned();
+                self.home.warm(next_addr);
+                self.remote.warm(next_addr);
             }
             let t = match a.op {
                 BatchOp::Read => self.request(a.addr, a.memory),
@@ -1648,15 +1646,16 @@ impl CableLink {
         // consecutive-flit XORs are byte-aligned stream self-XORs, so the
         // whole payload is charged in 64-bit popcount chunks instead of
         // one BitReader call per flit.
-        if cfg!(feature = "vectorized") && width.is_multiple_of(8) {
+        if width.is_multiple_of(8) {
             self.account_toggles_lanes(payload, width);
         } else {
             self.account_toggles_scalar(payload, width);
         }
     }
 
-    /// Scalar oracle for [`CableLink::account_toggles`]: the per-flit
-    /// BitReader loop the lane path is tested against.
+    /// Per-flit BitReader loop: the path for link widths that are not a
+    /// whole number of bytes, and the oracle the lane path is tested
+    /// against.
     fn account_toggles_scalar(&mut self, payload: &BitWriter, width: u32) {
         let mut reader = cable_common::BitReader::new(payload.as_slice(), payload.len_bits());
         loop {

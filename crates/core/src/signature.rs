@@ -205,21 +205,14 @@ impl SignatureExtractor {
     /// Allocation-free form of [`SignatureExtractor::insert_signatures_n`]:
     /// clears `out` and fills it with the insert signatures.
     ///
+    /// Mask-driven: one [`nontrivial_mask`] computes all sixteen triviality
+    /// tests at once, and each offset's forwarding scan is a
+    /// `trailing_zeros` on the shifted mask.
+    ///
     /// # Panics
     ///
     /// Panics if `count` is 0 or greater than 16.
     pub fn insert_signatures_into(&self, line: &LineData, count: usize, out: &mut SignatureBuf) {
-        if cfg!(feature = "vectorized") {
-            self.insert_signatures_into_lanes(line, count, out);
-        } else {
-            self.insert_signatures_into_scalar(line, count, out);
-        }
-    }
-
-    /// Mask-driven insert extraction: one [`nontrivial_mask`] computes all
-    /// sixteen triviality tests at once, and each offset's forwarding scan
-    /// is a `trailing_zeros` on the shifted mask.
-    fn insert_signatures_into_lanes(&self, line: &LineData, count: usize, out: &mut SignatureBuf) {
         assert!(
             (1..=WORDS_PER_LINE).contains(&count),
             "insert-signature count must be 1..=16"
@@ -240,30 +233,6 @@ impl SignatureExtractor {
         }
     }
 
-    /// Scalar oracle for [`SignatureExtractor::insert_signatures_into`]:
-    /// the original per-word forwarding scan.
-    pub fn insert_signatures_into_scalar(
-        &self,
-        line: &LineData,
-        count: usize,
-        out: &mut SignatureBuf,
-    ) {
-        assert!(
-            (1..=WORDS_PER_LINE).contains(&count),
-            "insert-signature count must be 1..=16"
-        );
-        out.clear();
-        for k in 0..count {
-            let offset = k * WORDS_PER_LINE / count;
-            let found = (offset..WORDS_PER_LINE)
-                .map(|i| line.word(i))
-                .find(|&w| !is_trivial_word(w));
-            if let Some(word) = found {
-                out.push_dedup(self.sign(word));
-            }
-        }
-    }
-
     /// Extracts **all** distinct non-trivial signatures for searching: "all
     /// potential signatures are extracted and checked" (Fig. 5), up to 16
     /// per line, "often much less due to zeroes, and potentially non-unique
@@ -277,19 +246,12 @@ impl SignatureExtractor {
 
     /// Allocation-free form of [`SignatureExtractor::search_signatures`]:
     /// clears `out` and fills it with all distinct non-trivial signatures.
+    ///
+    /// Mask-driven: the branchless [`nontrivial_mask`] replaces sixteen
+    /// data-dependent triviality branches, and when most words survive, the
+    /// whole line is hashed in one [`H3::hash_line`] pass instead of sixteen
+    /// separate calls.
     pub fn search_signatures_into(&self, line: &LineData, out: &mut SignatureBuf) {
-        if cfg!(feature = "vectorized") {
-            self.search_signatures_into_lanes(line, out);
-        } else {
-            self.search_signatures_into_scalar(line, out);
-        }
-    }
-
-    /// Mask-driven search extraction: the branchless [`nontrivial_mask`]
-    /// replaces sixteen data-dependent triviality branches, and when most
-    /// words survive, the whole line is hashed in one [`H3::hash_line`]
-    /// pass instead of sixteen separate calls.
-    fn search_signatures_into_lanes(&self, line: &LineData, out: &mut SignatureBuf) {
         out.clear();
         let mut mask = nontrivial_mask(line);
         if mask == 0 {
@@ -311,18 +273,6 @@ impl SignatureExtractor {
             }
         }
     }
-
-    /// Scalar oracle for [`SignatureExtractor::search_signatures_into`]:
-    /// the original per-word loop.
-    pub fn search_signatures_into_scalar(&self, line: &LineData, out: &mut SignatureBuf) {
-        out.clear();
-        for word in line.words() {
-            if is_trivial_word(word) {
-                continue;
-            }
-            out.push_dedup(self.sign(word));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,6 +282,37 @@ mod tests {
 
     fn extractor() -> SignatureExtractor {
         SignatureExtractor::new(0xcab1e)
+    }
+
+    /// Scalar oracle for [`SignatureExtractor::insert_signatures_into`]:
+    /// the per-word forwarding scan.
+    fn insert_signatures_scalar(
+        ex: &SignatureExtractor,
+        line: &LineData,
+        count: usize,
+        out: &mut SignatureBuf,
+    ) {
+        out.clear();
+        for k in 0..count {
+            let offset = k * WORDS_PER_LINE / count;
+            let found = (offset..WORDS_PER_LINE)
+                .map(|i| line.word(i))
+                .find(|&w| !is_trivial_word(w));
+            if let Some(word) = found {
+                out.push_dedup(ex.sign(word));
+            }
+        }
+    }
+
+    /// Scalar oracle for [`SignatureExtractor::search_signatures_into`]:
+    /// the per-word loop.
+    fn search_signatures_scalar(ex: &SignatureExtractor, line: &LineData, out: &mut SignatureBuf) {
+        out.clear();
+        for word in line.words() {
+            if !is_trivial_word(word) {
+                out.push_dedup(ex.sign(word));
+            }
+        }
     }
 
     #[test]
@@ -492,23 +473,27 @@ mod tests {
         }
 
         /// Mask-driven extraction vs the scalar oracle: identical signature
-        /// sequences (order included) for both insert and search paths.
+        /// sequences (order included) for both insert and search paths, on
+        /// mixed-triviality lines and the adversarial families.
         #[test]
         fn prop_extraction_matches_scalar_oracle(
-            words in proptest::array::uniform16(prop_oneof![
-                Just(0u32), Just(1u32), Just(0xffff_ffffu32),
-                Just(0xdead_beefu32), any::<u32>(),
-            ]),
+            line in prop_oneof![
+                proptest::array::uniform16(prop_oneof![
+                    Just(0u32), Just(1u32), Just(0xffff_ffffu32),
+                    Just(0xdead_beefu32), any::<u32>(),
+                ])
+                .prop_map(LineData::from_words),
+                crate::test_lines::family_case().prop_map(|(_, line)| line),
+            ],
             count in 1usize..=16,
         ) {
             let ex = extractor();
-            let line = LineData::from_words(words);
             let (mut fast, mut slow) = (SignatureBuf::new(), SignatureBuf::new());
             ex.search_signatures_into(&line, &mut fast);
-            ex.search_signatures_into_scalar(&line, &mut slow);
+            search_signatures_scalar(&ex, &line, &mut slow);
             prop_assert_eq!(fast.as_slice(), slow.as_slice());
             ex.insert_signatures_into(&line, count, &mut fast);
-            ex.insert_signatures_into_scalar(&line, count, &mut slow);
+            insert_signatures_scalar(&ex, &line, count, &mut slow);
             prop_assert_eq!(fast.as_slice(), slow.as_slice());
         }
     }
