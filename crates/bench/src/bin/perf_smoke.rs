@@ -1,44 +1,32 @@
-//! Encode + timing-simulator throughput smoke benchmarks.
+//! Simulated and count-based benchmark artifacts.
 //!
 //! ```sh
 //! cargo run --release -p cable-bench --bin perf_smoke
 //! ```
 //!
-//! Replays the template-heavy encode workload through every scheme, sweeps
-//! the group timing simulator per scheme, sweeps CABLE over rising link
-//! fault rates (dealII and mcf), runs the closed-loop degradation
+//! Runs every builder of `cable_bench::perf::PERF_BENCHES`: CABLE over
+//! rising link fault rates (dealII and mcf), the closed-loop degradation
 //! storyline (fault-rate x policy sweep plus the 1e-3 burst/recovery
-//! phases), replays the encode workload with telemetry enabled, and
-//! simulates the per-stage access-latency attribution fabric; prints
-//! accesses/sec and writes `BENCH_encode.json`, `BENCH_sim.json`,
+//! phases), the encode workload with telemetry enabled, and the per-stage
+//! access-latency attribution fabric. Prints each table and writes
 //! `BENCH_fault.json`, `BENCH_degrade.json`, `BENCH_telemetry.json`, and
 //! `BENCH_latency.json` in the current directory. `CABLE_QUICK=1` shrinks
 //! the runs for CI.
 
-use cable_bench::perf::{
-    run_degrade_bench, run_encode_bench, run_fault_bench, run_latency_bench, run_sim_bench,
-    run_telemetry_bench,
-};
+use cable_bench::perf::PERF_BENCHES;
 use cable_bench::print_table;
-use cable_bench::FigureResult;
-
-fn emit(result: &FigureResult<'_>) {
-    print_table(result.title, &result.columns, &result.rows);
-    let path = format!("{}.json", result.id);
-    match std::fs::write(&path, result.to_json()) {
-        Ok(()) => println!("\nwrote {path}\n"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
 
 fn main() {
-    emit(&run_encode_bench());
-    emit(&run_sim_bench());
-    emit(&run_fault_bench());
-    emit(&run_degrade_bench());
-    emit(&run_telemetry_bench());
-    emit(&run_latency_bench());
+    for run in PERF_BENCHES {
+        let result = run();
+        print_table(result.title, &result.columns, &result.rows);
+        let path = format!("{}.json", result.id);
+        match std::fs::write(&path, result.to_json()) {
+            Ok(()) => println!("\nwrote {path}\n"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }

@@ -1,166 +1,35 @@
-//! Criterion-free encode-path throughput benchmark (`perf_smoke`).
+//! Simulated and count-based benchmark artifacts (`perf_smoke`).
 //!
-//! Replays a template-heavy workload (the worst case for the CABLE search
-//! pipeline: many resident signatures, long candidate lists) through every
-//! scheme of the Fig. 11/12 line-up and reports sustained accesses per
-//! second. The result doubles as the tracked perf regression signal:
-//! `cargo run --release -p cable-bench --bin perf_smoke` writes
-//! `BENCH_encode.json` next to the current directory.
-//!
-//! Unlike the statistical criterion micro-benchmarks (`benches/kernels.rs`)
-//! this measures the *end-to-end* hot path — cache lookups, signature
-//! search, reference selection, compression, verification — the thing the
-//! allocation-free encode work actually optimizes.
+//! Each builder in [`PERF_BENCHES`] runs one deterministic study and
+//! returns a `BENCH_<name>` figure: CABLE under rising link fault rates,
+//! the closed-loop degradation ladder, the telemetry registry's view of
+//! the encode workload, and the per-stage access-latency attribution.
+//! `cargo run --release -p cable-bench --bin perf_smoke` writes them all
+//! to the current directory. No column is wall-clock, so a second run
+//! reproduces every figure exactly; host-time throughput lives in the
+//! separate `perfbench` package.
 
 use crate::figs::is_quick;
 use crate::report::FigureResult;
 use crate::runner::{default_schemes, drive, StudyConfig};
 use cable_compress::EngineKind;
 use cable_core::{BaselineKind, FaultConfig};
-use cable_sim::throughput::{run_group_arena, run_group_warmed_linear};
-use cable_sim::{FabricSim, Scheme, SimArena, SystemConfig};
-use cable_telemetry::{JsonlSink, Report, Telemetry, TracerConfig, LATENCY_METRIC_PREFIX};
+use cable_sim::{FabricSim, Scheme, SystemConfig};
+use cable_telemetry::{Report, Telemetry, LATENCY_METRIC_PREFIX};
 use cable_trace::WorkloadGen;
-use std::time::Instant;
 
-/// Identifier of the emitted JSON result (`BENCH_encode.json`).
-pub const BENCH_ID: &str = "BENCH_encode";
-
-/// The workload the encode benchmark replays. dealII is template-heavy:
-/// nearly every fill runs a full signature search with live candidates.
-pub const BENCH_WORKLOAD: &str = "dealII";
-
-/// Columns of the emitted figure, in order.
-pub const BENCH_COLUMNS: &[&str] = &["accesses_per_sec", "elapsed_ms", "accesses"];
-
-/// Measures sustained accesses/sec of every default scheme on the encode
-/// workload. Honors `CABLE_QUICK` (shrinks the access budget ~10x).
-///
-/// # Panics
-///
-/// Panics if the benchmark workload is missing from the profile table.
-#[must_use]
-pub fn run_encode_bench() -> FigureResult<'static> {
-    let cfg = if is_quick() {
-        StudyConfig::quick()
-    } else {
-        StudyConfig::paper_defaults()
-    };
-    let profile = cable_trace::by_name(BENCH_WORKLOAD).expect("benchmark workload exists");
-    let rows = default_schemes()
-        .into_iter()
-        .map(|scheme| {
-            let mut link = cfg.build_link(scheme);
-            let mut gen = WorkloadGen::new(profile, 0);
-            drive(&mut link, &mut gen, cfg.warmup_accesses);
-            link.reset_stats();
-            let start = Instant::now();
-            drive(&mut link, &mut gen, cfg.accesses);
-            let elapsed = start.elapsed();
-            let secs = elapsed.as_secs_f64().max(1e-12);
-            (
-                scheme.label().to_string(),
-                vec![
-                    cfg.accesses as f64 / secs,
-                    elapsed.as_secs_f64() * 1e3,
-                    cfg.accesses as f64,
-                ],
-            )
-        })
-        .collect();
-    FigureResult {
-        id: BENCH_ID,
-        title: "Encode hot-path throughput (accesses/sec per scheme)",
-        columns: BENCH_COLUMNS.iter().map(|c| (*c).to_string()).collect(),
-        rows,
-    }
-}
-
-/// Identifier of the emitted simulator JSON result (`BENCH_sim.json`).
-pub const SIM_BENCH_ID: &str = "BENCH_sim";
-
-/// The workload the simulator benchmark sweeps. mcf is memory-bound — the
-/// group sweep's stress case: nearly every access exercises the wire,
-/// DRAM, and scheduler.
-pub const SIM_BENCH_WORKLOAD: &str = "mcf";
-
-/// Columns of the emitted simulator figure, in order.
-pub const SIM_BENCH_COLUMNS: &[&str] = &[
-    "accesses_per_sec",
-    "linear_accesses_per_sec",
-    "speedup",
-    "elapsed_ms",
-    "accesses",
+/// Every `perf_smoke` artifact builder, in emission order. Each result is
+/// written as `<id>.json`.
+pub const PERF_BENCHES: &[fn() -> FigureResult<'static>] = &[
+    run_fault_bench,
+    run_degrade_bench,
+    run_telemetry_bench,
+    run_latency_bench,
 ];
 
-/// Thread counts of the tracked group sweep (the Fig. 14b axis).
-pub const SIM_BENCH_THREADS: &[usize] = &[256, 512, 1024, 2048];
-
-/// Measures the timing simulator's sustained simulated-accesses/sec per
-/// scheme over the group sweep, on both the event-driven + `SimArena` path
-/// and the seed linear-scan path (`run_group_warmed_linear`, which rebuilds
-/// and re-warms at every sweep point — the pre-change scheduler). The two
-/// paths retire bit-identical instruction totals, so `speedup` is a pure
-/// wall-clock ratio. Honors `CABLE_QUICK` (shrinks the measured budget).
-///
-/// # Panics
-///
-/// Panics if the benchmark workload is missing from the profile table, or
-/// if the two scheduler paths disagree on retired instructions.
-#[must_use]
-pub fn run_sim_bench() -> FigureResult<'static> {
-    let cfg = SystemConfig::paper_defaults();
-    let profile = cable_trace::by_name(SIM_BENCH_WORKLOAD).expect("benchmark workload exists");
-    let warm = 20_000u64; // run_group's warm-up budget
-    let instrs = if is_quick() { 1_000 } else { 5_000 };
-    let schemes = [
-        Scheme::Uncompressed,
-        Scheme::Baseline(BaselineKind::Cpack),
-        Scheme::Baseline(BaselineKind::Gzip),
-        Scheme::Cable(EngineKind::Lbe),
-    ];
-    let rows = schemes
-        .iter()
-        .map(|&scheme| {
-            let mut arena = SimArena::new();
-            let start = Instant::now();
-            let mut retired = 0u64;
-            for &threads in SIM_BENCH_THREADS {
-                retired +=
-                    run_group_arena(&mut arena, profile, scheme, threads, warm, instrs, &cfg)
-                        .group_instructions;
-            }
-            let event_s = start.elapsed().as_secs_f64().max(1e-12);
-            let start = Instant::now();
-            let mut retired_linear = 0u64;
-            for &threads in SIM_BENCH_THREADS {
-                retired_linear +=
-                    run_group_warmed_linear(profile, scheme, threads, warm, instrs, &cfg)
-                        .group_instructions;
-            }
-            let linear_s = start.elapsed().as_secs_f64().max(1e-12);
-            assert_eq!(
-                retired, retired_linear,
-                "scheduler paths must retire identical work"
-            );
-            (
-                scheme.label().to_string(),
-                vec![
-                    retired as f64 / event_s,
-                    retired as f64 / linear_s,
-                    linear_s / event_s,
-                    event_s * 1e3,
-                    retired as f64,
-                ],
-            )
-        })
-        .collect();
-    FigureResult {
-        id: SIM_BENCH_ID,
-        title: "Timing-simulator throughput over the group sweep (event+arena vs linear)",
-        columns: SIM_BENCH_COLUMNS.iter().map(|c| (*c).to_string()).collect(),
-        rows,
-    }
+/// Owned column labels for a [`FigureResult`].
+fn columns(names: &[&str]) -> Vec<String> {
+    names.iter().map(|c| (*c).to_string()).collect()
 }
 
 /// Per-chip cache geometry of the degradation and latency fabrics: scaled
@@ -187,7 +56,6 @@ pub const FAULT_BENCH_ID: &str = "BENCH_fault";
 /// Columns of the emitted fault-degradation figure, in order.
 pub const FAULT_BENCH_COLUMNS: &[&str] = &[
     "compression_ratio",
-    "accesses_per_sec",
     "injected_frames",
     "detected",
     "recovered",
@@ -212,9 +80,9 @@ pub const FAULT_BENCH_WORKLOADS: &[&str] = &["dealII", "mcf"];
 /// [`FAULT_BENCH_WORKLOADS`] entry: one fault-free row
 /// (`<workload>/off`, no guard bits — the reliable operating point), one
 /// CRC-guarded but lossless row, then [`FAULT_BENCH_RATES`]. Reports the
-/// achieved compression ratio, sustained throughput, and the recovery
-/// counters; the quick suite asserts `detected >= injected_frames` and
-/// `recovered == detected` on every row. Honors `CABLE_QUICK`.
+/// achieved compression ratio and the recovery counters; the quick suite
+/// asserts `detected >= injected_frames` and `recovered == detected` on
+/// every row. Honors `CABLE_QUICK`.
 ///
 /// # Panics
 ///
@@ -250,15 +118,12 @@ pub fn run_fault_bench() -> FigureResult<'static> {
             let mut gen = WorkloadGen::new(profile, 0);
             drive(&mut link, &mut gen, cfg.warmup_accesses);
             link.reset_stats();
-            let start = Instant::now();
             drive(&mut link, &mut gen, cfg.accesses);
-            let secs = start.elapsed().as_secs_f64().max(1e-12);
             let fs = link.fault_stats().copied().unwrap_or_default();
             (
                 label,
                 vec![
                     link.stats().compression_ratio(),
-                    cfg.accesses as f64 / secs,
                     fs.injected_frames as f64,
                     fs.detected as f64,
                     fs.recovered as f64,
@@ -272,10 +137,7 @@ pub fn run_fault_bench() -> FigureResult<'static> {
     FigureResult {
         id: FAULT_BENCH_ID,
         title: "CABLE degradation vs link fault rate (CRC guard + NACK/retry)",
-        columns: FAULT_BENCH_COLUMNS
-            .iter()
-            .map(|c| (*c).to_string())
-            .collect(),
+        columns: columns(FAULT_BENCH_COLUMNS),
         rows,
     }
 }
@@ -291,8 +153,7 @@ pub const DEGRADE_BENCH_WORKLOAD: &str = "mcf";
 
 /// Columns of the emitted degradation figure, in order. Every column is a
 /// *simulated* quantity (no wall-clock), so the whole figure is
-/// deterministic and the regression gate compares real behavior, not host
-/// noise.
+/// deterministic and the committed `BENCH_degrade.json` is an exact golden.
 pub const DEGRADE_BENCH_COLUMNS: &[&str] = &[
     "accesses_per_sec",
     "wire_bits_per_access",
@@ -388,8 +249,8 @@ fn worst_level(sim: &FabricSim) -> cable_sim::DegradeLevel {
 /// localization scenario), then the burst storyline on a single fabric —
 /// `burst/pre` (healthy), `burst/1e-3` (fault injection armed mid-run),
 /// `burst/recovered` (injection disarmed, quiet windows re-arm the
-/// ladder). The final `CABLE+LBE` row repeats the recovered phase and is
-/// the tracked regression signal (`results/bench_history/*.fault.json`).
+/// ladder). The final `CABLE+LBE` row repeats the recovered phase under
+/// the scheme's own label.
 ///
 /// All columns are simulated quantities, so the figure is bit-stable; the
 /// bench itself asserts the behavior the figure claims: simulated
@@ -540,8 +401,7 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
         "burst/recovered".to_string(),
         degrade_row(&post.0, &burst.0, post.1),
     ));
-    // The gated summary row: recovered steady state under the scheme label
-    // the history tracks.
+    // The summary row: recovered steady state under the scheme label.
     rows.push((
         Scheme::Cable(EngineKind::Lbe).label().to_string(),
         degrade_row(&post.0, &burst.0, post.1),
@@ -550,10 +410,7 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
     FigureResult {
         id: DEGRADE_BENCH_ID,
         title: "Closed-loop degradation: fault-rate x policy sweep and 1e-3 burst recovery",
-        columns: DEGRADE_BENCH_COLUMNS
-            .iter()
-            .map(|c| (*c).to_string())
-            .collect(),
+        columns: columns(DEGRADE_BENCH_COLUMNS),
         rows,
     }
 }
@@ -561,6 +418,10 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
 /// Identifier of the emitted telemetry JSON result
 /// (`BENCH_telemetry.json`).
 pub const TELEMETRY_BENCH_ID: &str = "BENCH_telemetry";
+
+/// The workload the telemetry benchmark replays. dealII is template-heavy:
+/// nearly every fill runs a full signature search with live candidates.
+pub const TELEMETRY_BENCH_WORKLOAD: &str = "dealII";
 
 /// Columns of the emitted telemetry figure, in order. All values come from
 /// the telemetry registry and tracer — not from `LinkStats` — so the bench
@@ -573,19 +434,14 @@ pub const TELEMETRY_BENCH_COLUMNS: &[&str] = &[
     "payload_samples",
     "trace_events",
     "dropped_events",
-    "stream_events_per_sec",
 ];
 
 /// Replays the encode workload through every default scheme with an
 /// *enabled* [`Telemetry`] handle attached (after warm-up) and reports the
 /// registry's view of the run: encode transfers by the `link.encode.*`
 /// counters, remote hits, wire bits, payload histogram samples, and the
-/// tracer's retained/dropped event counts, plus the streaming-export
-/// drain rate. All columns but the last are deterministic, so the schema
-/// test asserts exact cross-checks against `LinkStats`;
-/// `stream_events_per_sec` is wall-clock (events drained through a
-/// streaming `JsonlSink` into a null writer per second). Honors
-/// `CABLE_QUICK`.
+/// tracer's retained/dropped event counts. Every column is a count, so the
+/// figure is deterministic. Honors `CABLE_QUICK`.
 ///
 /// # Panics
 ///
@@ -597,7 +453,8 @@ pub fn run_telemetry_bench() -> FigureResult<'static> {
     } else {
         StudyConfig::paper_defaults()
     };
-    let profile = cable_trace::by_name(BENCH_WORKLOAD).expect("benchmark workload exists");
+    let profile =
+        cable_trace::by_name(TELEMETRY_BENCH_WORKLOAD).expect("benchmark workload exists");
     let rows = default_schemes()
         .into_iter()
         .map(|scheme| {
@@ -622,7 +479,6 @@ pub fn run_telemetry_bench() -> FigureResult<'static> {
                     payload_samples as f64,
                     tel.events().len() as f64,
                     tel.dropped_events() as f64,
-                    stream_drain_rate(&tel),
                 ],
             )
         })
@@ -630,10 +486,7 @@ pub fn run_telemetry_bench() -> FigureResult<'static> {
     FigureResult {
         id: TELEMETRY_BENCH_ID,
         title: "Telemetry registry view of the encode workload (per scheme)",
-        columns: TELEMETRY_BENCH_COLUMNS
-            .iter()
-            .map(|c| (*c).to_string())
-            .collect(),
+        columns: columns(TELEMETRY_BENCH_COLUMNS),
         rows,
     }
 }
@@ -651,8 +504,8 @@ pub const LATENCY_BENCH_NODES: usize = 4;
 
 /// Columns of the emitted latency figure, in order. Every value is a
 /// *simulated* picosecond quantity read from the `lat.*` streaming
-/// histograms — zero wall-clock jitter, so the bench-history gate on
-/// `total_p99_ps` flags any real attribution regression.
+/// histograms — zero wall-clock jitter, so the committed
+/// `BENCH_latency.json` is an exact golden.
 pub const LATENCY_BENCH_COLUMNS: &[&str] = &[
     "samples",
     "total_p50_ps",
@@ -769,34 +622,9 @@ pub fn run_latency_bench() -> FigureResult<'static> {
     FigureResult {
         id: LATENCY_BENCH_ID,
         title: "End-to-end access-latency attribution (simulated ps percentiles)",
-        columns: LATENCY_BENCH_COLUMNS
-            .iter()
-            .map(|c| (*c).to_string())
-            .collect(),
+        columns: columns(LATENCY_BENCH_COLUMNS),
         rows,
     }
-}
-
-/// Streaming-export throughput: replays the run's retained events
-/// through a fresh streaming tracer (small rings, drain-on-threshold)
-/// whose `JsonlSink` serializes into a null writer, and reports events
-/// drained per wall-clock second — the cost of the serialize+drain path
-/// alone, with I/O factored out.
-fn stream_drain_rate(tel: &Telemetry) -> f64 {
-    let events = tel.events();
-    if events.is_empty() {
-        return 0.0;
-    }
-    let sink = JsonlSink::streaming(std::io::sink()).expect("null writer cannot fail");
-    let mut tcfg = TracerConfig::with_capacity(1 << 10);
-    tcfg.drain_threshold = Some(1 << 11);
-    let streaming = Telemetry::streaming(tcfg, Box::new(sink));
-    let start = Instant::now();
-    for te in &events {
-        streaming.record_at(te.now_ps, te.event);
-    }
-    let (written, _) = streaming.finish_stream().expect("null writer cannot fail");
-    written as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
 #[cfg(test)]
@@ -805,20 +633,14 @@ mod tests {
 
     #[test]
     fn columns_match_schema() {
-        assert_eq!(BENCH_COLUMNS[0], "accesses_per_sec");
-        assert_eq!(BENCH_COLUMNS.len(), 3);
-        assert_eq!(SIM_BENCH_COLUMNS[0], "accesses_per_sec");
-        assert_eq!(SIM_BENCH_COLUMNS[2], "speedup");
-        assert_eq!(SIM_BENCH_COLUMNS.len(), 5);
         assert_eq!(FAULT_BENCH_COLUMNS[0], "compression_ratio");
-        assert_eq!(FAULT_BENCH_COLUMNS.len(), 8);
+        assert_eq!(FAULT_BENCH_COLUMNS.len(), 7);
         assert_eq!(DEGRADE_BENCH_COLUMNS[0], "accesses_per_sec");
         assert_eq!(DEGRADE_BENCH_COLUMNS.len(), 9);
         assert_eq!(DEGRADE_BENCH_RATES, &[1e-4, 1e-3, 1e-2]);
         assert!((DEGRADE_BENCH_BURST_RATE - 1e-3).abs() < f64::EPSILON);
         assert_eq!(FAULT_BENCH_WORKLOADS, &["dealII", "mcf"]);
         assert_eq!(TELEMETRY_BENCH_COLUMNS[0], "encode_transfers");
-        assert_eq!(TELEMETRY_BENCH_COLUMNS.len(), 7);
-        assert_eq!(TELEMETRY_BENCH_COLUMNS[6], "stream_events_per_sec");
+        assert_eq!(TELEMETRY_BENCH_COLUMNS.len(), 6);
     }
 }

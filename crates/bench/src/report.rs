@@ -142,7 +142,8 @@ impl LoadedFigure {
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural mismatch.
+/// Returns a description of the first structural mismatch, or of the
+/// first value that is neither a number nor `null`.
 pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
     fn string_after(text: &str, key: &str) -> Result<String, String> {
         let pat = format!("\"{key}\": \"");
@@ -179,11 +180,15 @@ pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
         rest = after;
         let vstart = rest.find(VALUES_PAT).ok_or("missing values")? + VALUES_PAT.len();
         let vend = rest[vstart..].find(']').ok_or("unterminated values")? + vstart;
-        let values: Vec<f64> = rest[vstart..vend]
-            .split(',')
-            .filter(|v| !v.trim().is_empty())
-            .map(|v| v.trim().parse::<f64>().unwrap_or(f64::NAN))
-            .collect();
+        let body = rest[vstart..vend].trim();
+        let values = if body.is_empty() {
+            Vec::new()
+        } else {
+            body.split(',')
+                .map(read_number)
+                .collect::<Result<_, _>>()
+                .map_err(|e| format!("row {label:?}: {e}"))?
+        };
         rows.push((label, values));
         rest = &rest[vend..];
     }
@@ -193,6 +198,19 @@ pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
         columns,
         rows,
     })
+}
+
+/// Reads one array element: a JSON number, or `null` (which the emitter
+/// writes for a non-finite value) as NaN.
+fn read_number(text: &str) -> Result<f64, String> {
+    let text = text.trim();
+    if text == "null" {
+        return Ok(f64::NAN);
+    }
+    json::validate_json(text)
+        .ok()
+        .and_then(|()| text.parse().ok())
+        .ok_or_else(|| format!("not a number: {text:?}"))
 }
 
 /// Decodes the string literal whose body (the text after its opening
@@ -278,6 +296,32 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("null"));
         assert!(json.contains("\"values\": [1.5]"));
+        let loaded = load_json(&json).unwrap();
+        assert!(loaded.value("bad\nrow", "A").unwrap().is_nan());
+    }
+
+    #[test]
+    fn loader_rejects_values_that_are_not_numbers() {
+        let good = FigureResult {
+            id: "fig00",
+            title: "t",
+            columns: vec!["A".into(), "B".into()],
+            rows: vec![("mcf".into(), vec![1.5, 2.5])],
+        }
+        .to_json();
+        assert!(load_json(&good).is_ok());
+        for bad in [
+            "1.5, oops",
+            "1.5, NaN",
+            "1.5, inf",
+            "1.5, \"2\"",
+            "1.5, true",
+            "1.5,",
+            "+1.5, 2",
+        ] {
+            let text = good.replace("1.5, 2.5", bad);
+            assert!(load_json(&text).is_err(), "accepted [{bad}]");
+        }
     }
 
     #[test]

@@ -598,8 +598,8 @@ impl FabricSim {
     }
 
     /// The seed O(N)-scan scheduler, kept verbatim as the equivalence
-    /// oracle for [`FabricSim::run`]: the `sched_equivalence` tests and the
-    /// `BENCH_sim` speedup measurement both drive it.
+    /// oracle for [`FabricSim::run`]: the `sched_equivalence` and
+    /// `run_equivalence` tests drive it.
     #[doc(hidden)]
     pub fn run_linear(&mut self, instructions_per_chip: u64) -> FabricResult {
         loop {

@@ -13,8 +13,8 @@
 //! The group loop is event-driven: a [`Scheduler`] min-heap picks the
 //! earliest thread in O(log N) and a [`DoneTracker`] makes the completion
 //! check O(1), replacing the seed's two O(N) scans per step. The seed
-//! linear-scan loop survives as [`run_group_warmed_linear`], the reference
-//! implementation the equivalence property tests (and `BENCH_sim`) compare
+//! linear-scan loop survives as the test-only `run_group_warmed_linear`,
+//! the reference implementation this module's equivalence tests compare
 //! against. [`run_group_arena`] additionally reuses warmed groups across
 //! sweep points via a [`SimArena`].
 
@@ -233,12 +233,10 @@ pub fn run_group_telemetry(
 }
 
 /// The seed linear-scan implementation of [`run_group_warmed`], kept
-/// verbatim as the reference the event-driven scheduler is property-tested
-/// against (`tests/sched_equivalence.rs`) and the `BENCH_sim` baseline.
+/// verbatim as the reference the event-driven scheduler is tested against.
 /// O(steps × N) per run versus the heap's O(steps × log N).
-#[doc(hidden)]
-#[must_use]
-pub fn run_group_warmed_linear(
+#[cfg(test)]
+fn run_group_warmed_linear(
     profile: &'static WorkloadProfile,
     scheme: Scheme,
     threads: usize,
@@ -289,7 +287,71 @@ pub fn speedup(
 mod tests {
     use super::*;
     use cable_compress::EngineKind;
-    use cable_trace::by_name;
+    use cable_core::BaselineKind;
+    use cable_trace::{by_name, ALL_WORKLOADS};
+
+    fn all_schemes() -> Vec<Scheme> {
+        let mut schemes = vec![Scheme::Uncompressed];
+        schemes.extend(BaselineKind::ALL.iter().map(|&k| Scheme::Baseline(k)));
+        schemes.extend(EngineKind::ALL.iter().map(|&k| Scheme::Cable(k)));
+        schemes
+    }
+
+    #[test]
+    fn run_group_heap_matches_linear_scan_everywhere() {
+        // The heap scheduler must reproduce the seed `min_by_key` schedule
+        // step for step, including lowest-index-first tie-breaking on equal
+        // `now_ps`. Small budgets keep the full cross product fast while
+        // still forcing thousands of scheduling decisions (and plenty of
+        // now_ps ties right after warm-up, when all eight threads sit at
+        // t=0).
+        let cfg = SystemConfig::paper_defaults();
+        for profile in ALL_WORKLOADS {
+            for scheme in all_schemes() {
+                let heap = run_group_warmed(profile, scheme, 256, 64, 96, &cfg);
+                let linear = run_group_warmed_linear(profile, scheme, 256, 64, 96, &cfg);
+                assert_eq!(
+                    heap.group_instructions, linear.group_instructions,
+                    "{}/{scheme:?}: instruction totals diverge",
+                    profile.name
+                );
+                assert_eq!(
+                    heap.elapsed_ps, linear.elapsed_ps,
+                    "{}/{scheme:?}: elapsed time diverges",
+                    profile.name
+                );
+                assert_eq!(heap.threads, linear.threads);
+            }
+        }
+    }
+
+    #[test]
+    fn arena_restore_matches_linear_scan_across_a_sweep() {
+        // The SimArena path stacks snapshot/restore on top of the heap
+        // scheduler; both must still agree with the seed implementation at
+        // every sweep point, with warm-up paid only once per scheme.
+        let cfg = SystemConfig::paper_defaults();
+        let profile = &ALL_WORKLOADS[0];
+        let mut arena = SimArena::new();
+        for scheme in [
+            Scheme::Uncompressed,
+            Scheme::Cable(EngineKind::Lbe),
+            Scheme::Baseline(BaselineKind::Cpack),
+        ] {
+            for threads in [256, 512, 2048] {
+                let arena_r = run_group_arena(&mut arena, profile, scheme, threads, 200, 150, &cfg);
+                let linear = run_group_warmed_linear(profile, scheme, threads, 200, 150, &cfg);
+                assert_eq!(arena_r.group_instructions, linear.group_instructions);
+                assert_eq!(arena_r.elapsed_ps, linear.elapsed_ps);
+            }
+        }
+        let (hits, misses) = arena.stats();
+        assert_eq!(
+            (hits, misses),
+            (6, 3),
+            "one warm-up per scheme, rest restored"
+        );
+    }
 
     #[test]
     fn memory_bound_speedup_at_high_thread_count() {

@@ -3,75 +3,14 @@
 //! The heap scheduler must reproduce the seed `min_by_key` schedule *step
 //! for step* — including lowest-index-first tie-breaking on equal
 //! `now_ps` — so every figure number stays bit-identical. These tests run
-//! both implementations over every workload × scheme combination and
-//! demand identical results, and pin the busy-time accounting of the two
-//! shared resources the schedule is built on.
+//! the fabric's two schedulers side by side and pin the busy-time
+//! accounting of the two shared resources the schedule is built on. The
+//! group-loop (`run_group`) equivalence tests live next to their oracle in
+//! `src/throughput.rs`.
 
 use cable_compress::EngineKind;
-use cable_core::BaselineKind;
-use cable_sim::throughput::{run_group_arena, run_group_warmed, run_group_warmed_linear};
-use cable_sim::{DramModel, FabricSim, Scheme, SharedLink, SimArena, SystemConfig};
+use cable_sim::{DramModel, FabricSim, Scheme, SharedLink, SystemConfig};
 use cable_trace::ALL_WORKLOADS;
-
-fn all_schemes() -> Vec<Scheme> {
-    let mut schemes = vec![Scheme::Uncompressed];
-    schemes.extend(BaselineKind::ALL.iter().map(|&k| Scheme::Baseline(k)));
-    schemes.extend(EngineKind::ALL.iter().map(|&k| Scheme::Cable(k)));
-    schemes
-}
-
-#[test]
-fn run_group_heap_matches_linear_scan_everywhere() {
-    // Small budgets keep the full cross product fast while still forcing
-    // thousands of scheduling decisions (and plenty of now_ps ties right
-    // after warm-up, when all eight threads sit at t=0).
-    let cfg = SystemConfig::paper_defaults();
-    for profile in ALL_WORKLOADS {
-        for scheme in all_schemes() {
-            let heap = run_group_warmed(profile, scheme, 256, 64, 96, &cfg);
-            let linear = run_group_warmed_linear(profile, scheme, 256, 64, 96, &cfg);
-            assert_eq!(
-                heap.group_instructions, linear.group_instructions,
-                "{}/{scheme:?}: instruction totals diverge",
-                profile.name
-            );
-            assert_eq!(
-                heap.elapsed_ps, linear.elapsed_ps,
-                "{}/{scheme:?}: elapsed time diverges",
-                profile.name
-            );
-            assert_eq!(heap.threads, linear.threads);
-        }
-    }
-}
-
-#[test]
-fn arena_restore_matches_linear_scan_across_a_sweep() {
-    // The SimArena path stacks snapshot/restore on top of the heap
-    // scheduler; both must still agree with the seed implementation at
-    // every sweep point, with warm-up paid only once per scheme.
-    let cfg = SystemConfig::paper_defaults();
-    let profile = &ALL_WORKLOADS[0];
-    let mut arena = SimArena::new();
-    for scheme in [
-        Scheme::Uncompressed,
-        Scheme::Cable(EngineKind::Lbe),
-        Scheme::Baseline(BaselineKind::Cpack),
-    ] {
-        for threads in [256, 512, 2048] {
-            let arena_r = run_group_arena(&mut arena, profile, scheme, threads, 200, 150, &cfg);
-            let linear = run_group_warmed_linear(profile, scheme, threads, 200, 150, &cfg);
-            assert_eq!(arena_r.group_instructions, linear.group_instructions);
-            assert_eq!(arena_r.elapsed_ps, linear.elapsed_ps);
-        }
-    }
-    let (hits, misses) = arena.stats();
-    assert_eq!(
-        (hits, misses),
-        (6, 3),
-        "one warm-up per scheme, rest restored"
-    );
-}
 
 #[test]
 fn fabric_heap_matches_linear_scan() {
