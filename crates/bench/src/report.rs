@@ -3,7 +3,7 @@
 //! The JSON emitter is hand-rolled: the result shape is a flat
 //! label/number table, which does not justify a serialization dependency.
 
-use cable_telemetry::json;
+use cable_telemetry::json::{self, Value};
 use std::fs;
 use std::path::Path;
 
@@ -135,89 +135,58 @@ impl LoadedFigure {
     }
 }
 
-/// Parses the restricted JSON emitted by [`save_json`] (this module's own
-/// format — not a general JSON parser). Strings are decoded in one
-/// left-to-right pass, so every label the emitter escapes reads back
-/// unchanged.
+/// Reads back a figure result written by [`save_json`]: an object with
+/// string `id` and `title`, an array of string `columns`, and an array
+/// of `rows`, each a `{label, values}` object whose values are numbers
+/// or `null` (the emitter's spelling of a non-finite value, read as NaN).
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural mismatch, or of the
-/// first value that is neither a number nor `null`.
+/// Returns the JSON syntax error, or names the first field that is
+/// missing or has the wrong type.
 pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
-    fn string_after(text: &str, key: &str) -> Result<String, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = text
-            .find(&pat)
-            .ok_or_else(|| format!("missing key {key}"))?
-            + pat.len();
-        let (s, _) = read_string(&text[start..]).map_err(|e| format!("{key}: {e}"))?;
-        Ok(s)
+    fn string(v: Option<&Value<'_>>, what: &str) -> Result<String, String> {
+        v.and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("{what} is not a string"))
     }
-    let id = string_after(text, "id")?;
-    let title = string_after(text, "title")?;
-    // Columns array.
-    const COLS_PAT: &str = "\"columns\": [";
-    let cstart = text.find(COLS_PAT).ok_or("missing columns")? + COLS_PAT.len();
-    let mut rest = &text[cstart..];
-    let mut columns = Vec::new();
-    while let Some(body) = rest.trim_start_matches([',', ' ']).strip_prefix('"') {
-        let (column, after) = read_string(body).map_err(|e| format!("column: {e}"))?;
-        columns.push(column);
-        rest = after;
+    fn array<'v, 'a>(v: Option<&'v Value<'a>>, what: &str) -> Result<&'v [Value<'a>], String> {
+        match v {
+            Some(Value::Arr(items)) => Ok(items),
+            _ => Err(format!("{what} is not an array")),
+        }
     }
-    rest = rest
-        .trim_start_matches(' ')
-        .strip_prefix(']')
-        .ok_or("unterminated columns")?;
-    // Rows.
-    let mut rows = Vec::new();
-    const LABEL_PAT: &str = "{\"label\": \"";
-    const VALUES_PAT: &str = "\"values\": [";
-    while let Some(pos) = rest.find(LABEL_PAT) {
-        let (label, after) =
-            read_string(&rest[pos + LABEL_PAT.len()..]).map_err(|e| format!("row label: {e}"))?;
-        rest = after;
-        let vstart = rest.find(VALUES_PAT).ok_or("missing values")? + VALUES_PAT.len();
-        let vend = rest[vstart..].find(']').ok_or("unterminated values")? + vstart;
-        let body = rest[vstart..vend].trim();
-        let values = if body.is_empty() {
-            Vec::new()
-        } else {
-            body.split(',')
-                .map(read_number)
+    fn number(v: &Value<'_>) -> Result<f64, String> {
+        match v {
+            Value::Int(n) => Ok(*n as f64),
+            Value::Float(f) => Ok(*f),
+            Value::Null => Ok(f64::NAN),
+            other => Err(format!("not a number: {other:?}")),
+        }
+    }
+    let root = json::parse(text)?;
+    let columns = array(root.get("columns"), "columns")?
+        .iter()
+        .map(|c| string(Some(c), "column"))
+        .collect::<Result<_, _>>()?;
+    let rows = array(root.get("rows"), "rows")?
+        .iter()
+        .map(|row| {
+            let label = string(row.get("label"), "row label")?;
+            let values = array(row.get("values"), "values")?
+                .iter()
+                .map(number)
                 .collect::<Result<_, _>>()
-                .map_err(|e| format!("row {label:?}: {e}"))?
-        };
-        rows.push((label, values));
-        rest = &rest[vend..];
-    }
+                .map_err(|e| format!("row {label:?}: {e}"))?;
+            Ok((label, values))
+        })
+        .collect::<Result<_, String>>()?;
     Ok(LoadedFigure {
-        id,
-        title,
+        id: string(root.get("id"), "id")?,
+        title: string(root.get("title"), "title")?,
         columns,
         rows,
     })
-}
-
-/// Reads one array element: a JSON number, or `null` (which the emitter
-/// writes for a non-finite value) as NaN.
-fn read_number(text: &str) -> Result<f64, String> {
-    let text = text.trim();
-    if text == "null" {
-        return Ok(f64::NAN);
-    }
-    json::validate_json(text)
-        .ok()
-        .and_then(|()| text.parse().ok())
-        .ok_or_else(|| format!("not a number: {text:?}"))
-}
-
-/// Decodes the string literal whose body (the text after its opening
-/// quote) starts `body`, returning it and the text after its closing quote.
-fn read_string(body: &str) -> Result<(String, &str), String> {
-    let (s, end) = json::decode_string(body, 0)?;
-    Ok((s.into_owned(), &body[end..]))
 }
 
 /// Writes a figure result as JSON under `results/` (best effort: printing
@@ -237,6 +206,7 @@ pub fn save_json(result: &FigureResult<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn geomean_basics() {
@@ -325,6 +295,51 @@ mod tests {
     }
 
     #[test]
+    fn loader_rejects_text_that_is_not_a_figure() {
+        let good = FigureResult {
+            id: "fig00",
+            title: "t",
+            columns: vec!["A".into(), "B".into()],
+            rows: vec![("mcf".into(), vec![1.5, 2.5])],
+        }
+        .to_json();
+        let deep = good.replace("1.5, 2.5", &"[".repeat(200_000));
+        let err = load_json(&deep).err().expect("deep values array accepted");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        for bad in [
+            "junk \"id\": \"x\" \"title\": \"t\" \"columns\": [\"a\"]".to_string(),
+            format!("{good} trailing"),
+            "{\"id\": \"x\", \"title\": \"t\", \"columns\": [\"a\"]} trailing".to_string(),
+            "{\"id\": \"x\", \"title\": \"t\", \"columns\": [\"a\"]}".to_string(),
+            good.replace("\"columns\": [\"A\", \"B\"]", "\"columns\": [\"A\", 2]"),
+            good.replace("\"label\": \"mcf\"", "\"label\": 7"),
+        ] {
+            assert!(load_json(&bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// Bytes a JSON text is made of: punctuation, digits, exponent and
+    /// sign marks, the letters of the literals, and the escape lead.
+    const JSON_ALPHABET: &[u8] = b"{}[]\",:-.0123456789eE tfnul\\";
+
+    proptest! {
+        #[test]
+        fn loader_returns_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256)
+        ) {
+            let _ = load_json(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn loader_returns_on_json_like_text(
+            picks in proptest::collection::vec(0..JSON_ALPHABET.len(), 0..64)
+        ) {
+            let text: String = picks.iter().map(|&i| char::from(JSON_ALPHABET[i])).collect();
+            let _ = load_json(&text);
+        }
+    }
+
+    #[test]
     fn escaped_labels_round_trip_through_loader() {
         let labels = ["a\\nb", "tab\there", "bell\u{7}", "quote \" / slash \\"];
         let r = FigureResult {
@@ -337,7 +352,7 @@ mod tests {
                 .collect(),
         };
         let json = r.to_json();
-        json::validate_json(&json).expect("emitted JSON is well-formed");
+        json::parse(&json).expect("emitted JSON is well-formed");
         let loaded = load_json(&json).unwrap();
         assert_eq!(loaded.id, r.id);
         assert_eq!(loaded.title, r.title);

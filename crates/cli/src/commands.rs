@@ -10,7 +10,7 @@ use cable_core::{BaselineKind, FaultConfig};
 use cable_sim::{
     run_group, run_single_telemetry, CompressedLink, DegradePolicy, Scheme, SystemConfig,
 };
-use cable_telemetry::json::{validate_json, validate_jsonl};
+use cable_telemetry::json::{self, validate_jsonl};
 use cable_telemetry::{diff_reports, JsonlSink, Report, SloSpec, Telemetry, TracerConfig};
 use cable_trace::record::{record_synthetic, TraceReader, TraceRecord};
 use cable_trace::WorkloadGen;
@@ -612,7 +612,9 @@ fn trace(name: &str, instructions: u64, prefix: &str, stream: bool) -> Result<()
     // that is the most recent window (the full stream lives in the JSONL).
     // Must render before `finish_stream` takes the events out.
     let chrome = tel.export_chrome_trace();
-    validate_json(&chrome).map_err(|e| format!("internal error: Chrome trace invalid: {e}"))?;
+    json::parse(&chrome)
+        .map(drop)
+        .map_err(|e| format!("internal error: Chrome trace invalid: {e}"))?;
     let chrome_path = format!("{prefix}.trace.json");
     std::fs::write(&chrome_path, &chrome)
         .map_err(|e| format!("cannot write {chrome_path}: {e}"))?;
@@ -667,8 +669,10 @@ fn report(
     let text = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
     let rep = Report::from_jsonl(&text).map_err(|e| format!("cannot parse {trace_path}: {e}"))?;
-    let json = rep.to_json();
-    validate_json(&json).map_err(|e| format!("internal error: report JSON invalid: {e}"))?;
+    let artifact = rep.to_json();
+    json::parse(&artifact)
+        .map(drop)
+        .map_err(|e| format!("internal error: report JSON invalid: {e}"))?;
     let out_path = match out {
         Some(p) => p.to_string(),
         None => format!(
@@ -676,7 +680,7 @@ fn report(
             trace_path.strip_suffix(".jsonl").unwrap_or(trace_path)
         ),
     };
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    std::fs::write(&out_path, &artifact).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     if hops_only {
         if rep.hops.is_empty() {
             println!(
@@ -688,7 +692,7 @@ fn report(
     } else {
         print!("{}", rep.render_text());
     }
-    println!("\nwrote {out_path} ({} bytes)", json.len());
+    println!("\nwrote {out_path} ({} bytes)", artifact.len());
     check_slo(slo, &rep)
 }
 
@@ -782,10 +786,19 @@ fn area() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cable_telemetry::json::Value;
 
     fn run(args: &[&str]) -> Result<(), String> {
         let owned: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
         dispatch(&owned)
+    }
+
+    /// The array under `key` in a parsed JSON object.
+    fn array<'v, 'a>(v: &'v Value<'a>, key: &str) -> &'v [Value<'a>] {
+        match v.get(key) {
+            Some(Value::Arr(items)) => items,
+            other => panic!("{key} is not an array: {other:?}"),
+        }
     }
 
     #[test]
@@ -956,9 +969,28 @@ mod tests {
         let jsonl_path = format!("{prefix}.jsonl");
         assert!(run(&["report", &jsonl_path, "--hops", "--top", "2"]).is_ok());
         let out_path = format!("{prefix}.report.json");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        let rep = Report::from_report_json(&json).expect("hop artifact parses");
-        assert_eq!(rep.hops.len(), 6, "all six wires carried traffic");
+        let text = std::fs::read_to_string(&out_path).unwrap();
+        let artifact = json::parse(&text).expect("hop artifact parses");
+        let hops = array(&artifact, "hops");
+        assert_eq!(hops.len(), 6, "all six wires carried traffic");
+        for h in hops {
+            for key in [
+                "hop",
+                "busy_ps",
+                "busy_permille",
+                "transfers",
+                "bits",
+                "depth_p50",
+                "depth_p99",
+                "nacks",
+                "faults",
+                "retransmitted_bits",
+                "util_permille",
+            ] {
+                assert!(h.get(key).is_some(), "hop row lacks {key}: {h:?}");
+            }
+        }
+        let rep = Report::from_report_json(&text).expect("hop artifact parses");
         let faultiest = rep.hops.iter().max_by_key(|h| h.faults).unwrap();
         assert_eq!(faultiest.hop, 2, "fault counters localize the armed wire");
         assert!(faultiest.faults > 0);
@@ -1083,18 +1115,27 @@ mod tests {
         let jsonl_path = format!("{prefix}.jsonl");
         assert!(run(&["report", &jsonl_path]).is_ok());
         let out_path = format!("{prefix}.report.json");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        validate_json(&json).expect("report artifact parses");
-        for key in [
-            "\"type\":\"cable_report\"",
-            "\"phases\"",
-            "\"measure\"",
-            "\"encodes\"",
-            "\"nacks_per_1k_encodes\"",
-            "\"link_util_permille\"",
-            "\"p99\"",
-        ] {
-            assert!(json.contains(key), "report JSON must carry {key}");
+        let text = std::fs::read_to_string(&out_path).unwrap();
+        let artifact = json::parse(&text).expect("report artifact parses");
+        assert_eq!(
+            artifact.get("type").and_then(Value::as_str),
+            Some("cable_report")
+        );
+        assert_eq!(artifact.get("version").and_then(Value::as_u64), Some(1));
+        let phases = array(&artifact, "phases");
+        assert!(!phases.is_empty(), "report must carry at least one phase");
+        for key in ["encodes", "nacks_per_1k_encodes", "link_util_permille"] {
+            assert!(phases[0].get(key).is_some(), "phase 0 lacks {key}");
+        }
+        assert!(phases
+            .iter()
+            .any(|p| p.get("name").and_then(Value::as_str) == Some("measure")));
+        let histograms = array(&artifact, "histograms");
+        assert!(!histograms.is_empty());
+        for h in histograms {
+            for key in ["p50", "p90", "p99"] {
+                assert!(h.get(key).is_some(), "histogram lacks {key}: {h:?}");
+            }
         }
         std::fs::remove_file(jsonl_path).ok();
         std::fs::remove_file(out_path).ok();
@@ -1118,8 +1159,8 @@ mod tests {
         validate_jsonl(&jsonl).expect("emitted JSONL parses");
         assert!(jsonl.lines().next().unwrap().contains("\"meta\""));
         let chrome = std::fs::read_to_string(format!("{prefix}.trace.json")).unwrap();
-        validate_json(&chrome).expect("emitted Chrome trace parses");
-        assert!(chrome.contains("\"traceEvents\""));
+        let trace = json::parse(&chrome).expect("emitted Chrome trace parses");
+        assert!(!array(&trace, "traceEvents").is_empty());
         std::fs::remove_file(format!("{prefix}.jsonl")).ok();
         std::fs::remove_file(format!("{prefix}.trace.json")).ok();
     }

@@ -598,10 +598,9 @@ impl FabricSim {
     }
 
     /// The seed O(N)-scan scheduler, kept verbatim as the equivalence
-    /// oracle for [`FabricSim::run`]: the `sched_equivalence` and
-    /// `run_equivalence` tests drive it.
-    #[doc(hidden)]
-    pub fn run_linear(&mut self, instructions_per_chip: u64) -> FabricResult {
+    /// oracle for [`FabricSim::run`]: the `run_equivalence` tests drive it.
+    #[cfg(test)]
+    pub(crate) fn run_linear(&mut self, instructions_per_chip: u64) -> FabricResult {
         loop {
             let idx = (0..self.nodes)
                 .filter(|&i| self.chips[i].retired < instructions_per_chip)

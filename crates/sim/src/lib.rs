@@ -40,6 +40,8 @@ pub mod fabric;
 mod hier;
 pub mod numa;
 pub mod resources;
+#[cfg(test)]
+mod run_equivalence;
 pub mod sched;
 pub mod single;
 pub mod thread;

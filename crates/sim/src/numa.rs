@@ -154,8 +154,8 @@ impl NumaSim {
     /// multi-actor loop: the generator is an actor enqueued at its next
     /// operation time (one [`NUMA_OP_PITCH_PS`] per access), so the report
     /// timelines see the same event-driven clock discipline as the timed
-    /// simulators. The seed straight-line loop is kept verbatim as
-    /// [`NumaSim::run_linear`], the equivalence oracle.
+    /// simulators. The seed straight-line loop is kept verbatim as the
+    /// test-only `run_linear`, the equivalence oracle.
     pub fn run(&mut self, accesses: u64) {
         let mut sched = Scheduler::with_capacity(1);
         let mut remaining = accesses;
@@ -196,8 +196,8 @@ impl NumaSim {
 
     /// The seed O(accesses) straight-line loop, kept verbatim as the
     /// equivalence oracle for [`NumaSim::run`].
-    #[doc(hidden)]
-    pub fn run_linear(&mut self, accesses: u64) {
+    #[cfg(test)]
+    pub(crate) fn run_linear(&mut self, accesses: u64) {
         for _ in 0..accesses {
             let access = self.gen.next_access();
             self.now_ps += NUMA_OP_PITCH_PS;

@@ -1,42 +1,10 @@
-//! Event-driven scheduler ⇔ seed linear-scan equivalence.
-//!
-//! The heap scheduler must reproduce the seed `min_by_key` schedule *step
-//! for step* — including lowest-index-first tie-breaking on equal
-//! `now_ps` — so every figure number stays bit-identical. These tests run
-//! the fabric's two schedulers side by side and pin the busy-time
-//! accounting of the two shared resources the schedule is built on. The
-//! group-loop (`run_group`) equivalence tests live next to their oracle in
-//! `src/throughput.rs`.
+//! Busy-time accounting of the two shared resources the event
+//! scheduler is built on: the FCFS off-chip link and the DRAM model.
+//! The heap-versus-linear-scan equivalence tests live next to their
+//! oracles: `src/run_equivalence.rs` for the fabric and NUMA loops,
+//! `src/throughput.rs` for the group loop (`run_group`).
 
-use cable_compress::EngineKind;
-use cable_sim::{DramModel, FabricSim, Scheme, SharedLink, SystemConfig};
-use cable_trace::ALL_WORKLOADS;
-
-#[test]
-fn fabric_heap_matches_linear_scan() {
-    // FabricSim's loop differs from run_group's: finished chips drop out
-    // of scheduling instead of running on. Same seeds → same FabricResult.
-    for profile in [&ALL_WORKLOADS[1], &ALL_WORKLOADS[5]] {
-        for scheme in [Scheme::Uncompressed, Scheme::Cable(EngineKind::Lbe)] {
-            for nodes in [2usize, 4] {
-                let mut heap = FabricSim::new(profile, scheme, nodes, 12.8e9);
-                let mut linear = FabricSim::new(profile, scheme, nodes, 12.8e9);
-                let h = heap.run(400);
-                let l = linear.run_linear(400);
-                assert_eq!(
-                    h.instructions, l.instructions,
-                    "{}/{scheme:?}/{nodes} nodes: instruction totals diverge",
-                    profile.name
-                );
-                assert_eq!(
-                    h.elapsed_ps, l.elapsed_ps,
-                    "{}/{scheme:?}/{nodes} nodes: elapsed time diverges",
-                    profile.name
-                );
-            }
-        }
-    }
-}
+use cable_sim::{DramModel, SharedLink, SystemConfig};
 
 #[test]
 fn shared_link_busy_time_accounting_is_pinned() {

@@ -406,6 +406,6 @@ mod tests {
         assert!(!body.starts_with('{'));
         assert_eq!(Event::Escalation.args_json(), "");
         let wrapped = format!("{{{}}}", body);
-        crate::json::validate_json(&wrapped).expect("args body forms a valid object");
+        crate::json::parse(&wrapped).expect("args body forms a valid object");
     }
 }

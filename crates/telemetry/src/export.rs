@@ -103,8 +103,8 @@ impl<W: Write> JsonlSink<W> {
                 self.w,
                 "{{\"type\":\"histogram\",\"id\":\"{}\",\"edges\":{},\"buckets\":{},\"count\":{count},\"sum\":{sum}}}",
                 json::escape(id),
-                int_array(edges),
-                int_array(buckets)
+                json::int_array(edges),
+                json::int_array(buckets)
             ),
         }
     }
@@ -290,19 +290,6 @@ pub fn chrome_trace(tel: &Telemetry) -> String {
     String::from_utf8(sink.into_inner()).expect("exporter writes UTF-8")
 }
 
-fn int_array(values: &[u64]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +334,7 @@ mod tests {
     #[test]
     fn chrome_trace_parses_and_maps_phases() {
         let text = chrome_trace(&sample());
-        json::validate_json(&text).expect("chrome trace parses");
+        json::parse(&text).expect("chrome trace parses");
         assert!(text.contains("\"displayTimeUnit\":\"ns\""));
         assert!(text.contains("\"ph\":\"X\""), "busy interval is a duration");
         assert!(text.contains("\"ph\":\"i\""), "outcomes are instants");
@@ -359,10 +346,10 @@ mod tests {
     fn empty_telemetry_exports_are_valid() {
         let tel = Telemetry::enabled();
         json::validate_jsonl(&jsonl(&tel)).expect("empty jsonl");
-        json::validate_json(&chrome_trace(&tel)).expect("empty chrome trace");
+        json::parse(&chrome_trace(&tel)).expect("empty chrome trace");
         let off = Telemetry::disabled();
         json::validate_jsonl(&jsonl(&off)).expect("disabled jsonl");
-        json::validate_json(&chrome_trace(&off)).expect("disabled trace");
+        json::parse(&chrome_trace(&off)).expect("disabled trace");
     }
 
     #[test]
@@ -416,7 +403,7 @@ mod tests {
             },
         );
         let text = chrome_trace(&tel);
-        json::validate_json(&text).expect("chrome trace parses");
+        json::parse(&text).expect("chrome trace parses");
         assert!(text.contains("\"name\":\"mesh_hop\""));
         assert!(text.contains("\"ts\":1,\"dur\":0.25"));
         assert!(text.contains("\"hop\":3,\"depth\":2"));

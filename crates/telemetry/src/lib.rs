@@ -14,8 +14,8 @@
 //!   deterministic across runs;
 //! - [`export`] — a metrics snapshot + trace as JSONL, and a Chrome
 //!   `trace_event` JSON viewable in `about://tracing` / Perfetto;
-//! - [`json`] — a dependency-free JSON syntax validator the test suite and
-//!   CI use to check exported files actually parse.
+//! - [`json`] — the workspace's one JSON parser, which `cable report`,
+//!   the CLI's export self-checks and the figure loader all read through.
 //!
 //! # The `Telemetry` handle
 //!

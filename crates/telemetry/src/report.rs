@@ -17,13 +17,12 @@
 
 use crate::event::{Event, LaneKind};
 use crate::hop::parse_hop_metric;
-use crate::json;
+use crate::json::{self, Value};
 use crate::latency::{
     parse_latency_metric, LatencyStage, LATENCY_ALL_STAGES, LATENCY_METRIC_PREFIX,
 };
 use crate::registry::MetricValue;
 use crate::Telemetry;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -340,7 +339,7 @@ impl Report {
                 continue;
             }
             lines += 1;
-            let parsed = parse_json(line).and_then(|val| {
+            let parsed = json::parse(line).and_then(|val| {
                 apply_trace_line(
                     &val,
                     &mut samples,
@@ -616,7 +615,7 @@ impl Report {
                     out,
                     ",\"{label}_busy_ps\":{},\"{label}_util_permille\":{}",
                     lane.busy_ps,
-                    int_array(&lane.util_permille)
+                    json::int_array(&lane.util_permille)
                 );
             }
             out.push('}');
@@ -639,7 +638,7 @@ impl Report {
                 h.nacks,
                 h.faults,
                 h.retransmitted_bits,
-                int_array(&h.util_permille)
+                json::int_array(&h.util_permille)
             );
         }
         out.push_str("],\"histograms\":[");
@@ -688,7 +687,7 @@ impl Report {
     /// Returns a message on malformed JSON or on an object that is not a
     /// `cable_report` artifact.
     pub fn from_report_json(text: &str) -> Result<Self, String> {
-        let val = parse_json(text.trim())?;
+        let val = json::parse(text.trim())?;
         if val.get("type").and_then(Value::as_str) != Some("cable_report") {
             return Err("not a cable_report artifact (run `cable report` first)".into());
         }
@@ -1169,18 +1168,6 @@ fn spark_line(permille: &[u64]) -> String {
         .collect()
 }
 
-fn int_array(values: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
 /// Applies one parsed trace line to the aggregation accumulators.
 /// Errors are bare messages; the caller prefixes the line number.
 fn apply_trace_line(
@@ -1631,266 +1618,10 @@ fn percentile(h: &HistData, q_permille: u64) -> u64 {
     *h.edges.last().expect("non-empty")
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (the export schema is integer/string-heavy,
-// but the parser accepts full JSON so foreign tooling output parses
-// too). One linear pass; strings borrow from the input unless they carry
-// an escape ([`json::decode_string`]). It accepts exactly the RFC 8259
-// grammar of [`json::validate_json`]. The workspace takes no external
-// crates.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Value<'a> {
-    Null,
-    Bool(bool),
-    Int(u64),
-    Float(f64),
-    Str(Cow<'a, str>),
-    Arr(Vec<Value<'a>>),
-    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
-}
-
-impl Value<'_> {
-    /// First value under `key` (exported event lines can legally repeat
-    /// a key — e.g. marker events carry their own `"name"` argument —
-    /// and the schema field always comes first).
-    fn get(&self, key: &str) -> Option<&Self> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    fn as_u64_array(&self) -> Option<Vec<u64>> {
-        match self {
-            Value::Arr(items) => items.iter().map(Value::as_u64).collect(),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] accepts. Report artifacts
-/// and trace lines nest a handful of levels; the cap turns hostile input
-/// into an error before the recursive parser can exhaust the stack.
-const MAX_JSON_DEPTH: usize = 64;
-
-fn parse_json(text: &str) -> Result<Value<'_>, String> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    /// Containers currently open around `pos`.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, text: &str, v: Value<'a>) -> Result<Value<'a>, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value<'a>, String> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    /// Parses one container a level deeper, refusing to pass
-    /// [`MAX_JSON_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Value<'a>, String>,
-    ) -> Result<Value<'a>, String> {
-        if self.depth == MAX_JSON_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
-                self.pos
-            ));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn object(&mut self) -> Result<Value<'a>, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            pairs.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value<'a>, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        self.expect(b'"')?;
-        let (s, end) = json::decode_string(self.text, self.pos)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A plain
-    /// non-negative integer that fits is [`Value::Int`], accumulated
-    /// from the digits as they are scanned; anything else is a float.
-    fn number(&mut self) -> Result<Value<'a>, String> {
-        let start = self.pos;
-        let bad = || format!("bad number at offset {start}");
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let mut int = Some(0u64);
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while let Some(d @ b'0'..=b'9') = self.peek() {
-                    int = int
-                        .and_then(|v| v.checked_mul(10))
-                        .and_then(|v| v.checked_add(u64::from(d - b'0')));
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(bad()),
-        }
-        let mut is_float = negative;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            self.digits().ok_or_else(bad)?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits().ok_or_else(bad)?;
-        }
-        match int {
-            Some(v) if !is_float => Ok(Value::Int(v)),
-            _ => self.text[start..self.pos]
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| bad()),
-        }
-    }
-
-    /// Consumes one or more ASCII digits; `None` when there is none.
-    fn digits(&mut self) -> Option<()> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        (self.pos > start).then_some(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_tel() -> Telemetry {
         let tel = Telemetry::enabled();
@@ -1924,78 +1655,6 @@ mod tests {
         tel.histogram("lat", &[10, 100]).record(50);
         tel.histogram("lat", &[10, 100]).record(500);
         tel
-    }
-
-    #[test]
-    fn parser_handles_schema_lines() {
-        let v = parse_json(
-            "{\"type\":\"event\",\"name\":\"marker\",\"track\":\"marker\",\"now_ps\":5,\"seq\":0,\"name\":\"m\",\"value\":2}",
-        )
-        .unwrap();
-        // First-wins lookup: the schema's event name, not the marker arg.
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("marker"));
-        assert_eq!(v.get("now_ps").and_then(Value::as_u64), Some(5));
-        let v = parse_json("{\"a\":[1,2,3],\"b\":-1.5e2,\"c\":null,\"d\":true}").unwrap();
-        assert_eq!(
-            v.get("a").and_then(Value::as_u64_array),
-            Some(vec![1, 2, 3])
-        );
-        assert_eq!(v.get("b"), Some(&Value::Float(-150.0)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn parser_and_validator_share_one_grammar() {
-        // Leading zeros, a fraction without digits, a raw control byte in
-        // a string and a signed `\u` escape: all outside RFC 8259.
-        let strict = ["01", "-01", "1.", "1.e5", "\"a\u{1}b\"", "\"\\u+0041\""];
-        for s in strict {
-            assert!(json::validate_json(s).is_err(), "{s:?} accepted");
-        }
-        let more = [
-            "-",
-            "-0",
-            "0.5",
-            "1E+2",
-            "1e-0",
-            "18446744073709551616",
-            "\"\\u00E9\\uD83D\\uDE00\"",
-            "\"\\x\"",
-            "\"\\u12\"",
-            "\"\u{7f}\"",
-            "[\"a\",]",
-            "{\"a\" 1}",
-        ];
-        for s in json::tests::WELL_FORMED
-            .iter()
-            .chain(json::tests::MALFORMED)
-            .chain(&strict)
-            .chain(&more)
-        {
-            assert_eq!(
-                parse_json(s).is_ok(),
-                json::validate_json(s).is_ok(),
-                "{s:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parsed_strings_borrow_unless_escaped() {
-        let v = parse_json("{\"plain\":\"caf\u{e9}\",\"esc\":\"a\\tb\\u0041\\\"\"}").unwrap();
-        let Value::Obj(pairs) = &v else {
-            panic!("not an object: {v:?}")
-        };
-        assert!(pairs.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
-        assert!(matches!(
-            v.get("plain"),
-            Some(Value::Str(Cow::Borrowed("caf\u{e9}")))
-        ));
-        assert!(matches!(
-            v.get("esc"),
-            Some(Value::Str(Cow::Owned(s))) if s == "a\tbA\""
-        ));
     }
 
     /// Length of the string value the linear-parse tests carry. A parse
@@ -2062,7 +1721,7 @@ mod tests {
     fn report_json_is_valid_and_deterministic() {
         let r = Report::from_telemetry(&sample_tel());
         let a = r.to_json();
-        json::validate_json(&a).expect("report JSON parses");
+        json::parse(&a).expect("report JSON parses");
         assert!(a.starts_with("{\"type\":\"cable_report\",\"version\":1"));
         assert!(a.contains("\"nacks_per_1k_encodes\":500"));
         assert!(a.contains("\"p99\":100"));
@@ -2273,7 +1932,7 @@ mod tests {
     #[test]
     fn hop_reports_round_trip_through_json() {
         let r = Report::from_telemetry(&mesh_tel());
-        json::validate_json(&r.to_json()).expect("report JSON parses");
+        json::parse(&r.to_json()).expect("report JSON parses");
         let parsed = Report::from_report_json(&r.to_json()).expect("artifact parses");
         assert_eq!(r, parsed, "hops must survive to_json -> from_report_json");
         assert_eq!(parsed.hops.len(), 2);
@@ -2309,10 +1968,20 @@ mod tests {
         let deep_obj = "{\"a\":".repeat(200_000);
         let err = Report::from_report_json(&deep_obj).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
-        // The cap itself is inclusive: exactly MAX_JSON_DEPTH levels parse.
-        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
-        assert!(parse_json(&nest(MAX_JSON_DEPTH + 1)).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn report_readers_return_on_arbitrary_bytes(text in json::tests::arbitrary_text()) {
+            let _ = Report::from_jsonl(&text);
+            let _ = Report::from_report_json(&text);
+        }
+
+        #[test]
+        fn report_readers_return_on_json_like_text(text in json::tests::json_like_text()) {
+            let _ = Report::from_jsonl(&text);
+            let _ = Report::from_report_json(&text);
+        }
     }
 
     #[test]
