@@ -1,14 +1,17 @@
 //! The deterministic `perf_smoke` artifacts are exact goldens.
 //!
-//! `BENCH_degrade.json` and `BENCH_latency.json` at the repository root
-//! hold only simulated quantities, so a full-size rerun must reproduce
-//! them byte for byte: no tolerance, because there is no noise. When a
-//! change moves them on purpose, regenerate both with
+//! `BENCH_fault.json`, `BENCH_degrade.json`, `BENCH_telemetry.json` and
+//! `BENCH_latency.json` at the repository root hold only simulated
+//! quantities and counts, so a full-size rerun must reproduce them byte
+//! for byte: no tolerance, because there is no noise. When a change moves
+//! them on purpose, regenerate all four with
 //! `cargo run --release -p cable-bench --bin perf_smoke` from the root and
 //! commit the diff. Skipped under `CABLE_QUICK=1`, whose shrunken runs
 //! write different figures.
 
-use cable_bench::perf::{run_degrade_bench, run_latency_bench};
+use cable_bench::perf::{
+    run_degrade_bench, run_fault_bench, run_latency_bench, run_telemetry_bench,
+};
 use cable_bench::FigureResult;
 use std::path::Path;
 
@@ -43,6 +46,15 @@ fn assert_matches_golden(result: &FigureResult<'_>) {
 }
 
 #[test]
+fn fault_bench_matches_committed_golden() {
+    if quick() {
+        eprintln!("skipping: the golden is the full-size figure; unset CABLE_QUICK");
+        return;
+    }
+    assert_matches_golden(&run_fault_bench());
+}
+
+#[test]
 fn degrade_bench_matches_committed_golden() {
     if quick() {
         eprintln!("skipping: the golden is the full-size figure; unset CABLE_QUICK");
@@ -58,4 +70,13 @@ fn latency_bench_matches_committed_golden() {
         return;
     }
     assert_matches_golden(&run_latency_bench());
+}
+
+#[test]
+fn telemetry_bench_matches_committed_golden() {
+    if quick() {
+        eprintln!("skipping: the golden is the full-size figure; unset CABLE_QUICK");
+        return;
+    }
+    assert_matches_golden(&run_telemetry_bench());
 }

@@ -2,8 +2,8 @@
 //!
 //! Gated on `CABLE_QUICK=1` so CI exercises every builder (full run,
 //! JSON emission, schema) without paying the full measurement cost in
-//! every local `cargo test`. The full-size degrade and latency figures
-//! are pinned byte for byte by `bench_goldens.rs`.
+//! every local `cargo test`. All four full-size figures are pinned byte
+//! for byte by `bench_goldens.rs`.
 
 use cable_bench::perf::{
     run_degrade_bench, run_fault_bench, run_latency_bench, run_telemetry_bench,

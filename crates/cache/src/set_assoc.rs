@@ -54,7 +54,8 @@ pub struct InsertOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
-#[derive(Clone, Debug, Default)]
+/// `Copy`, so restoring a snapshot (`Vec::clone_from`) is one memcpy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Slot {
     tag: u64,
     state: CoherenceState,
@@ -84,13 +85,42 @@ struct Slot {
 /// let lid = cache.lookup(addr).unwrap();
 /// assert_eq!(cache.read_by_id(lid), Some(LineData::splat_word(1)));
 /// ```
-#[derive(Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     slots: Vec<Slot>,
     clock: u64,
     hits: u64,
     misses: u64,
+}
+
+impl Clone for SetAssocCache {
+    fn clone(&self) -> Self {
+        SetAssocCache {
+            geometry: self.geometry,
+            slots: self.slots.clone(),
+            clock: self.clock,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Copies `source` into this cache's existing slot array, so restoring
+    /// a snapshot of the same geometry reuses memory that is already
+    /// mapped instead of allocating a fresh array.
+    fn clone_from(&mut self, source: &Self) {
+        let SetAssocCache {
+            geometry,
+            slots,
+            clock,
+            hits,
+            misses,
+        } = self;
+        *geometry = source.geometry;
+        slots.clone_from(&source.slots);
+        *clock = source.clock;
+        *hits = source.hits;
+        *misses = source.misses;
+    }
 }
 
 impl SetAssocCache {
@@ -533,5 +563,41 @@ mod tests {
         }
         assert_eq!(c.iter_valid().count(), 8);
         assert_eq!(c.valid_lines(), 8);
+    }
+
+    /// Every field of two caches, compared by exhaustive destructuring.
+    fn assert_same(a: &SetAssocCache, b: &SetAssocCache) {
+        let SetAssocCache {
+            geometry,
+            slots,
+            clock,
+            hits,
+            misses,
+        } = a;
+        assert!(*geometry == b.geometry);
+        assert!(*slots == b.slots);
+        assert_eq!((*clock, *hits, *misses), (b.clock, b.hits, b.misses));
+    }
+
+    fn filled(geometry: CacheGeometry, lines: u64) -> SetAssocCache {
+        let mut c = SetAssocCache::new(geometry);
+        for n in 0..lines {
+            let a = Address::from_line_number(n * 7);
+            c.access(a);
+            c.insert(a, LineData::splat_word(n as u32), CoherenceState::Shared);
+        }
+        c
+    }
+
+    #[test]
+    fn clone_from_across_geometries_equals_a_fresh_clone() {
+        let small = filled(CacheGeometry::new(4 * 2 * 64, 2), 20);
+        let large = filled(CacheGeometry::new(64 * 4 * 64, 4), 300);
+        for (src, dst) in [(&small, &large), (&large, &small), (&large, &large)] {
+            let mut restored = dst.clone();
+            restored.clone_from(src);
+            assert_same(&restored, &src.clone());
+            assert_same(&restored, src);
+        }
     }
 }

@@ -10,9 +10,9 @@
 //! — which is exactly what makes gzip strong single-threaded and weak under
 //! multiprogrammed interleaving (Fig. 16's dictionary pollution).
 
-use crate::link::{Direction, LinkStats, LinkTelemetry, Transfer, TransferKind};
+use crate::link::{account_toggles, Direction, LinkStats, LinkTelemetry, Transfer, TransferKind};
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
-use cable_common::{Address, BitReader, BitWriter, LineData, LINE_BYTES};
+use cable_common::{Address, LineData, LINE_BYTES};
 use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Lbe, Lzss};
 use cable_telemetry::{Event, Telemetry};
 use std::fmt;
@@ -106,8 +106,8 @@ impl fmt::Display for BaselineKind {
 /// ```
 ///
 /// Like `CableLink`, a clone deep-copies the caches and any streaming
-/// dictionary state, so warmed links can be snapshotted and resumed.
-#[derive(Clone)]
+/// dictionary state, so warmed links can be snapshotted and resumed, and
+/// `clone_from` restores a snapshot into the existing cache storage.
 pub struct BaselineLink {
     kind: BaselineKind,
     home: SetAssocCache,
@@ -117,6 +117,42 @@ pub struct BaselineLink {
     stats: LinkStats,
     last_flit: u64,
     tel: LinkTelemetry,
+}
+
+impl Clone for BaselineLink {
+    fn clone(&self) -> Self {
+        BaselineLink {
+            kind: self.kind,
+            home: self.home.clone(),
+            remote: self.remote.clone(),
+            engines: self.engines.clone(),
+            link_width_bits: self.link_width_bits,
+            stats: self.stats,
+            last_flit: self.last_flit,
+            tel: self.tel.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let BaselineLink {
+            kind,
+            home,
+            remote,
+            engines,
+            link_width_bits,
+            stats,
+            last_flit,
+            tel,
+        } = self;
+        *kind = source.kind;
+        home.clone_from(&source.home);
+        remote.clone_from(&source.remote);
+        engines.clone_from(&source.engines);
+        *link_width_bits = source.link_width_bits;
+        *stats = source.stats;
+        *last_flit = source.last_flit;
+        tel.clone_from(&source.tel);
+    }
 }
 
 impl BaselineLink {
@@ -324,8 +360,8 @@ impl BaselineLink {
     /// compressed stream directly (mode is carried out of band), so a raw
     /// fallback costs exactly 512 bits.
     fn send(&mut self, line: &LineData, direction: Direction) -> Transfer {
-        let (payload, kind) = match &mut self.engines {
-            None => (raw_payload(line), TransferKind::Raw),
+        let encoded = match &mut self.engines {
+            None => None,
             Some((enc, dec)) => {
                 let encoded = enc.compress(line);
                 self.stats.compression_ops += 2; // compress + decompress
@@ -333,20 +369,16 @@ impl BaselineLink {
                     .decompress(&encoded)
                     .expect("baseline payload round-trips");
                 assert_eq!(back, *line, "{} round-trip mismatch", self.kind);
-                if encoded.len_bits() < LINE_BYTES * 8 {
-                    let mut w = BitWriter::new();
-                    let mut r = BitReader::new(encoded.as_bytes(), encoded.len_bits());
-                    while let Some(bit) = r.read_bit() {
-                        w.write_bit(bit);
-                    }
-                    (w, TransferKind::Unseeded)
-                } else {
-                    (raw_payload(line), TransferKind::Raw)
-                }
+                Some(encoded).filter(|e| e.len_bits() < LINE_BYTES * 8)
             }
         };
+        // The payload is accounted where it already lives: the encoder's
+        // bitstream, or the raw line itself.
+        let (bytes, payload_bits, kind) = match &encoded {
+            Some(e) => (e.as_bytes(), e.len_bits(), TransferKind::Unseeded),
+            None => (&line.as_bytes()[..], LINE_BYTES * 8, TransferKind::Raw),
+        };
 
-        let payload_bits = payload.len_bits();
         let width = u64::from(self.link_width_bits);
         let wire_bits = cable_common::div_ceil(payload_bits as u64, width) * width;
         self.stats.uncompressed_bits += (LINE_BYTES * 8) as u64;
@@ -357,7 +389,13 @@ impl BaselineLink {
             TransferKind::Raw => self.stats.raw_transfers += 1,
             _ => self.stats.unseeded_transfers += 1,
         }
-        self.account_toggles(&payload);
+        account_toggles(
+            &mut self.stats,
+            &mut self.last_flit,
+            self.link_width_bits,
+            bytes,
+            payload_bits,
+        );
         if self.tel.handle.is_enabled() {
             self.tel.count_encode(kind);
             self.tel.wire_bits.add(wire_bits);
@@ -372,22 +410,6 @@ impl BaselineLink {
         }
         transfer_of(kind, direction, payload_bits, wire_bits)
     }
-
-    fn account_toggles(&mut self, payload: &BitWriter) {
-        let width = self.link_width_bits.min(64);
-        let mut reader = BitReader::new(payload.as_slice(), payload.len_bits());
-        loop {
-            let take = reader.remaining_bits().min(width as usize);
-            if take == 0 {
-                break;
-            }
-            let flit =
-                reader.read_bits(take as u32).expect("sized read") << (width as usize - take);
-            self.stats.bit_toggles += u64::from((flit ^ self.last_flit).count_ones());
-            self.stats.flits += 1;
-            self.last_flit = flit;
-        }
-    }
 }
 
 impl fmt::Debug for BaselineLink {
@@ -399,12 +421,6 @@ impl fmt::Debug for BaselineLink {
             self.stats.compression_ratio()
         )
     }
-}
-
-fn raw_payload(line: &LineData) -> BitWriter {
-    let mut w = BitWriter::new();
-    w.write_bytes(line.as_bytes());
-    w
 }
 
 // Transfer's fields are private to cable-core::link; construct via helpers.
@@ -425,6 +441,7 @@ fn transfer_of(
 mod tests {
     use super::*;
     use cable_common::SplitMix64;
+    use proptest::prelude::*;
 
     fn link(kind: BaselineKind) -> BaselineLink {
         BaselineLink::new(
@@ -525,5 +542,73 @@ mod tests {
             l.request(Address::from_line_number(t * sets), LineData::zeroed());
         }
         assert!(l.stats().writebacks >= 1);
+    }
+
+    /// Per-flit oracle for the toggle counters, one bit at a time: flit
+    /// values are the next `width` stream bits MSB-first, the final flit
+    /// zero-padded, and each flit is XORed with the previous one.
+    fn oracle_toggles(bytes: &[u8], len_bits: usize, width: u32, last: &mut u64) -> (u64, u64) {
+        let width = width.min(64) as usize;
+        let bit = |i: usize| u64::from(bytes[i / 8] >> (7 - i % 8) & 1);
+        let (mut toggles, mut flits) = (0, 0);
+        for start in (0..len_bits).step_by(width) {
+            let flit = (start..start + width)
+                .fold(0u64, |f, i| f << 1 | if i < len_bits { bit(i) } else { 0 });
+            toggles += u64::from((flit ^ *last).count_ones());
+            flits += 1;
+            *last = flit;
+        }
+        (toggles, flits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every baseline accounts exactly the oracle's toggles and flits
+        /// for the payload it sends: the encoder's stream when it beats 512
+        /// bits, the raw line otherwise. Widths 8, 16 and 64 take the lane
+        /// kernel; 12 keeps the scalar path covered.
+        #[test]
+        fn prop_toggles_match_per_flit_oracle(
+            (refs, line) in crate::test_lines::family_case(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let mut stream = refs;
+            stream.push(line);
+            stream.extend((0..4).map(|_| LineData::from_words(core::array::from_fn(|_| rng.next_u32()))));
+            let kinds = std::iter::once(BaselineKind::Uncompressed).chain(BaselineKind::ALL);
+            for kind in kinds {
+                for width in [8, 16, 64, 12] {
+                    let mut l = BaselineLink::new(
+                        kind,
+                        CacheGeometry::new(256 << 10, 8),
+                        CacheGeometry::new(64 << 10, 8),
+                        width,
+                    );
+                    // A twin encoder sees the same lines in the same order,
+                    // so streaming dictionaries stay in step with the link's.
+                    let mut twin = kind.build().map(|(enc, _)| enc);
+                    let (mut toggles, mut flits, mut last) = (0, 0, 0);
+                    for (n, line) in stream.iter().enumerate() {
+                        // A fresh line number per line: every request is one fill.
+                        l.request(Address::from_line_number(n as u64), *line);
+                        let encoded = twin
+                            .as_mut()
+                            .map(|enc| enc.compress(line))
+                            .filter(|e| e.len_bits() < LINE_BYTES * 8);
+                        let (bytes, bits) = match &encoded {
+                            Some(e) => (e.as_bytes(), e.len_bits()),
+                            None => (&line.as_bytes()[..], LINE_BYTES * 8),
+                        };
+                        let (t, f) = oracle_toggles(bytes, bits, width, &mut last);
+                        toggles += t;
+                        flits += f;
+                    }
+                    prop_assert_eq!(l.stats().bit_toggles, toggles, "{} at width {}", kind, width);
+                    prop_assert_eq!(l.stats().flits, flits, "{} at width {}", kind, width);
+                }
+            }
+        }
     }
 }

@@ -40,7 +40,6 @@ const EMPTY: u32 = u32::MAX;
 /// table.remove(sig, 42);
 /// assert!(table.lookup(sig).is_empty());
 /// ```
-#[derive(Clone)]
 pub struct SignatureTable {
     entries: u64,
     depth: usize,
@@ -49,6 +48,34 @@ pub struct SignatureTable {
     slots: Vec<u32>,
     inserted: u64,
     evicted: u64,
+}
+
+impl Clone for SignatureTable {
+    fn clone(&self) -> Self {
+        SignatureTable {
+            entries: self.entries,
+            depth: self.depth,
+            slots: self.slots.clone(),
+            inserted: self.inserted,
+            evicted: self.evicted,
+        }
+    }
+
+    /// Reuses this table's bucket storage (see `SetAssocCache::clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let SignatureTable {
+            entries,
+            depth,
+            slots,
+            inserted,
+            evicted,
+        } = self;
+        *entries = source.entries;
+        *depth = source.depth;
+        slots.clone_from(&source.slots);
+        *inserted = source.inserted;
+        *evicted = source.evicted;
+    }
 }
 
 impl SignatureTable {

@@ -23,11 +23,29 @@ const ABSENT: u8 = u8::MAX;
 /// Direct-mapped cache of each resident line's insert signatures, keyed by
 /// packed LineId. Storage is one flat slab (`lines × stride` signatures
 /// plus one length byte per line), allocated once at link construction.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct InsertSigCache {
     sigs: Vec<Signature>,
     lens: Vec<u8>,
     stride: usize,
+}
+
+impl Clone for InsertSigCache {
+    fn clone(&self) -> Self {
+        InsertSigCache {
+            sigs: self.sigs.clone(),
+            lens: self.lens.clone(),
+            stride: self.stride,
+        }
+    }
+
+    /// Reuses this cache's slab (see `SetAssocCache::clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let InsertSigCache { sigs, lens, stride } = self;
+        sigs.clone_from(&source.sigs);
+        lens.clone_from(&source.lens);
+        *stride = source.stride;
+    }
 }
 
 impl InsertSigCache {

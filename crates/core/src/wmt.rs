@@ -45,11 +45,32 @@ struct Normalized {
 /// assert_eq!(wmt.remote_lid_of(home_lid), Some(remote_lid));
 /// assert_eq!(wmt.home_lid_of(remote_lid), Some(home_lid));
 /// ```
-#[derive(Clone)]
 pub struct WayMapTable {
     home: CacheGeometry,
     remote: CacheGeometry,
     entries: Vec<Option<Normalized>>,
+}
+
+impl Clone for WayMapTable {
+    fn clone(&self) -> Self {
+        WayMapTable {
+            home: self.home,
+            remote: self.remote,
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Reuses this table's entry storage (see `SetAssocCache::clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let WayMapTable {
+            home,
+            remote,
+            entries,
+        } = self;
+        *home = source.home;
+        *remote = source.remote;
+        entries.clone_from(&source.entries);
+    }
 }
 
 impl WayMapTable {

@@ -10,17 +10,22 @@
 //! all simulated accesses.
 //!
 //! [`SimArena`] warms a group once per `(workload, scheme, warm budget,
-//! config)` key, keeps the warmed group as a snapshot, and hands out deep
-//! clones at every subsequent sweep point. Restoring a clone is
-//! bit-identical to re-running warm-up (`ThreadSim::clone` copies every
-//! cache, dictionary and RNG), so sweep results do not change — this is
-//! covered by the `sched_equivalence` tests and by the byte-identical
-//! figure-JSON acceptance check.
+//! config)` key and keeps the warmed group as a snapshot. At every sweep
+//! point [`crate::throughput::run_group_arena`] restores the snapshot in
+//! place into one working group the arena owns (`ThreadSim::clone_from`
+//! copies every cache, dictionary and RNG into the working group's
+//! existing storage), so later calls reuse memory that is already mapped
+//! instead of cloning ~60 MB of modelled cache into fresh allocations.
+//! Only [`SimArena::warmed_group`] hands out clones. A restore is
+//! bit-identical to re-running warm-up, so sweep results do not change —
+//! this is covered by the arena tests in `throughput.rs`'s test module
+//! and by the byte-identical figure-JSON acceptance check.
 
 use crate::config::SystemConfig;
 use crate::thread::{Scheme, ThreadSim};
-use crate::throughput::GROUP_SIZE;
+use crate::throughput::build_warmed_group;
 use cable_trace::WorkloadProfile;
+use std::mem::discriminant;
 
 /// How many warmed groups an arena retains. A group of eight threads owns
 /// tens of megabytes of modelled cache, so the arena is a small LRU rather
@@ -56,6 +61,8 @@ struct ArenaEntry {
 #[derive(Default)]
 pub struct SimArena {
     entries: Vec<ArenaEntry>,
+    /// The group [`SimArena::restore`] copies snapshots into.
+    work: Vec<ThreadSim>,
     hits: u64,
     misses: u64,
 }
@@ -77,6 +84,42 @@ impl SimArena {
         warm_accesses: u64,
         config: &SystemConfig,
     ) -> Vec<ThreadSim> {
+        let pos = self.snapshot(profile, scheme, warm_accesses, config);
+        self.entries[pos].group.clone()
+    }
+
+    /// Restores the warmed group for the key into the arena's working
+    /// group, in place, and returns it; the snapshot is untouched. The
+    /// working group is overwritten by the next restore.
+    pub(crate) fn restore(
+        &mut self,
+        profile: &'static WorkloadProfile,
+        scheme: Scheme,
+        warm_accesses: u64,
+        config: &SystemConfig,
+    ) -> &mut [ThreadSim] {
+        let pos = self.snapshot(profile, scheme, warm_accesses, config);
+        let snap = &self.entries[pos].group;
+        // A link of the other family cannot be restored in place; dropping
+        // the old group first lets its storage serve the fresh clones
+        // instead of adding one link to peak memory.
+        let same_family = |w: &ThreadSim| discriminant(w.link()) == discriminant(snap[0].link());
+        if !self.work.first().is_none_or(same_family) {
+            self.work.clear();
+        }
+        self.work.clone_from(snap);
+        &mut self.work
+    }
+
+    /// Position of the key's snapshot, warming a new one on a miss; the
+    /// entry becomes most-recently-used.
+    fn snapshot(
+        &mut self,
+        profile: &'static WorkloadProfile,
+        scheme: Scheme,
+        warm_accesses: u64,
+        config: &SystemConfig,
+    ) -> usize {
         let key = |e: &ArenaEntry| {
             std::ptr::eq(e.profile, profile)
                 && e.scheme == scheme
@@ -88,27 +131,21 @@ impl SimArena {
             // Move to the back: most-recently-used.
             let entry = self.entries.remove(pos);
             self.entries.push(entry);
-            return self.entries.last().expect("just pushed").group.clone();
+        } else {
+            self.misses += 1;
+            let group = build_warmed_group(profile, scheme, warm_accesses, config);
+            if self.entries.len() >= MAX_ENTRIES {
+                self.entries.remove(0); // least-recently-used
+            }
+            self.entries.push(ArenaEntry {
+                profile,
+                scheme,
+                warm_accesses,
+                config: *config,
+                group,
+            });
         }
-        self.misses += 1;
-        let group: Vec<ThreadSim> = (0..GROUP_SIZE)
-            .map(|i| {
-                let mut t = ThreadSim::new(profile, i as u64, scheme, *config);
-                t.warm(warm_accesses);
-                t
-            })
-            .collect();
-        if self.entries.len() >= MAX_ENTRIES {
-            self.entries.remove(0); // least-recently-used
-        }
-        self.entries.push(ArenaEntry {
-            profile,
-            scheme,
-            warm_accesses,
-            config: *config,
-            group,
-        });
-        self.entries.last().expect("just pushed").group.clone()
+        self.entries.len() - 1
     }
 
     /// `(snapshot restores, warm-up runs)` served so far.
@@ -130,13 +167,7 @@ mod tests {
         let p = by_name("gcc").unwrap();
         let mut arena = SimArena::new();
         let restored = arena.warmed_group(p, Scheme::Cable(EngineKind::Lbe), 1_000, &cfg);
-        let fresh: Vec<ThreadSim> = (0..GROUP_SIZE)
-            .map(|i| {
-                let mut t = ThreadSim::new(p, i as u64, Scheme::Cable(EngineKind::Lbe), cfg);
-                t.warm(1_000);
-                t
-            })
-            .collect();
+        let fresh = build_warmed_group(p, Scheme::Cable(EngineKind::Lbe), 1_000, &cfg);
         // Drive both groups identically and compare observable state.
         for (a, b) in restored.iter().zip(&fresh) {
             assert_eq!(a.now_ps(), b.now_ps());

@@ -14,8 +14,8 @@
 //! minimal element — the lowest-indexed actor among those tied on
 //! `now_ps`. The heap key includes the actor index as the secondary sort,
 //! so equal-time pops come out lowest-index-first too, and an event-driven
-//! run reproduces the seed schedule step for step (property-tested in
-//! `tests/sched_equivalence.rs`).
+//! run reproduces the seed schedule step for step (tested against the
+//! linear-scan oracle in `throughput.rs`'s test module).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

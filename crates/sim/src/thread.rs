@@ -65,12 +65,30 @@ impl fmt::Display for Scheme {
 }
 
 /// A compressed (or uncompressed) LLC↔L4 link of either family.
-#[derive(Clone)]
 pub enum CompressedLink {
     /// CABLE endpoints.
     Cable(Box<CableLink>),
     /// A baseline streaming compressor.
     Baseline(Box<BaselineLink>),
+}
+
+impl Clone for CompressedLink {
+    fn clone(&self) -> Self {
+        match self {
+            CompressedLink::Cable(l) => CompressedLink::Cable(l.clone()),
+            CompressedLink::Baseline(l) => CompressedLink::Baseline(l.clone()),
+        }
+    }
+
+    /// Restores in place when both links are of one family; a link of the
+    /// other family is replaced by a fresh clone.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (CompressedLink::Cable(l), CompressedLink::Cable(s)) => l.clone_from(s),
+            (CompressedLink::Baseline(l), CompressedLink::Baseline(s)) => l.clone_from(s),
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 impl CompressedLink {
@@ -271,7 +289,7 @@ impl CompressedLink {
 }
 
 /// Per-thread activity counters feeding the energy model.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ThreadCounts {
     /// L1 accesses.
     pub l1: u64,
@@ -290,8 +308,8 @@ pub struct ThreadCounts {
 /// `Clone` deep-copies the whole microarchitectural state — caches, link
 /// dictionaries, generator RNG, clocks — so a warmed thread can be
 /// snapshotted once and restored at every sweep point
-/// (see [`crate::SimArena`]).
-#[derive(Clone)]
+/// (see [`crate::SimArena`]). `clone_from` restores a snapshot into an
+/// existing thread, reusing its cache and link storage.
 pub struct ThreadSim {
     gen: WorkloadGen,
     l1: SetAssocCache,
@@ -311,6 +329,57 @@ pub struct ThreadSim {
     /// Reusable transfer buffer for [`CompressedLink::request_batch`] — the
     /// step loop issues its link requests through the batch entry point.
     xfers: Vec<Transfer>,
+}
+
+impl Clone for ThreadSim {
+    fn clone(&self) -> Self {
+        ThreadSim {
+            gen: self.gen.clone(),
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            link: self.link.clone(),
+            config: self.config,
+            scheme: self.scheme,
+            latency: self.latency,
+            now_ps: self.now_ps,
+            retired: self.retired,
+            counts: self.counts,
+            tel: self.tel.clone(),
+            lat: self.lat.clone(),
+            xfers: self.xfers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let ThreadSim {
+            gen,
+            l1,
+            l2,
+            link,
+            config,
+            scheme,
+            latency,
+            now_ps,
+            retired,
+            counts,
+            tel,
+            lat,
+            xfers,
+        } = self;
+        gen.clone_from(&source.gen);
+        l1.clone_from(&source.l1);
+        l2.clone_from(&source.l2);
+        link.clone_from(&source.link);
+        *config = source.config;
+        *scheme = source.scheme;
+        *latency = source.latency;
+        *now_ps = source.now_ps;
+        *retired = source.retired;
+        *counts = source.counts;
+        tel.clone_from(&source.tel);
+        lat.clone_from(&source.lat);
+        xfers.clone_from(&source.xfers);
+    }
 }
 
 impl ThreadSim {
@@ -649,6 +718,45 @@ mod tests {
             t.step(&mut wire, &mut dram);
         }
         t
+    }
+
+    #[test]
+    fn clone_from_a_snapshot_replays_like_a_fresh_clone() {
+        // A thread that has run on, restored in place from a snapshot,
+        // must evolve exactly like a fresh clone of that snapshot — within
+        // one link family and across families.
+        const N: usize = 1_500;
+        let cfg = SystemConfig::paper_defaults();
+        let p = by_name("mcf").unwrap();
+        let steps = |t: &mut ThreadSim| {
+            let mut wire = SharedLink::from_config(&cfg);
+            let mut dram = DramModel::from_config(&cfg);
+            for _ in 0..N {
+                t.step(&mut wire, &mut dram);
+            }
+        };
+        let lbe = Scheme::Cable(EngineKind::Lbe);
+        let cpack = Scheme::Baseline(BaselineKind::Cpack);
+        for (snap_scheme, work_scheme) in [
+            (lbe, lbe),
+            (cpack, Scheme::Uncompressed),
+            (lbe, Scheme::Uncompressed),
+            (Scheme::Uncompressed, lbe),
+        ] {
+            let mut snapshot = ThreadSim::new(p, 1, snap_scheme, cfg);
+            snapshot.warm(500);
+            let mut work = ThreadSim::new(p, 2, work_scheme, cfg);
+            steps(&mut work);
+            work.clone_from(&snapshot);
+            let mut fresh = snapshot.clone();
+            steps(&mut work);
+            steps(&mut fresh);
+            let label = format!("{work_scheme} restored from {snap_scheme}");
+            assert_eq!(work.now_ps(), fresh.now_ps(), "{label}");
+            assert_eq!(work.retired(), fresh.retired(), "{label}");
+            assert_eq!(work.counts(), fresh.counts(), "{label}");
+            assert_eq!(work.link().stats(), fresh.link().stats(), "{label}");
+        }
     }
 
     #[test]

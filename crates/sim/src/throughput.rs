@@ -78,7 +78,7 @@ fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramMo
     (wire, dram)
 }
 
-fn build_warmed_group(
+pub(crate) fn build_warmed_group(
     profile: &'static WorkloadProfile,
     scheme: Scheme,
     warm_accesses: u64,
@@ -199,9 +199,9 @@ pub fn run_group_arena(
     config: &SystemConfig,
 ) -> ThroughputResult {
     let (mut wire, mut dram) = group_resources(threads, config);
-    let mut group = arena.warmed_group(profile, scheme, warm_accesses, config);
-    run_group_core(&mut group, &mut wire, &mut dram, instructions_per_thread);
-    summarize(threads, &group)
+    let group = arena.restore(profile, scheme, warm_accesses, config);
+    run_group_core(group, &mut wire, &mut dram, instructions_per_thread);
+    summarize(threads, group)
 }
 
 /// [`run_group_warmed`] with a [`Telemetry`] handle attached to every
@@ -411,27 +411,38 @@ mod tests {
 
     #[test]
     fn arena_path_matches_direct_path() {
+        // The arena's working group is restored in place call after call,
+        // switching link families (Uncompressed/CPACK are baseline links,
+        // CABLE+LBE is not) and evicting LRU snapshots once the two warm
+        // budgets exceed the arena's capacity. Every call must still equal
+        // a from-scratch run.
         let cfg = SystemConfig::paper_defaults();
         let p = by_name("mcf").unwrap();
         let mut arena = SimArena::new();
-        for threads in [256, 1024] {
-            let a = run_group_arena(
-                &mut arena,
-                p,
-                Scheme::Cable(EngineKind::Lbe),
-                threads,
-                1_000,
-                800,
-                &cfg,
-            );
-            let d = run_group_warmed(p, Scheme::Cable(EngineKind::Lbe), threads, 1_000, 800, &cfg);
-            assert_eq!(a.group_instructions, d.group_instructions);
-            assert_eq!(a.elapsed_ps, d.elapsed_ps);
+        let order = [
+            Scheme::Uncompressed,
+            Scheme::Baseline(BaselineKind::Cpack),
+            Scheme::Cable(EngineKind::Lbe),
+            Scheme::Uncompressed,
+            Scheme::Cable(EngineKind::Lbe),
+        ];
+        for warm in [200, 500] {
+            for threads in [256, 2048] {
+                for scheme in order {
+                    let a = run_group_arena(&mut arena, p, scheme, threads, warm, 300, &cfg);
+                    let d = run_group_warmed(p, scheme, threads, warm, 300, &cfg);
+                    assert_eq!(
+                        (a.group_instructions, a.elapsed_ps),
+                        (d.group_instructions, d.elapsed_ps),
+                        "{scheme} at {threads} threads, warm {warm}"
+                    );
+                }
+            }
         }
         assert_eq!(
             arena.stats(),
-            (1, 1),
-            "second thread count reuses warm state"
+            (14, 6),
+            "one warm-up per (scheme, warm) key, every other call restored"
         );
     }
 

@@ -1623,6 +1623,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Pieces of `stage.pXX<=N_ps` specs, plus a few that break them.
+    const SLO_FRAGMENTS: &[&str] = &[
+        "total",
+        "dram",
+        "x",
+        ".",
+        "p99",
+        "p999",
+        "p4",
+        "<=",
+        "<",
+        "=",
+        "1_200",
+        "0",
+        "_",
+        "ps",
+        "_ps",
+        " ",
+        "18446744073709551616",
+        "\u{e9}",
+    ];
+
     fn sample_tel() -> Telemetry {
         let tel = Telemetry::enabled();
         tel.record(Event::Phase { name: "measure" });
@@ -1981,6 +2003,21 @@ mod tests {
         fn report_readers_return_on_json_like_text(text in json::tests::json_like_text()) {
             let _ = Report::from_jsonl(&text);
             let _ = Report::from_report_json(&text);
+        }
+
+        #[test]
+        fn slo_parse_returns_on_arbitrary_bytes(text in json::tests::arbitrary_text()) {
+            let _ = SloSpec::parse(&text);
+        }
+
+        /// Near-miss specs built from SLO fragments reach every branch of
+        /// the parser, including an out-of-range bound.
+        #[test]
+        fn slo_parse_returns_on_slo_like_text(
+            picks in proptest::collection::vec(0..SLO_FRAGMENTS.len(), 0..12),
+        ) {
+            let text: String = picks.iter().map(|&i| SLO_FRAGMENTS[i]).collect();
+            let _ = SloSpec::parse(&text);
         }
     }
 

@@ -341,4 +341,30 @@ mod tests {
             .collect();
         assert_eq!(records[0].addr, Address::new(0x40));
     }
+
+    proptest::proptest! {
+        /// `TraceReader::new` and iteration return on any input: arbitrary
+        /// bytes, and bodies behind a valid header whose record count may
+        /// be small, truncating or overflowing.
+        #[test]
+        fn reader_returns_on_arbitrary_bytes(
+            framed in proptest::prelude::any::<bool>(),
+            count_seed in proptest::prelude::any::<u64>(),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+        ) {
+            let bytes = if framed {
+                let count = if count_seed % 4 == 0 { count_seed } else { count_seed % 9 };
+                let mut b = Vec::from(*MAGIC);
+                b.extend_from_slice(&VERSION.to_le_bytes());
+                b.extend_from_slice(&count.to_le_bytes());
+                b.extend_from_slice(&body);
+                b
+            } else {
+                body
+            };
+            if let Ok(reader) = TraceReader::new(bytes) {
+                reader.for_each(drop);
+            }
+        }
+    }
 }
