@@ -13,7 +13,7 @@
 //! allocating probe.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded};
-use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
+use cable_common::{BitWriter, LineData, LINE_BYTES};
 
 /// The eight BDI encodings, in evaluation order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -258,7 +258,7 @@ fn sign_extend(value: u64, bytes: usize) -> u64 {
 
 impl Decompressor for Bdi {
     fn decompress(&mut self, payload: &Encoded) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+        let mut r = payload.reader();
         let tag = r
             .read_bits(TAG_BITS)
             .ok_or_else(|| DecodeError::new("missing tag"))?;

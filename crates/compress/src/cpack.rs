@@ -153,7 +153,8 @@ impl Cpack {
     }
 
     /// Encodes one word with `b`-bit dictionary indices, pushing partial
-    /// matches and literals into the dictionary.
+    /// matches and literals into the dictionary. Each code goes out as one
+    /// `write_bits` call (code and fields packed MSB-first).
     #[inline]
     fn encode_word(&mut self, word: u32, b: u32, out: &mut BitWriter) {
         if word == 0 {
@@ -161,8 +162,7 @@ impl Cpack {
             return;
         }
         if word & 0xffff_ff00 == 0 {
-            out.write_bits(CODE_ZZZX, 4);
-            out.write_bits(u64::from(word & 0xff), 8);
+            out.write_bits(CODE_ZZZX << 8 | u64::from(word & 0xff), 12);
             return;
         }
         // The dictionary mutates word-by-word (partial matches and
@@ -176,24 +176,24 @@ impl Cpack {
         };
         match probe {
             Probe::Full(i) => {
-                out.write_bits(CODE_MMMM, 2);
-                out.write_bits(i as u64, b);
+                out.write_bits(CODE_MMMM << b | i as u64, 2 + b);
             }
             Probe::Hi24(i) => {
-                out.write_bits(CODE_MMMX, 4);
-                out.write_bits(i as u64, b);
-                out.write_bits(u64::from(word & 0xff), 8);
+                out.write_bits(
+                    (CODE_MMMX << b | i as u64) << 8 | u64::from(word & 0xff),
+                    12 + b,
+                );
                 self.push(word);
             }
             Probe::Hi16(i) => {
-                out.write_bits(CODE_MMXX, 4);
-                out.write_bits(i as u64, b);
-                out.write_bits(u64::from(word & 0xffff), 16);
+                out.write_bits(
+                    (CODE_MMXX << b | i as u64) << 16 | u64::from(word & 0xffff),
+                    20 + b,
+                );
                 self.push(word);
             }
             Probe::Miss => {
-                out.write_bits(CODE_XXXX, 2);
-                out.write_bits(u64::from(word), 32);
+                out.write_bits(CODE_XXXX << 32 | u64::from(word), 34);
                 self.push(word);
             }
         }
@@ -357,7 +357,7 @@ impl Decompressor for Cpack {
         if !self.persist {
             self.dict.clear();
         }
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+        let mut r = payload.reader();
         self.decode_line(&mut r)
     }
 
@@ -371,23 +371,20 @@ impl SeededCompressor for Cpack {
         "CPACK128"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut scratch = self.clone();
         scratch.seed_dict(refs);
-        let mut out = BitWriter::new();
-        scratch.encode_line(line, &mut out);
-        Encoded::new(out)
+        scratch.encode_line(line, out);
     }
 
-    fn decompress_seeded(
+    fn decompress_seeded_from(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut scratch = self.clone();
         scratch.seed_dict(refs);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        scratch.decode_line(&mut r)
+        scratch.decode_line(r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {
@@ -629,7 +626,7 @@ mod tests {
         let payload = enc.compress(&LineData::splat_word(0x0102_0304));
         let truncated = Encoded::new({
             let mut w = BitWriter::new();
-            let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+            let mut r = payload.reader();
             for _ in 0..payload.len_bits() / 2 {
                 w.write_bit(r.read_bit().unwrap());
             }

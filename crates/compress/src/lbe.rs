@@ -130,8 +130,8 @@ impl Lbe {
     }
 
     /// Builds the seeded window (the FIFO suffix of the concatenated
-    /// reference words) without cloning the engine: in `stack` when it
-    /// fits, spilling to `heap` for oversized configurations.
+    /// reference words) without cloning the engine: in `stack` when the
+    /// references fit, spilling to `heap` for oversized calls.
     fn seeded_window<'a>(
         &self,
         refs: &[LineData],
@@ -139,24 +139,17 @@ impl Lbe {
         heap: &'a mut Vec<u32>,
     ) -> &'a [u32] {
         let total = refs.len() * WORDS_PER_LINE;
-        let n = total.min(self.capacity_words);
-        let skip = total - n;
-        let kept = refs
-            .iter()
-            .flat_map(LineData::words)
-            .enumerate()
-            .filter(|&(g, _)| g >= skip)
-            .map(|(_, w)| w);
-        if n <= LANE_WINDOW_WORDS {
-            for (slot, w) in stack.iter_mut().zip(kept) {
-                *slot = w;
-            }
-            &stack[..n]
+        let skip = total - total.min(self.capacity_words);
+        let all: &mut [u32] = if total <= LANE_WINDOW_WORDS {
+            &mut stack[..total]
         } else {
-            heap.reserve(n);
-            heap.extend(kept);
+            heap.resize(total, 0);
             heap
+        };
+        for (slot, r) in all.chunks_exact_mut(WORDS_PER_LINE).zip(refs) {
+            slot.copy_from_slice(&r.to_words());
         }
+        &all[skip..]
     }
 }
 
@@ -199,8 +192,7 @@ fn encode_words_lanes(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: 
         // line length, so `trailing_ones` needs no extra clamp.
         if z >> i & 1 == 1 {
             let len = (z >> i).trailing_ones() as usize;
-            out.write_bits(CODE_ZERO_RUN, 2);
-            out.write_bits(len as u64 - 1, RUN_BITS);
+            emit_zero_run(len, out);
             i += len;
             continue;
         }
@@ -219,14 +211,10 @@ fn encode_words_lanes(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: 
         };
         let copy_len = copy.map_or(0, |(_, l)| l);
         if rep_len >= copy_len && rep_len > 0 {
-            out.write_bits(CODE_REPEAT, 2);
-            out.write_bit(rep_dist == 2);
-            out.write_bits(rep_len as u64 - 1, RUN_BITS);
+            emit_repeat(rep_dist, rep_len, out);
             i += rep_len;
         } else if let Some((offset, len)) = copy {
-            out.write_bits(CODE_COPY, 2);
-            out.write_bits(offset as u64, ob);
-            out.write_bits(len as u64 - 1, RUN_BITS);
+            emit_copy(offset, ob, len, out);
             i += len;
         } else {
             emit_literal(words[i], out);
@@ -247,8 +235,7 @@ fn encode_words_scalar(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out:
             while i + len < WORDS_PER_LINE && words[i + len] == 0 && len < (1 << RUN_BITS) {
                 len += 1;
             }
-            out.write_bits(CODE_ZERO_RUN, 2);
-            out.write_bits(len as u64 - 1, RUN_BITS);
+            emit_zero_run(len, out);
             i += len;
             continue;
         }
@@ -274,14 +261,10 @@ fn encode_words_scalar(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out:
         let copy = best_copy_scalar(win, words, i);
         let copy_len = copy.map_or(0, |(_, l)| l);
         if rep_len >= copy_len && rep_len > 0 {
-            out.write_bits(CODE_REPEAT, 2);
-            out.write_bit(rep_dist == 2);
-            out.write_bits(rep_len as u64 - 1, RUN_BITS);
+            emit_repeat(rep_dist, rep_len, out);
             i += rep_len;
         } else if let Some((offset, len)) = copy {
-            out.write_bits(CODE_COPY, 2);
-            out.write_bits(offset as u64, ob);
-            out.write_bits(len as u64 - 1, RUN_BITS);
+            emit_copy(offset, ob, len, out);
             i += len;
         } else {
             emit_literal(words[i], out);
@@ -290,14 +273,28 @@ fn encode_words_scalar(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out:
     }
 }
 
+// Each code goes out as one `write_bits` call: the 2-bit code and its
+// fields packed MSB-first into a single value.
+
+fn emit_zero_run(len: usize, out: &mut BitWriter) {
+    out.write_bits(CODE_ZERO_RUN << RUN_BITS | (len as u64 - 1), 2 + RUN_BITS);
+}
+
+fn emit_repeat(dist: usize, len: usize, out: &mut BitWriter) {
+    let code = (CODE_REPEAT << 1 | u64::from(dist == 2)) << RUN_BITS;
+    out.write_bits(code | (len as u64 - 1), 3 + RUN_BITS);
+}
+
+fn emit_copy(offset: usize, ob: u32, len: usize, out: &mut BitWriter) {
+    let code = (CODE_COPY << ob | offset as u64) << RUN_BITS;
+    out.write_bits(code | (len as u64 - 1), 2 + ob + RUN_BITS);
+}
+
 fn emit_literal(word: u32, out: &mut BitWriter) {
-    out.write_bits(CODE_LITERAL, 2);
     if word <= 0xff {
-        out.write_bit(false);
-        out.write_bits(u64::from(word), 8);
+        out.write_bits((CODE_LITERAL << 1) << 8 | u64::from(word), 11);
     } else {
-        out.write_bit(true);
-        out.write_bits(u64::from(word), 32);
+        out.write_bits((CODE_LITERAL << 1 | 1) << 32 | u64::from(word), 35);
     }
 }
 
@@ -351,43 +348,41 @@ fn best_copy_scalar(
     best
 }
 
-/// Decodes one line against a frozen window.
+/// Decodes one line against a frozen window. Each code's fields come in
+/// one read after the 2-bit code (a wide literal's low 24 bits in one
+/// more).
 fn decode_words(win: &[u32], ob: u32, r: &mut BitReader<'_>) -> Result<LineData, DecodeError> {
+    let run_len = |fields: u64| (fields & ((1 << RUN_BITS) - 1)) as usize + 1;
     let mut words = [0u32; WORDS_PER_LINE];
     let mut i = 0;
     while i < WORDS_PER_LINE {
         let code = r
             .read_bits(2)
             .ok_or_else(|| DecodeError::new("truncated code"))?;
+        let field_bits = match code {
+            CODE_ZERO_RUN => RUN_BITS,
+            CODE_REPEAT => 1 + RUN_BITS,
+            CODE_COPY => ob + RUN_BITS,
+            // Literal: the wide flag and the first 8 value bits.
+            _ => 9,
+        };
+        let fields = r
+            .read_bits(field_bits)
+            .ok_or_else(|| DecodeError::new("truncated code fields"))?;
         match code {
             CODE_ZERO_RUN => {
-                let len = r
-                    .read_bits(RUN_BITS)
-                    .ok_or_else(|| DecodeError::new("truncated run length"))?
-                    as usize
-                    + 1;
+                let len = run_len(fields);
                 if i + len > WORDS_PER_LINE {
                     return Err(DecodeError::new("zero run overflows line"));
                 }
                 i += len; // words are already zero
             }
             CODE_REPEAT => {
-                let dist = if r
-                    .read_bit()
-                    .ok_or_else(|| DecodeError::new("truncated repeat distance"))?
-                {
-                    2
-                } else {
-                    1
-                };
+                let dist = if fields >> RUN_BITS == 1 { 2 } else { 1 };
                 if i < dist {
                     return Err(DecodeError::new("repeat before line start"));
                 }
-                let len = r
-                    .read_bits(RUN_BITS)
-                    .ok_or_else(|| DecodeError::new("truncated run length"))?
-                    as usize
-                    + 1;
+                let len = run_len(fields);
                 if i + len > WORDS_PER_LINE {
                     return Err(DecodeError::new("repeat run overflows line"));
                 }
@@ -397,33 +392,26 @@ fn decode_words(win: &[u32], ob: u32, r: &mut BitReader<'_>) -> Result<LineData,
                 i += len;
             }
             CODE_COPY => {
-                let offset = r
-                    .read_bits(ob)
-                    .ok_or_else(|| DecodeError::new("truncated offset"))?
-                    as usize;
-                let len = r
-                    .read_bits(RUN_BITS)
-                    .ok_or_else(|| DecodeError::new("truncated run length"))?
-                    as usize
-                    + 1;
+                let offset = (fields >> RUN_BITS) as usize;
+                let len = run_len(fields);
                 if i + len > WORDS_PER_LINE || offset + len > win.len() {
                     return Err(DecodeError::new("copy out of range"));
                 }
                 words[i..i + len].copy_from_slice(&win[offset..offset + len]);
                 i += len;
             }
-            CODE_LITERAL => {
-                let wide = r
-                    .read_bit()
-                    .ok_or_else(|| DecodeError::new("truncated literal flag"))?;
-                let bits = if wide { 32 } else { 8 };
-                words[i] = r
-                    .read_bits(bits)
-                    .ok_or_else(|| DecodeError::new("truncated literal"))?
-                    as u32;
+            _ => {
+                let head = fields as u32 & 0xff;
+                words[i] = if fields >> 8 == 1 {
+                    let low = r
+                        .read_bits(24)
+                        .ok_or_else(|| DecodeError::new("truncated literal"))?;
+                    head << 24 | low as u32
+                } else {
+                    head
+                };
                 i += 1;
             }
-            _ => unreachable!("2-bit code"),
         }
     }
     Ok(LineData::from_words(words))
@@ -450,7 +438,7 @@ impl Compressor for Lbe {
 
 impl Decompressor for Lbe {
     fn decompress(&mut self, payload: &Encoded) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+        let mut r = payload.reader();
         let line = decode_words(&self.window, self.offset_bits(), &mut r)?;
         if self.persist {
             self.push_line(&line);
@@ -468,25 +456,22 @@ impl SeededCompressor for Lbe {
         "LBE"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut stack = [0u32; LANE_WINDOW_WORDS];
         let mut heap = Vec::new();
         let win = self.seeded_window(refs, &mut stack, &mut heap);
-        let mut out = BitWriter::new();
-        encode_words(win, self.offset_bits(), &line.to_words(), &mut out);
-        Encoded::new(out)
+        encode_words(win, self.offset_bits(), &line.to_words(), out);
     }
 
-    fn decompress_seeded(
+    fn decompress_seeded_from(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut stack = [0u32; LANE_WINDOW_WORDS];
         let mut heap = Vec::new();
         let win = self.seeded_window(refs, &mut stack, &mut heap);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        decode_words(win, self.offset_bits(), &mut r)
+        decode_words(win, self.offset_bits(), r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {

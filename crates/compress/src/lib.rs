@@ -64,7 +64,7 @@ pub use lzss::Lzss;
 pub use oracle::Oracle;
 pub use zce::Zce;
 
-use cable_common::{BitWriter, LineData, LINE_BYTES};
+use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
 use std::error::Error;
 use std::fmt;
 
@@ -91,6 +91,12 @@ impl Encoded {
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         self.bits.as_slice()
+    }
+
+    /// A reader over the payload bits, in place.
+    #[must_use]
+    pub fn reader(&self) -> BitReader<'_> {
+        self.bits.reader()
     }
 
     /// Compression ratio versus a raw 64-byte line
@@ -207,13 +213,39 @@ impl Clone for Box<dyn Decompressor + Send> {
 
 /// A stateless engine that compresses one line against a temporary
 /// dictionary seeded from reference lines (CABLE's §III-E mode).
+///
+/// Engines implement the streaming pair
+/// [`SeededCompressor::compress_seeded_into`] /
+/// [`SeededCompressor::decompress_seeded_from`], which append to and read
+/// from a frame in place; the [`Encoded`]-valued pair wraps them.
 pub trait SeededCompressor {
     /// Short engine name (e.g. `CABLE+LBE` reports `"LBE"` here).
     fn name(&self) -> &'static str;
 
-    /// Compresses `line` against a dictionary built from `refs` (up to three
-    /// 64-byte reference lines; may be empty for the unseeded fallback).
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded;
+    /// Appends the coding of `line` against a dictionary built from `refs`
+    /// (up to three 64-byte reference lines; may be empty for the unseeded
+    /// fallback) to `out`.
+    fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter);
+
+    /// Decodes one line from `r`'s current position, given the refs the
+    /// encoder used; reads exactly the bits
+    /// [`SeededCompressor::compress_seeded_into`] appended.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] if the coding is malformed or truncated.
+    fn decompress_seeded_from(
+        &self,
+        refs: &[LineData],
+        r: &mut BitReader<'_>,
+    ) -> Result<LineData, DecodeError>;
+
+    /// Compresses `line` against `refs` into a payload of its own.
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+        let mut out = BitWriter::new();
+        self.compress_seeded_into(refs, line, &mut out);
+        Encoded::new(out)
+    }
 
     /// Inverse of [`SeededCompressor::compress_seeded`] given identical refs.
     ///
@@ -224,7 +256,10 @@ pub trait SeededCompressor {
         &self,
         refs: &[LineData],
         payload: &Encoded,
-    ) -> Result<LineData, DecodeError>;
+    ) -> Result<LineData, DecodeError> {
+        let mut r = payload.reader();
+        self.decompress_seeded_from(refs, &mut r)
+    }
 
     /// Boxed deep copy (seeded engines hold only configuration, but links
     /// snapshot them uniformly with the streaming engines).
@@ -311,6 +346,59 @@ mod tests {
             let payload = engine.compress_seeded(&[], &line);
             let back = engine.decompress_seeded(&[], &payload).unwrap();
             assert_eq!(back, line, "{kind} failed unseeded round trip");
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn random_line() -> impl Strategy<Value = LineData> {
+            proptest::array::uniform16(any::<u32>()).prop_map(LineData::from_words)
+        }
+
+        fn writer_of(bits: &[bool]) -> BitWriter {
+            let mut w = BitWriter::new();
+            for &b in bits {
+                w.write_bit(b);
+            }
+            w
+        }
+
+        proptest! {
+            /// For every engine, coding into a frame after an arbitrary
+            /// prefix appends exactly the standalone payload's bits, and
+            /// decoding from that offset returns the line and stops where
+            /// the coding ends (an arbitrary suffix stays unread).
+            #[test]
+            fn prop_in_frame_coding_matches_the_standalone_payload(
+                (refs, line) in prop_oneof![
+                    (proptest::collection::vec(random_line(), 0..=3), random_line()),
+                    crate::test_lines::family_case(),
+                ],
+                prefix in proptest::collection::vec(any::<bool>(), 0..80),
+                suffix in proptest::collection::vec(any::<bool>(), 0..40),
+            ) {
+                for kind in EngineKind::ALL {
+                    let engine = kind.build();
+                    let mut framed = writer_of(&prefix);
+                    engine.compress_seeded_into(&refs, &line, &mut framed);
+                    let alone = engine.compress_seeded(&refs, &line);
+                    let mut expect = writer_of(&prefix);
+                    expect.append_bits(alone.as_bytes(), alone.len_bits());
+                    prop_assert_eq!(&framed, &expect, "{}", kind);
+
+                    let sw = writer_of(&suffix);
+                    framed.append_bits(sw.as_slice(), sw.len_bits());
+                    let mut r = BitReader::new(framed.as_slice(), framed.len_bits());
+                    for &b in &prefix {
+                        prop_assert_eq!(r.read_bit(), Some(b));
+                    }
+                    let back = engine.decompress_seeded_from(&refs, &mut r);
+                    prop_assert_eq!(back, Ok(line), "{}", kind);
+                    prop_assert_eq!(r.remaining_bits(), suffix.len(), "{}", kind);
+                }
+            }
         }
     }
 

@@ -260,7 +260,7 @@ impl Compressor for Lzss {
 
 impl Decompressor for Lzss {
     fn decompress(&mut self, payload: &Encoded) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+        let mut r = payload.reader();
         self.decode_line(&mut r)
     }
 
@@ -274,23 +274,20 @@ impl SeededCompressor for Lzss {
         "gzip"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut scratch = Lzss::new(self.window_bytes);
         scratch.seed(refs);
-        let mut out = BitWriter::new();
-        scratch.encode_line(line, &mut out);
-        Encoded::new(out)
+        scratch.encode_line(line, out);
     }
 
-    fn decompress_seeded(
+    fn decompress_seeded_from(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut scratch = Lzss::new(self.window_bytes);
         scratch.seed(refs);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        scratch.decode_line(&mut r)
+        scratch.decode_line(r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {

@@ -22,7 +22,7 @@
 //! than the word-aligned engine, and far better whenever byte shifts or
 //! unaligned duplicates exist.
 
-use crate::{DecodeError, Encoded, Lbe, SeededCompressor};
+use crate::{DecodeError, Lbe, SeededCompressor};
 use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
 
 const MIN_MATCH: usize = 2;
@@ -166,48 +166,36 @@ impl SeededCompressor for Oracle {
         "ORACLE"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         assert!(
             refs.len() <= MAX_REFS,
             "oracle supports at most {MAX_REFS} references"
         );
         let byte_coding = Self::compress_bytes(refs, line);
-        let word_coding = Lbe::seeded().compress_seeded(refs, line);
-        let mut out = BitWriter::new();
-        if byte_coding.len_bits() <= word_coding.len_bits() {
-            out.write_bit(false); // byte mode
-            let mut r = BitReader::new(byte_coding.as_slice(), byte_coding.len_bits());
-            while let Some(bit) = r.read_bit() {
-                out.write_bit(bit);
-            }
+        let mut word_coding = BitWriter::new();
+        Lbe::seeded().compress_seeded_into(refs, line, &mut word_coding);
+        let word_mode = byte_coding.len_bits() > word_coding.len_bits();
+        let coding = if word_mode {
+            &word_coding
         } else {
-            out.write_bit(true); // word (LBE) mode
-            let mut r = BitReader::new(word_coding.as_bytes(), word_coding.len_bits());
-            while let Some(bit) = r.read_bit() {
-                out.write_bit(bit);
-            }
-        }
-        Encoded::new(out)
+            &byte_coding
+        };
+        out.write_bit(word_mode);
+        out.append_bits(coding.as_slice(), coding.len_bits());
     }
 
-    fn decompress_seeded(
+    fn decompress_seeded_from(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
         let word_mode = r
             .read_bit()
             .ok_or_else(|| DecodeError::new("missing oracle mode bit"))?;
         if word_mode {
-            // Re-frame the remaining bits for the LBE decoder.
-            let mut inner = BitWriter::new();
-            while let Some(bit) = r.read_bit() {
-                inner.write_bit(bit);
-            }
-            Lbe::seeded().decompress_seeded(refs, &Encoded::new(inner))
+            Lbe::seeded().decompress_seeded_from(refs, r)
         } else {
-            Self::decompress_bytes(refs, &mut r)
+            Self::decompress_bytes(refs, r)
         }
     }
 
@@ -219,6 +207,7 @@ impl SeededCompressor for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Encoded;
     use proptest::prelude::*;
 
     #[test]

@@ -11,7 +11,7 @@
 //! the non-zero words in order.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded};
-use cable_common::{BitReader, BitWriter, LineData, WORDS_PER_LINE};
+use cable_common::{BitWriter, LineData, WORDS_PER_LINE};
 
 /// The zero-content encoder (stateless).
 ///
@@ -62,7 +62,7 @@ impl Compressor for Zce {
 
 impl Decompressor for Zce {
     fn decompress(&mut self, payload: &Encoded) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
+        let mut r = payload.reader();
         let mut zero = [false; WORDS_PER_LINE];
         for z in &mut zero {
             *z = r

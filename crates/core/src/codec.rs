@@ -46,6 +46,21 @@ pub enum ParsedPayload {
     },
 }
 
+/// The head of a payload, read in place by [`PayloadCodec::read_head`]:
+/// the reader is left at the start of the raw line or the DIFF.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PayloadHead {
+    /// Uncompressed: the 512 raw line bits follow.
+    Raw,
+    /// Compressed: the DIFF follows.
+    Compressed {
+        /// Packed RemoteLIDs; the first `count` are valid.
+        lids: [u64; 3],
+        /// Number of references (0 for the unseeded fallback).
+        count: usize,
+    },
+}
+
 /// Frames and parses CABLE payloads for a link of a given width.
 #[derive(Clone, Copy, Debug)]
 pub struct PayloadCodec {
@@ -91,31 +106,68 @@ impl PayloadCodec {
     /// does not fit `lid_bits`.
     #[must_use]
     pub fn encode_compressed(&self, ref_lids: &[u64], diff: &Encoded) -> BitWriter {
-        assert!(ref_lids.len() <= 3, "at most 3 references (2-bit count)");
         let mut w = BitWriter::new();
-        w.write_bit(true);
-        w.write_bits(ref_lids.len() as u64, 2);
+        self.write_compressed_head(ref_lids, &mut w);
+        w.append_bits(diff.as_bytes(), diff.len_bits());
+        w
+    }
+
+    /// Appends the head of a compressed payload (`flag=1`, 2-bit count,
+    /// RemoteLIDs) to `out`; the engine then appends the DIFF after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 3 references are supplied or a packed LineID
+    /// does not fit `lid_bits`.
+    pub fn write_compressed_head(&self, ref_lids: &[u64], out: &mut BitWriter) {
+        assert!(ref_lids.len() <= 3, "at most 3 references (2-bit count)");
+        // The flag bit, then the 2-bit count.
+        out.write_bits(0b100 | ref_lids.len() as u64, 3);
         for &lid in ref_lids {
             assert!(
                 lid < 1u64 << self.lid_bits,
                 "packed LineID {lid} exceeds {} bits",
                 self.lid_bits
             );
-            w.write_bits(lid, self.lid_bits);
+            out.write_bits(lid, self.lid_bits);
         }
-        // 64-bit chunked embed; the header is 3 + n*lid_bits so the copy is
-        // rarely aligned, but chunking still beats a per-bit loop ~8x.
-        w.append_bits(diff.as_bytes(), diff.len_bits());
-        w
     }
 
     /// Frames an uncompressed payload (`flag=0`, 512 raw bits).
     #[must_use]
     pub fn encode_raw(&self, line: &LineData) -> BitWriter {
         let mut w = BitWriter::new();
-        w.write_bit(false);
-        w.write_bytes(line.as_bytes());
+        self.write_raw(line, &mut w);
         w
+    }
+
+    /// Appends an uncompressed payload (`flag=0`, 512 raw bits) to `out`.
+    pub fn write_raw(&self, line: &LineData, out: &mut BitWriter) {
+        out.write_bit(false);
+        out.write_bytes(line.as_bytes());
+    }
+
+    /// Reads a payload's head from `r`, leaving `r` at the raw line or the
+    /// DIFF.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeErrorKind::Truncated`] if the head is cut short.
+    pub fn read_head(&self, r: &mut BitReader<'_>) -> Result<PayloadHead, DecodeError> {
+        let truncated = |what: &str| DecodeError::with_kind(DecodeErrorKind::Truncated, what);
+        if !r.read_bit().ok_or_else(|| truncated("empty payload"))? {
+            return Ok(PayloadHead::Raw);
+        }
+        let count = r
+            .read_bits(2)
+            .ok_or_else(|| truncated("truncated reference count"))? as usize;
+        let mut lids = [0u64; 3];
+        for lid in &mut lids[..count] {
+            *lid = r
+                .read_bits(self.lid_bits)
+                .ok_or_else(|| truncated("truncated RemoteLID"))?;
+        }
+        Ok(PayloadHead::Compressed { lids, count })
     }
 
     /// Parses a payload produced by the encode methods.
@@ -127,35 +179,28 @@ impl PayloadCodec {
         let truncated = |what: &str| DecodeError::with_kind(DecodeErrorKind::Truncated, what);
         let mut r = BitReader::try_new(bytes, len_bits)
             .ok_or_else(|| truncated("payload length exceeds delivered bytes"))?;
-        let compressed = r.read_bit().ok_or_else(|| truncated("empty payload"))?;
-        if !compressed {
-            let mut raw = [0u8; LINE_BYTES];
-            // MSB-first stream order is big-endian byte order within each
-            // 64-bit chunk.
-            for chunk in raw.chunks_exact_mut(8) {
-                let v = r
-                    .read_bits(64)
-                    .ok_or_else(|| truncated("truncated raw line"))?;
-                chunk.copy_from_slice(&v.to_be_bytes());
+        match self.read_head(&mut r)? {
+            PayloadHead::Raw => {
+                let mut raw = [0u8; LINE_BYTES];
+                // MSB-first stream order is big-endian byte order within
+                // each 64-bit chunk.
+                for chunk in raw.chunks_exact_mut(8) {
+                    let v = r
+                        .read_bits(64)
+                        .ok_or_else(|| truncated("truncated raw line"))?;
+                    chunk.copy_from_slice(&v.to_be_bytes());
+                }
+                Ok(ParsedPayload::Raw(LineData::from_bytes(raw)))
             }
-            return Ok(ParsedPayload::Raw(LineData::from_bytes(raw)));
+            PayloadHead::Compressed { lids, count } => {
+                let mut diff = BitWriter::new();
+                diff.append_from_reader(&mut r);
+                Ok(ParsedPayload::Compressed {
+                    ref_lids: lids[..count].to_vec(),
+                    diff: Encoded::new(diff),
+                })
+            }
         }
-        let count = r
-            .read_bits(2)
-            .ok_or_else(|| truncated("truncated reference count"))?;
-        let mut ref_lids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            ref_lids.push(
-                r.read_bits(self.lid_bits)
-                    .ok_or_else(|| truncated("truncated RemoteLID"))?,
-            );
-        }
-        let mut diff = BitWriter::new();
-        diff.append_from_reader(&mut r);
-        Ok(ParsedPayload::Compressed {
-            ref_lids,
-            diff: Encoded::new(diff),
-        })
     }
 
     /// Wraps an already-framed payload (from [`PayloadCodec::encode_compressed`]
@@ -416,6 +461,27 @@ mod tests {
                 }
                 _ => prop_assert!(false, "expected compressed"),
             }
+        }
+
+        /// `read_head` returns the head the encoder wrote and leaves the
+        /// reader exactly at the DIFF (or the raw line).
+        #[test]
+        fn prop_read_head_stops_at_the_payload_body(
+            lids in proptest::collection::vec(0u64..(1 << 17), 0..4),
+            bits in proptest::collection::vec(any::<bool>(), 0..200),
+        ) {
+            let c = codec();
+            let w = c.encode_compressed(&lids, &diff_of_bits(&bits));
+            let mut r = w.reader();
+            let PayloadHead::Compressed { lids: got, count } = c.read_head(&mut r).unwrap() else {
+                panic!("compressed payload read as raw");
+            };
+            prop_assert_eq!(&got[..count], &lids[..]);
+            prop_assert_eq!(r.remaining_bits(), bits.len());
+            let raw = c.encode_raw(&LineData::splat_word(bits.len() as u32));
+            let mut r = raw.reader();
+            prop_assert_eq!(c.read_head(&mut r), Ok(PayloadHead::Raw));
+            prop_assert_eq!(r.remaining_bits(), LINE_BYTES * 8);
         }
 
         /// Any single-bit corruption of a guarded frame is detected: the

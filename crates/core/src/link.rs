@@ -14,7 +14,7 @@ use crate::channel::{
     FaultConfig, FaultState, FaultStats, Notice, NoticeFate, PendingNotice, ResyncReport,
     Transmission,
 };
-use crate::codec::{ParsedPayload, PayloadCodec};
+use crate::codec::{ParsedPayload, PayloadCodec, PayloadHead};
 use crate::config::CableConfig;
 use crate::hash_table::SignatureTable;
 use crate::search::{search_references_into, Reference, SearchScratch, SearchStats};
@@ -354,23 +354,6 @@ impl LinkStats {
             self.uncompressed_bits as f64 / self.wire_bits as f64
         }
     }
-
-    /// Effective bandwidth multiplier (identical to the compression ratio on
-    /// a fully-utilized link).
-    #[must_use]
-    pub fn bandwidth_gain(&self) -> f64 {
-        self.compression_ratio()
-    }
-
-    /// Toggle rate per transmitted flit bit.
-    #[must_use]
-    pub fn toggle_rate(&self) -> f64 {
-        if self.flits == 0 {
-            0.0
-        } else {
-            self.bit_toggles as f64 / self.wire_bits as f64
-        }
-    }
 }
 
 /// Charges one payload's flits to the toggle counters of a link
@@ -499,9 +482,9 @@ pub struct CableLink {
     compression_enabled: bool,
     stats: LinkStats,
     last_flit: u64,
-    /// Reusable search buffers (taken out with `mem::take` for the duration
-    /// of a compression, then put back).
-    scratch: SearchScratch,
+    /// Reusable search buffers and payload frames (taken out with
+    /// `mem::take` for the duration of a compression, then put back).
+    scratch: LinkScratch,
     /// Insert signatures of each resident Shared home line, so eviction and
     /// desynchronization do not re-run H3 over the full line.
     home_sig_cache: InsertSigCache,
@@ -591,6 +574,22 @@ impl Clone for CableLink {
     }
 }
 
+/// A link's reusable per-transfer buffers: the search scratch and the two
+/// frames the §III-E policy writes each candidate payload into once.
+#[derive(Clone, Default)]
+struct LinkScratch {
+    search: SearchScratch,
+    /// `[unseeded or raw, DIFF]`.
+    frames: [BitWriter; 2],
+}
+
+impl LinkScratch {
+    /// The frame [`CableLink::compress_with`] left a `kind` payload in.
+    fn frame(&self, kind: TransferKind) -> &BitWriter {
+        &self.frames[usize::from(kind == TransferKind::Diff)]
+    }
+}
+
 /// How a detected delivery failure should be retried.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum FailureClass {
@@ -638,7 +637,7 @@ impl CableLink {
             compression_enabled: true,
             stats: LinkStats::default(),
             last_flit: 0,
-            scratch: SearchScratch::new(),
+            scratch: LinkScratch::default(),
             home_sig_cache: InsertSigCache::new(
                 config.home_geometry.lines() as usize,
                 config.insert_signature_count,
@@ -1023,24 +1022,26 @@ impl CableLink {
         // §IV-C non-inclusive mode the remote cannot assume its lines exist
         // at home, so write-backs use the non-dictionary path.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (payload, kind) = self.compress_with(&data, SearchPath::WriteBack, &mut scratch);
+        let kind = self.compress_with(&data, SearchPath::WriteBack, &mut scratch);
+        let payload = scratch.frame(kind);
+        let refs = scratch.search.selected();
         let nrefs = if kind == TransferKind::Diff {
-            scratch.selected().len()
+            refs.len()
         } else {
             0
         };
         let transfer = if self.fault.is_some() && self.reliable_mode {
-            self.deliver_reliable(&payload, kind, nrefs, &data, Direction::WriteBack)
+            self.deliver_reliable(payload, kind, nrefs, &data, Direction::WriteBack)
         } else if self.fault.is_some() {
             // Home side decodes with NACK/retry recovery; verify_writeback's
             // hard assertions are subsumed by the receiver's CRC + oracle
             // check (stale references NACK instead of panicking).
-            self.deliver_with_recovery(&payload, kind, nrefs, &data, Direction::WriteBack)
+            self.deliver_with_recovery(payload, kind, nrefs, &data, Direction::WriteBack)
         } else {
-            let transfer = self.account(&payload, kind, nrefs, Direction::WriteBack);
+            let transfer = self.account(payload, kind, nrefs, Direction::WriteBack);
             // Home side: decode (verifying through WMT translation) and absorb.
             if self.config.verify_decompression {
-                self.verify_writeback(scratch.selected(), &data, transfer, &payload);
+                self.verify_writeback(refs, &data, transfer, payload);
             }
             transfer
         };
@@ -1622,23 +1623,25 @@ impl CableLink {
 
     fn compress_fill(&mut self, line: &LineData) -> Transfer {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (payload, kind) = self.compress_with(line, SearchPath::Fill, &mut scratch);
+        let kind = self.compress_with(line, SearchPath::Fill, &mut scratch);
+        let payload = scratch.frame(kind);
+        let refs = scratch.search.selected();
         let nrefs = if kind == TransferKind::Diff {
-            scratch.selected().len()
+            refs.len()
         } else {
             0
         };
         let transfer = if self.fault.is_some() && self.reliable_mode {
-            self.deliver_reliable(&payload, kind, nrefs, line, Direction::Fill)
+            self.deliver_reliable(payload, kind, nrefs, line, Direction::Fill)
         } else if self.fault.is_some() {
             // The remote decodes with NACK/retry recovery; verify_fill's
             // hard assertions are subsumed by the receiver's CRC + oracle
             // check (stale references NACK instead of panicking).
-            self.deliver_with_recovery(&payload, kind, nrefs, line, Direction::Fill)
+            self.deliver_with_recovery(payload, kind, nrefs, line, Direction::Fill)
         } else {
-            let transfer = self.account(&payload, kind, nrefs, Direction::Fill);
+            let transfer = self.account(payload, kind, nrefs, Direction::Fill);
             if self.config.verify_decompression {
-                self.verify_fill(scratch.selected(), line, transfer, &payload);
+                self.verify_fill(refs, line, transfer, payload);
             }
             transfer
         };
@@ -1646,23 +1649,35 @@ impl CableLink {
         transfer
     }
 
-    /// Shared compression policy (§III-E): search, build the DIFF, build
-    /// the unseeded fallback, and pick raw/unseeded/DIFF by total payload
-    /// size (unseeded wins outright above the threshold ratio).
+    /// Shared compression policy (§III-E): search, frame the unseeded
+    /// fallback and the DIFF, and pick raw/unseeded/DIFF by total payload
+    /// size (unseeded wins outright above the threshold ratio). Each
+    /// candidate is written once, head then engine output, into
+    /// `scratch.frames`; the returned kind names the frame that holds the
+    /// chosen payload ([`LinkScratch::frame`]).
     ///
     /// On a `Diff` outcome the selected references are left in
-    /// `scratch.selected()`; for every other outcome the payload names no
-    /// references.
+    /// `scratch.search.selected()`; for every other outcome the payload
+    /// names no references.
     fn compress_with(
         &mut self,
         line: &LineData,
         path: SearchPath,
-        scratch: &mut SearchScratch,
-    ) -> (BitWriter, TransferKind) {
+        scratch: &mut LinkScratch,
+    ) -> TransferKind {
         let raw_bits = self.codec.raw_payload_bits();
+        let LinkScratch {
+            search,
+            frames: [unseeded, diff],
+        } = scratch;
+        let raw = |frame: &mut BitWriter| {
+            frame.clear();
+            self.codec.write_raw(line, frame);
+            TransferKind::Raw
+        };
         if !self.compression_enabled {
-            scratch.clear_selected();
-            return (self.codec.encode_raw(line), TransferKind::Raw);
+            search.clear_selected();
+            return raw(unseeded);
         }
 
         let sstats = match path {
@@ -1674,7 +1689,7 @@ impl CableLink {
                 Some(&self.wmt),
                 self.config.data_access_count,
                 self.config.max_refs,
-                scratch,
+                search,
             ),
             SearchPath::WriteBack if self.config.inclusive => search_references_into(
                 line,
@@ -1684,10 +1699,10 @@ impl CableLink {
                 None,
                 self.config.data_access_count,
                 self.config.max_refs,
-                scratch,
+                search,
             ),
             SearchPath::WriteBack => {
-                scratch.clear_selected();
+                search.clear_selected();
                 SearchStats::default()
             }
         };
@@ -1697,26 +1712,26 @@ impl CableLink {
             self.tel.handle.record(Event::Search {
                 candidates: sstats.candidates as u32,
                 data_reads: sstats.data_reads as u32,
-                selected: scratch.selected().len() as u8,
+                selected: search.selected().len() as u8,
             });
         }
 
         // Unseeded fallback, computed concurrently with the search (§III-E).
-        let unseeded = self.engine.compress_seeded(&[], line);
+        unseeded.clear();
+        self.codec.write_compressed_head(&[], unseeded);
+        self.engine.compress_seeded_into(&[], line, unseeded);
         self.stats.compression_ops += 1;
-        let unseeded_total = self.codec.compressed_header_bits(0) + unseeded.len_bits();
+        let unseeded_total = unseeded.len_bits();
+        let unseeded_bits = unseeded_total - self.codec.compressed_header_bits(0);
 
         let threshold_bits =
             ((LINE_BYTES * 8) as f64 / self.config.unseeded_threshold_ratio) as usize;
-        let refs = scratch.selected();
-        if unseeded.len_bits() <= threshold_bits || refs.is_empty() {
+        let refs = search.selected();
+        if unseeded_bits <= threshold_bits || refs.is_empty() {
             return if unseeded_total < raw_bits {
-                (
-                    self.codec.encode_compressed(&[], &unseeded),
-                    TransferKind::Unseeded,
-                )
+                TransferKind::Unseeded
             } else {
-                (self.codec.encode_raw(line), TransferKind::Raw)
+                raw(unseeded)
             };
         }
 
@@ -1725,32 +1740,27 @@ impl CableLink {
         let nrefs = refs.len();
         debug_assert!(nrefs <= 3);
         let mut ref_datas = [LineData::zeroed(); 3];
-        for (slot, r) in ref_datas.iter_mut().zip(refs) {
-            *slot = r.data;
+        let mut wire_lids = [0u64; 3];
+        for ((data, lid), r) in ref_datas.iter_mut().zip(&mut wire_lids).zip(refs) {
+            *data = r.data;
+            *lid = r.wire_lid.pack(self.remote.geometry());
         }
-        let diff = self.engine.compress_seeded(&ref_datas[..nrefs], line);
+        diff.clear();
+        self.codec.write_compressed_head(&wire_lids[..nrefs], diff);
+        self.engine
+            .compress_seeded_into(&ref_datas[..nrefs], line, diff);
         self.stats.compression_ops += 1;
-        let diff_total = self.codec.compressed_header_bits(nrefs) + diff.len_bits();
+        let diff_total = diff.len_bits();
 
         if diff_total < unseeded_total && diff_total < raw_bits {
             self.tel.handle.record(Event::DiffSize {
-                bits: diff.len_bits() as u32,
+                bits: (diff_total - self.codec.compressed_header_bits(nrefs)) as u32,
             });
-            let mut wire_lids = [0u64; 3];
-            for (slot, r) in wire_lids.iter_mut().zip(refs) {
-                *slot = r.wire_lid.pack(self.remote.geometry());
-            }
-            (
-                self.codec.encode_compressed(&wire_lids[..nrefs], &diff),
-                TransferKind::Diff,
-            )
+            TransferKind::Diff
         } else if unseeded_total < raw_bits {
-            (
-                self.codec.encode_compressed(&[], &unseeded),
-                TransferKind::Unseeded,
-            )
+            TransferKind::Unseeded
         } else {
-            (self.codec.encode_raw(line), TransferKind::Raw)
+            raw(unseeded)
         }
     }
 
@@ -1873,13 +1883,11 @@ impl CableLink {
         }
     }
 
-    /// Decodes the framed payload exactly as the receiver would — parse the
-    /// wire format, check the transmitted LineIDs, decompress against the
-    /// receiver's own reference copies. (The previous implementation
-    /// re-compressed the line to obtain a payload to decode; decoding the
-    /// transferred bits directly is both the stronger check and half the
-    /// engine work. The decompression is accounted as one compression op,
-    /// as before.)
+    /// Decodes the framed payload exactly as the receiver would, in place:
+    /// read the head from the transmitted bits, check the LineIDs, and
+    /// decompress the DIFF that follows against the receiver's own
+    /// reference copies. The decompression is accounted as one compression
+    /// op.
     fn decode_framed(
         &mut self,
         receiver_refs: &[LineData],
@@ -1887,30 +1895,28 @@ impl CableLink {
         payload: &BitWriter,
     ) -> LineData {
         self.stats.compression_ops += 1;
-        match self
+        let mut r = payload.reader();
+        let PayloadHead::Compressed { lids, count } = self
             .codec
-            .parse(payload.as_slice(), payload.len_bits())
+            .read_head(&mut r)
             .expect("transmitted payload parses")
-        {
-            ParsedPayload::Compressed { ref_lids, diff } => {
-                assert_eq!(
-                    ref_lids.len(),
-                    refs.len(),
-                    "reference count survives framing"
-                );
-                for (lid, r) in ref_lids.iter().zip(refs) {
-                    assert_eq!(
-                        *lid,
-                        r.wire_lid.pack(self.remote.geometry()),
-                        "reference pointer survives framing"
-                    );
-                }
-                self.engine
-                    .decompress_seeded(receiver_refs, &diff)
-                    .expect("transmitted DIFF decodes")
-            }
-            ParsedPayload::Raw(_) => unreachable!("Diff transfers are framed compressed"),
+        else {
+            unreachable!("Diff transfers are framed compressed")
+        };
+        assert_eq!(count, refs.len(), "reference count survives framing");
+        for (lid, r) in lids[..count].iter().zip(refs) {
+            assert_eq!(
+                *lid,
+                r.wire_lid.pack(self.remote.geometry()),
+                "reference pointer survives framing"
+            );
         }
+        let line = self
+            .engine
+            .decompress_seeded_from(receiver_refs, &mut r)
+            .expect("transmitted DIFF decodes");
+        assert_eq!(r.remaining_bits(), 0, "the DIFF ends the frame");
+        line
     }
 }
 
