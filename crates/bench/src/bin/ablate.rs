@@ -12,7 +12,7 @@
 use cable_bench::figs::is_quick;
 use cable_bench::runner::parallel_map;
 use cable_bench::{geomean, print_table, save_json, FigureResult};
-use cable_core::{CableConfig, CableLink};
+use cable_core::{CableConfig, CableLink, Link};
 use cable_trace::{WorkloadGen, WorkloadProfile};
 
 fn scaled(n: u64) -> u64 {

@@ -9,7 +9,7 @@
 use crate::report::{geomean, FigureResult};
 use crate::runner::{compression_study, mix_study, multi4_study, parallel_map, StudyConfig};
 use cable_compress::{EngineKind, IdealDictionary};
-use cable_core::{BaselineKind, LinkStats};
+use cable_core::{BaselineKind, Link, LinkStats};
 use cable_sim::{NumaSim, Scheme};
 use cable_trace::{WorkloadGen, WorkloadProfile, ALL_WORKLOADS};
 

@@ -82,7 +82,7 @@ pub fn default_schemes() -> Vec<Scheme> {
     ]
 }
 
-/// Accesses pushed through [`CompressedLink::request_batch`] per call in
+/// Accesses pushed through [`cable_core::Link::request_batch`] per call in
 /// [`drive`]. Large enough to amortize per-call dispatch, small enough that
 /// the staging buffers stay cache-resident.
 const DRIVE_BATCH: usize = 64;

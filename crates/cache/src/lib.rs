@@ -13,9 +13,11 @@
 //!   replacement-way reporting (the UltraSPARC T1/T2-style request hint the
 //!   paper relies on, §II-C) and tag-check-free data-array reads (the search
 //!   pipeline reads candidates "directly without tag checks", §III-C).
-//! - [`pair::InclusivePair`]: a home/remote pair that maintains inclusion and
-//!   surfaces the synchronization events CABLE's hash table and Way-Map
-//!   Table must observe.
+//!
+//! The link models in `cable-core` each hold their own home and remote
+//! [`SetAssocCache`] and keep inclusion themselves, since every scheme
+//! reacts to an eviction differently (CABLE's hash tables and Way-Map
+//! Table, a baseline's plain back-invalidation).
 //!
 //! # Examples
 //!
@@ -34,9 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod geometry;
-pub mod pair;
 pub mod set_assoc;
 
 pub use geometry::{CacheGeometry, LineId};
-pub use pair::{InclusivePair, PairEvent};
 pub use set_assoc::{CoherenceState, EvictedLine, InsertOutcome, SetAssocCache};

@@ -52,7 +52,6 @@ pub mod cpack;
 pub mod lbe;
 pub mod lzss;
 pub mod oracle;
-pub mod zce;
 
 #[cfg(test)]
 mod test_lines;
@@ -62,7 +61,6 @@ pub use cpack::{Cpack, IdealDictionary};
 pub use lbe::Lbe;
 pub use lzss::Lzss;
 pub use oracle::Oracle;
-pub use zce::Zce;
 
 use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
 use std::error::Error;

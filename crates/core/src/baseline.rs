@@ -10,7 +10,9 @@
 //! — which is exactly what makes gzip strong single-threaded and weak under
 //! multiprogrammed interleaving (Fig. 16's dictionary pollution).
 
-use crate::link::{account_toggles, Direction, LinkStats, LinkTelemetry, Transfer, TransferKind};
+use crate::link::{
+    account_toggles, Direction, Link, LinkStats, LinkTelemetry, Transfer, TransferKind,
+};
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
 use cable_common::{Address, LineData, LINE_BYTES};
 use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Lbe, Lzss};
@@ -92,6 +94,7 @@ impl fmt::Display for BaselineKind {
 ///
 /// ```
 /// use cable_core::baseline::{BaselineKind, BaselineLink};
+/// use cable_core::Link;
 /// use cable_cache::CacheGeometry;
 /// use cable_common::{Address, LineData};
 ///
@@ -186,60 +189,16 @@ impl BaselineLink {
         }
     }
 
-    /// Attaches a [`Telemetry`] handle; see
-    /// [`crate::CableLink::set_telemetry`]. Baseline links share the same
-    /// metric vocabulary (`link.encode.*`, `link.wire_bits`, …) so schemes
-    /// compare side by side in exported telemetry.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = LinkTelemetry::new(tel);
-    }
-
-    /// The attached telemetry handle.
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel.handle
-    }
-
     /// The scheme driving this link.
     #[must_use]
     pub fn kind(&self) -> BaselineKind {
         self.kind
     }
 
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
-    }
-
-    /// Clears statistics (e.g. after warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
-    }
-
-    /// Bits retransmitted by fault recovery: always 0 — baseline links
-    /// model reliable wires. Mirrors
-    /// [`crate::CableLink::retransmitted_wire_bits`] so scheme-generic
-    /// latency attribution charges retry spans uniformly.
-    #[must_use]
-    pub fn retransmitted_wire_bits(&self) -> u64 {
-        0
-    }
-
     /// The remote (smaller) cache.
     #[must_use]
     pub fn remote(&self) -> &SetAssocCache {
         &self.remote
-    }
-
-    /// Services a read request; see [`crate::CableLink::request`].
-    pub fn request(&mut self, addr: Address, memory: LineData) -> Transfer {
-        self.request_in_state(addr, memory, CoherenceState::Shared)
-    }
-
-    /// Services a write-intent request; the line is installed Exclusive.
-    pub fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer {
-        self.request_in_state(addr, memory, CoherenceState::Exclusive)
     }
 
     fn request_in_state(
@@ -290,43 +249,6 @@ impl BaselineLink {
             }
         }
         transfer
-    }
-
-    /// Remote store to a resident line (upgrade); returns `false` on a miss.
-    pub fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
-        let addr = addr.line_aligned();
-        if self.remote.lookup(addr).is_none() {
-            return false;
-        }
-        self.remote.write(addr, data);
-        self.home.set_state(addr, CoherenceState::Modified);
-        true
-    }
-
-    /// Services a slice of accesses in one call; see
-    /// [`crate::CableLink::request_batch`] for the per-element semantics
-    /// (identical here, with the baseline's request paths).
-    pub fn request_batch(&mut self, batch: &[crate::BatchAccess], transfers: &mut Vec<Transfer>) {
-        transfers.reserve(batch.len());
-        for (i, a) in batch.iter().enumerate() {
-            // Same software pipelining as the CABLE link: warm the next
-            // element's tag sets while this element computes.
-            if let Some(next) = batch.get(i + 1) {
-                let next_addr = next.addr.line_aligned();
-                self.home.warm(next_addr);
-                self.remote.warm(next_addr);
-            }
-            let t = match a.op {
-                crate::BatchOp::Read => self.request(a.addr, a.memory),
-                crate::BatchOp::Exclusive => self.request_exclusive(a.addr, a.memory),
-                crate::BatchOp::Write(store) => {
-                    let t = self.request_exclusive(a.addr, a.memory);
-                    self.remote_store(a.addr, store);
-                    t
-                }
-            };
-            transfers.push(t);
-        }
     }
 
     /// Write-back of a dirty line; see [`crate::CableLink::writeback`].
@@ -409,6 +331,43 @@ impl BaselineLink {
             });
         }
         transfer_of(kind, direction, payload_bits, wire_bits)
+    }
+}
+
+impl Link for BaselineLink {
+    fn request(&mut self, addr: Address, memory: LineData) -> Transfer {
+        self.request_in_state(addr, memory, CoherenceState::Shared)
+    }
+
+    fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer {
+        self.request_in_state(addr, memory, CoherenceState::Exclusive)
+    }
+
+    fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
+        let addr = addr.line_aligned();
+        if self.remote.lookup(addr).is_none() {
+            return false;
+        }
+        self.remote.write(addr, data);
+        self.home.set_state(addr, CoherenceState::Modified);
+        true
+    }
+
+    fn stats(&self) -> &LinkStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = LinkStats::default();
+    }
+
+    fn warm(&self, addr: Address) {
+        self.home.warm(addr);
+        self.remote.warm(addr);
+    }
+
+    fn set_telemetry(&mut self, tel: Telemetry) {
+        self.tel = LinkTelemetry::new(tel);
     }
 }
 
@@ -528,6 +487,25 @@ mod tests {
             gzip.stats().compression_ratio(),
             cpack.stats().compression_ratio()
         );
+    }
+
+    /// A baseline takes every default of the [`Link`] trait: the fault,
+    /// reliability and compression knobs change nothing it reports.
+    #[test]
+    fn baseline_keeps_the_link_defaults() {
+        let mut baseline = link(BaselineKind::Cpack);
+        let l: &mut dyn Link = &mut baseline;
+        l.set_compression_enabled(false);
+        assert!(l.compression_enabled());
+        l.enable_fault_injection(crate::FaultConfig::with_rate(7, 1e-2));
+        l.set_reliable_mode(true);
+        for i in 0..64 {
+            l.request(Address::from_line_number(i), LineData::splat_word(i as u32));
+        }
+        assert!(l.fault_stats().is_none());
+        assert_eq!(l.retransmitted_wire_bits(), 0);
+        assert!(!l.reliable_mode());
+        assert_eq!(l.audit_and_resync(), crate::ResyncReport::default());
     }
 
     #[test]

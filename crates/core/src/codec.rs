@@ -22,13 +22,19 @@ use cable_compress::{DecodeErrorKind, Encoded};
 /// reliable-link accounting is unchanged.
 pub const GUARD_BITS: usize = 64;
 
-/// CRC-32 over a bitstream: the bit length (as 8 little-endian bytes) is
-/// folded in first so truncations that land on a byte boundary still change
-/// the checksum.
+/// CRC-32 over the first `len_bits` bits of `bytes`: the bit length (as 8
+/// little-endian bytes) is folded in first so truncations that land on a
+/// byte boundary still change the checksum. Bits past `len_bits` in the
+/// last byte read as zero, so a received frame is checked in place,
+/// whatever follows the covered bits.
 fn crc32_bits(bytes: &[u8], len_bits: usize) -> u32 {
     let mut crc = Crc32::new();
     crc.update(&(len_bits as u64).to_le_bytes());
-    crc.update(&bytes[..div_ceil(len_bits as u64, 8) as usize]);
+    let (whole, tail) = (len_bits / 8, len_bits % 8);
+    crc.update(&bytes[..whole]);
+    if tail > 0 {
+        crc.update(&[bytes[whole] & !(0xff >> tail)]);
+    }
     crc.finish()
 }
 
@@ -247,32 +253,27 @@ impl PayloadCodec {
                 format!("guarded frame of {len_bits} bits lacks payload"),
             ));
         }
-        let mut r = BitReader::try_new(bytes, len_bits).ok_or_else(|| {
-            DecodeError::with_kind(
+        if BitReader::try_new(bytes, len_bits).is_none() {
+            return Err(DecodeError::with_kind(
                 DecodeErrorKind::Truncated,
                 "frame length exceeds delivered bytes",
-            )
-        })?;
-        let payload_bits = len_bits - GUARD_BITS;
-        let mut payload = BitWriter::new();
-        let mut remaining = payload_bits;
-        while remaining > 0 {
-            let take = remaining.min(64) as u32;
-            let chunk = r.read_bits(take).expect("sized by construction");
-            payload.write_bits(chunk, take);
-            remaining -= take as usize;
+            ));
         }
-        let line_crc = r.read_bits(32).expect("sized by construction") as u32;
-        let frame_crc = r.read_bits(32).expect("sized by construction") as u32;
-        let mut body = payload.clone();
-        body.write_bits(u64::from(line_crc), 32);
-        if crc32_bits(body.as_slice(), body.len_bits()) != frame_crc {
+        // The two CRCs close the frame; everything is read in place.
+        let crc_at = |bit: usize| {
+            let mut r = BitReader::new(&bytes[bit / 8..], bit % 8 + 32);
+            r.read_bits((bit % 8) as u32);
+            r.read_bits(32).expect("sized by construction") as u32
+        };
+        let (payload_bits, body_bits) = (len_bits - GUARD_BITS, len_bits - 32);
+        let line_crc = crc_at(payload_bits);
+        if crc32_bits(bytes, body_bits) != crc_at(body_bits) {
             return Err(DecodeError::with_kind(
                 DecodeErrorKind::BadFrameCrc,
                 "frame CRC mismatch",
             ));
         }
-        let parsed = self.parse(payload.as_slice(), payload.len_bits())?;
+        let parsed = self.parse(bytes, payload_bits)?;
         Ok((parsed, line_crc))
     }
 
@@ -500,6 +501,47 @@ mod tests {
             let mut corrupted = framed.as_slice().to_vec();
             corrupted[flip_at / 8] ^= 0x80 >> (flip_at % 8);
             prop_assert!(c.parse_guarded(&corrupted, framed.len_bits()).is_err());
+        }
+
+        /// Guarded frames of every payload length (so every bit offset of
+        /// the CRC fields within a byte) round-trip, and bits past the
+        /// frame in its last byte are ignored. The frame CRC is pinned to
+        /// its definition: the CRC of the bit length and the zero-padded
+        /// body (payload ‖ line CRC), rebuilt here one bit at a time.
+        #[test]
+        fn prop_guarded_round_trip_at_every_length(
+            lids in proptest::collection::vec(0u64..(1 << 17), 0..4),
+            bits in proptest::collection::vec(any::<bool>(), 0..200),
+        ) {
+            let c = codec();
+            let line = LineData::splat_word(bits.len() as u32);
+            let payload = c.encode_compressed(&lids, &diff_of_bits(&bits));
+            let framed = c.encode_guarded(&payload, &line);
+            let body_bits = payload.len_bits() + 32;
+            let mut body = vec![0u8; body_bits.div_ceil(8)];
+            let mut r = framed.reader();
+            for i in 0..body_bits {
+                if r.read_bit().unwrap() {
+                    body[i / 8] |= 0x80 >> (i % 8);
+                }
+            }
+            let mut crc = Crc32::new();
+            crc.update(&(body_bits as u64).to_le_bytes());
+            crc.update(&body);
+            prop_assert_eq!(r.read_bits(32), Some(u64::from(crc.finish())));
+
+            let mut bytes = framed.as_slice().to_vec();
+            let tail = framed.len_bits() % 8;
+            if tail > 0 {
+                *bytes.last_mut().unwrap() |= 0xff >> tail;
+            }
+            let (parsed, line_crc) = c.parse_guarded(&bytes, framed.len_bits()).unwrap();
+            prop_assert_eq!(line_crc, crc32(line.as_bytes()));
+            let ParsedPayload::Compressed { ref_lids, diff } = parsed else {
+                panic!("compressed payload parsed as raw");
+            };
+            prop_assert_eq!(ref_lids, lids);
+            prop_assert_eq!(diff, diff_of_bits(&bits));
         }
 
         /// Truncating a guarded frame anywhere is detected.

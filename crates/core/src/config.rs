@@ -110,21 +110,6 @@ impl CableConfig {
         self
     }
 
-    /// Replaces the data-access count (Fig. 22 sweep).
-    #[must_use]
-    pub fn with_data_access_count(mut self, count: usize) -> Self {
-        self.data_access_count = count;
-        self
-    }
-
-    /// Replaces both hash-table scales (Fig. 21 sweep).
-    #[must_use]
-    pub fn with_table_scale(mut self, scale: f64) -> Self {
-        self.home_table_scale = scale;
-        self.remote_table_scale = scale;
-        self
-    }
-
     /// Replaces the link width (Fig. 23 sweep).
     #[must_use]
     pub fn with_link_width(mut self, bits: u32) -> Self {
@@ -219,15 +204,15 @@ mod tests {
 
     #[test]
     fn table_entry_scaling() {
-        let cfg = CableConfig::memory_link_default();
+        let mut cfg = CableConfig::memory_link_default();
         // 4MB home cache = 65536 lines; half-sized = 32768 LineID slots,
         // i.e. 16384 two-deep buckets.
         assert_eq!(cfg.home_table_entries(), 16_384);
         // 1MB remote = 16384 lines; full-sized = 8192 two-deep buckets.
         assert_eq!(cfg.remote_table_entries(), 8_192);
         // Fig. 21's extreme 1/2048 scale still yields a usable table.
-        let tiny = cfg.with_table_scale(1.0 / 2048.0);
-        assert_eq!(tiny.home_table_entries(), 16);
+        cfg.home_table_scale = 1.0 / 2048.0;
+        assert_eq!(cfg.home_table_entries(), 16);
     }
 
     #[test]
@@ -254,10 +239,8 @@ mod tests {
     fn builders_compose() {
         let cfg = CableConfig::memory_link_default()
             .with_engine(cable_compress::EngineKind::Oracle)
-            .with_data_access_count(16)
             .with_link_width(64);
         assert_eq!(cfg.engine, cable_compress::EngineKind::Oracle);
-        assert_eq!(cfg.data_access_count, 16);
         assert_eq!(cfg.link_width_bits, 64);
         cfg.validate().unwrap();
     }

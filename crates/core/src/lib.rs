@@ -14,8 +14,9 @@
 //!    bits (§III-D);
 //! 5. [`codec`] — payload framing and flit-quantized wire accounting
 //!    (§III-E);
-//! 6. [`link`] — the [`CableLink`] endpoints tying it together, including
-//!    synchronization (§III-F) and write-back compression (§III-G);
+//! 6. [`link`] — the [`Link`] interface every scheme implements and the
+//!    [`CableLink`] endpoints tying it together, including synchronization
+//!    (§III-F) and write-back compression (§III-G);
 //! 7. [`evict_buffer`] — the EvictSeq race protocol (§IV-A);
 //! 8. [`channel`] — deterministic fault injection, CRC-guarded frames, and
 //!    the NACK/retry recovery statistics;
@@ -25,7 +26,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use cable_core::{CableConfig, CableLink};
+//! use cable_core::{CableConfig, CableLink, Link};
 //! use cable_common::{Address, LineData};
 //!
 //! let mut link = CableLink::new(CableConfig::memory_link_default());
@@ -70,7 +71,9 @@ pub use baseline::{BaselineKind, BaselineLink};
 pub use cable_compress::{DecodeError, DecodeErrorKind};
 pub use channel::{FaultConfig, FaultStats, FaultyChannel, NoticeFate, ResyncReport, Transmission};
 pub use config::CableConfig;
-pub use link::{BatchAccess, BatchOp, CableLink, Direction, LinkStats, Transfer, TransferKind};
+pub use link::{
+    BatchAccess, BatchOp, CableLink, Direction, Link, LinkStats, Transfer, TransferKind,
+};
 pub use ooo::OooLink;
 pub use search::{Reference, SearchScratch};
 pub use sig_cache::InsertSigCache;

@@ -1,6 +1,7 @@
 //! The CABLE link endpoints: compression, transmission, synchronization.
 //!
-//! [`CableLink`] models one compressed point-to-point link between a home
+//! [`Link`] is the request/statistics interface every link-compression
+//! scheme implements. [`CableLink`] models one compressed point-to-point link between a home
 //! cache and a remote cache it is inclusive of (Fig. 4): the request path
 //! (§III-C/E), the Way-Map Table pointer reduction (§III-D), hash-table
 //! synchronization (§III-F), and write-back compression (§III-G).
@@ -155,7 +156,7 @@ impl LinkTelemetry {
 }
 
 /// Result of one link operation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Transfer {
     kind: TransferKind,
     direction: Direction,
@@ -244,26 +245,25 @@ impl Transfer {
     }
 }
 
-/// What one element of a [`CableLink::request_batch`] slice does on the
-/// link.
+/// What one element of a [`Link::request_batch`] slice does on the link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
-    /// Shared read — [`CableLink::request`].
+    /// Shared read — [`Link::request`].
     Read,
-    /// Read-for-ownership only — [`CableLink::request_exclusive`]; the
+    /// Read-for-ownership only — [`Link::request_exclusive`]; the
     /// store lands later (e.g. after an L2 fill, as in the thread model).
     Exclusive,
     /// Read-for-ownership immediately followed by
-    /// [`CableLink::remote_store`] of the carried data — the trace-replay
+    /// [`Link::remote_store`] of the carried data — the trace-replay
     /// write idiom.
     Write(LineData),
 }
 
 /// One access in a batched request stream.
 ///
-/// A slice of these is pushed through [`CableLink::request_batch`] in one
-/// call, amortizing per-access dispatch (and, for the sim's enum-dispatched
-/// link wrapper, one `match` per batch instead of per access).
+/// A slice of these is pushed through [`Link::request_batch`] in one call,
+/// amortizing per-access dispatch: through a `dyn Link` (the sim's
+/// `CompressedLink`), one virtual call per batch instead of per access.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchAccess {
     /// Line address.
@@ -303,6 +303,159 @@ impl BatchAccess {
             memory,
             op: BatchOp::Write(store),
         }
+    }
+}
+
+/// One compressed link between a home cache and the remote cache it is
+/// inclusive of (§II-C, Fig. 4) — the interface CABLE ([`CableLink`]) and
+/// every baseline ([`crate::BaselineLink`]) share, so simulators drive any
+/// scheme over the same request stream.
+///
+/// An implementor supplies the request paths, its statistics, telemetry
+/// and the [`Link::warm`] prefetch hook. The knobs of CABLE's §VI-D
+/// control and fault model default to what a baseline models: reliable
+/// wires, always compressing. Setting them is then a no-op,
+/// [`Link::compression_enabled`] is `true`, [`Link::reliable_mode`] is
+/// `false`, [`Link::fault_stats`] is `None` and
+/// [`Link::audit_and_resync`] repairs nothing.
+///
+/// # Examples
+///
+/// ```
+/// use cable_cache::CacheGeometry;
+/// use cable_common::{Address, LineData};
+/// use cable_core::{BaselineKind, BaselineLink, CableConfig, CableLink, Link};
+///
+/// let (home, remote) = (CacheGeometry::new(4 << 20, 16), CacheGeometry::new(1 << 20, 8));
+/// let mut links: Vec<Box<dyn Link>> = vec![
+///     Box::new(CableLink::new(CableConfig::memory_link_default())),
+///     Box::new(BaselineLink::new(BaselineKind::Cpack, home, remote, 16)),
+/// ];
+/// for link in &mut links {
+///     link.request(Address::new(0x40), LineData::zeroed());
+///     assert_eq!(link.stats().fills, 1);
+/// }
+/// ```
+pub trait Link {
+    /// Services a read request for `addr`. `memory` supplies the line's
+    /// content if it has to be fetched from backing memory (home miss).
+    ///
+    /// Returns the resulting transfer; a remote-cache hit costs no traffic.
+    fn request(&mut self, addr: Address, memory: LineData) -> Transfer;
+
+    /// Services a write-intent request (read-for-ownership): the line is
+    /// installed Exclusive in the remote cache.
+    fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer;
+
+    /// Remote store to a resident line (an upgrade to Modified).
+    ///
+    /// Returns `false` if the line is not resident remotely (callers should
+    /// issue [`Link::request_exclusive`] first).
+    fn remote_store(&mut self, addr: Address, data: LineData) -> bool;
+
+    /// Cumulative statistics.
+    #[must_use]
+    fn stats(&self) -> &LinkStats;
+
+    /// Clears statistics (e.g. after warm-up).
+    fn reset_stats(&mut self);
+
+    /// Attaches a [`Telemetry`] handle: metric handles are resolved once
+    /// here, and trace events flow into the handle's shared sink from then
+    /// on. Every scheme publishes the same metric vocabulary
+    /// (`link.encode.*`, `link.wire_bits`, …), so schemes compare side by
+    /// side in exported telemetry.
+    fn set_telemetry(&mut self, tel: Telemetry);
+
+    /// Touches the home and remote tag sets of the line-aligned `addr`
+    /// without changing any state, so a later access finds them in the
+    /// host's cache. [`Link::request_batch`] calls it one element ahead.
+    fn warm(&self, addr: Address);
+
+    /// Services a slice of accesses in one call, appending one [`Transfer`]
+    /// per element to `transfers`.
+    ///
+    /// Each element behaves exactly like the corresponding sequence of
+    /// [`Link::request`] / [`Link::request_exclusive`] /
+    /// [`Link::remote_store`] calls, in slice order — stats, telemetry
+    /// and wire output are bit-identical to the per-call loop. The batch
+    /// form exists to amortize per-access call overhead on the encode hot
+    /// path: through a `dyn Link` it costs one virtual call per batch, and
+    /// the per-element calls inside are static.
+    fn request_batch(&mut self, batch: &[BatchAccess], transfers: &mut Vec<Transfer>) {
+        transfers.reserve(batch.len());
+        for (i, a) in batch.iter().enumerate() {
+            // Software pipelining: touch the next access's home/remote sets
+            // before servicing this one, so the next element's (random,
+            // usually cold) tag-array lines are fetched while this element
+            // computes. Pure cache warming — element semantics unchanged.
+            if let Some(next) = batch.get(i + 1) {
+                self.warm(next.addr.line_aligned());
+            }
+            let t = match a.op {
+                BatchOp::Read => self.request(a.addr, a.memory),
+                BatchOp::Exclusive => self.request_exclusive(a.addr, a.memory),
+                BatchOp::Write(store) => {
+                    let t = self.request_exclusive(a.addr, a.memory);
+                    self.remote_store(a.addr, store);
+                    t
+                }
+            };
+            transfers.push(t);
+        }
+    }
+
+    /// Enables/disables compression (the §VI-D on/off control knob).
+    fn set_compression_enabled(&mut self, _enabled: bool) {}
+
+    /// Whether compression is currently enabled.
+    #[must_use]
+    fn compression_enabled(&self) -> bool {
+        true
+    }
+
+    /// Routes all subsequent wire traffic through a deterministic
+    /// [`FaultyChannel`](crate::FaultyChannel).
+    fn enable_fault_injection(&mut self, _cfg: FaultConfig) {}
+
+    /// Returns the link to reliable-channel operation.
+    fn disable_fault_injection(&mut self) {}
+
+    /// Tags this link as one directional pipeline of mesh wire `hop`, so
+    /// its fault-protocol counters also publish under `mesh.hop.{hop}.*`.
+    /// Purely observational.
+    fn set_wire_hop(&mut self, _hop: u32) {}
+
+    /// Switches the escalated reliable delivery mode (the degradation
+    /// ladder's `LinkOff` rung).
+    fn set_reliable_mode(&mut self, _reliable: bool) {}
+
+    /// Whether escalated reliable delivery is active.
+    #[must_use]
+    fn reliable_mode(&self) -> bool {
+        false
+    }
+
+    /// Fault-injection counters, if fault injection is enabled.
+    #[must_use]
+    fn fault_stats(&self) -> Option<&FaultStats> {
+        None
+    }
+
+    /// Bits the fault-recovery protocol retransmitted so far (0 on a
+    /// reliable link). These bits are already included in
+    /// [`LinkStats::wire_bits`]; the latency attribution reads deltas of
+    /// this counter to split the retry penalty out of plain wire
+    /// serialization.
+    #[must_use]
+    fn retransmitted_wire_bits(&self) -> u64 {
+        self.fault_stats().map_or(0, |fs| fs.retransmitted_bits)
+    }
+
+    /// Audits home/remote synchronization after a period of lossy operation
+    /// and repairs every divergence it finds.
+    fn audit_and_resync(&mut self) -> ResyncReport {
+        ResyncReport::default()
     }
 }
 
@@ -452,7 +605,7 @@ fn toggles_lanes(bytes: &[u8], len_bits: usize, width: u32, last_flit: &mut u64)
 /// # Examples
 ///
 /// ```
-/// use cable_core::{CableConfig, CableLink};
+/// use cable_core::{CableConfig, CableLink, Link};
 /// use cable_common::{Address, LineData};
 ///
 /// let mut link = CableLink::new(CableConfig::memory_link_default());
@@ -501,7 +654,7 @@ pub struct CableLink {
     tel: LinkTelemetry,
     /// The mesh wire (hop) this link rides, when it is one directional
     /// pipeline of a mesh pair; fault counters then also publish under
-    /// `mesh.hop.{N}.*`. Persists across [`CableLink::set_telemetry`].
+    /// `mesh.hop.{N}.*`. Persists across [`Link::set_telemetry`].
     wire_hop: Option<u32>,
 }
 
@@ -654,42 +807,6 @@ impl CableLink {
         }
     }
 
-    /// Attaches a [`Telemetry`] handle: metric handles are resolved once
-    /// here, and trace events flow into the handle's shared sink from then
-    /// on. Attaching a disabled handle (the default state) reduces every
-    /// instrumentation point to a single branch, and the simulation outcome
-    /// is identical either way (property-tested in `cable-sim`).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = LinkTelemetry::new(tel);
-        if let Some(hop) = self.wire_hop {
-            self.tel.set_wire_hop(hop);
-        }
-    }
-
-    /// Tags this link as one directional pipeline of mesh wire `hop`:
-    /// injected faults, NACKs, and retransmitted bits are additionally
-    /// charged to the hop-keyed counters (`mesh.hop.{hop}.*`), which is
-    /// what lets `cable report --hops` localize a faulty wire. Purely
-    /// observational — the simulated outcome is identical with or
-    /// without a tag.
-    pub fn set_wire_hop(&mut self, hop: u32) {
-        self.wire_hop = Some(hop);
-        self.tel.set_wire_hop(hop);
-    }
-
-    /// The mesh wire this link was tagged with, if any.
-    #[must_use]
-    pub fn wire_hop(&self) -> Option<u32> {
-        self.wire_hop
-    }
-
-    /// The attached telemetry handle (disabled unless
-    /// [`CableLink::set_telemetry`] was called with an enabled one).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel.handle
-    }
-
     /// The link configuration.
     #[must_use]
     pub fn config(&self) -> &CableConfig {
@@ -714,134 +831,10 @@ impl CableLink {
         &self.wmt
     }
 
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
-    }
-
-    /// Clears statistics (e.g. after warm-up), including fault counters
-    /// when fault injection is enabled (the fault schedule itself continues
-    /// uninterrupted).
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
-        if let Some(fs) = &mut self.fault {
-            fs.channel.reset_stats();
-        }
-    }
-
-    /// Routes all subsequent wire traffic through a deterministic
-    /// [`FaultyChannel`](crate::FaultyChannel): frames gain CRC guards
-    /// ([`crate::codec::GUARD_BITS`] extra bits each), corrupted deliveries
-    /// are NACKed and retransmitted (degrading to raw past the retry
-    /// budget), and eviction/upgrade notices become lossy messages backed by
-    /// the §IV-A eviction buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.validate()` fails.
-    pub fn enable_fault_injection(&mut self, cfg: FaultConfig) {
-        if self.fault.is_none() {
-            self.tel.handle.record(Event::Phase { name: "fault_on" });
-        }
-        self.fault = Some(Box::new(FaultState::new(cfg)));
-    }
-
-    /// Returns the link to reliable-channel operation. Pending
-    /// synchronization debt is settled first via [`CableLink::audit_and_resync`]
-    /// so the tables are left consistent.
-    pub fn disable_fault_injection(&mut self) {
-        if self.fault.is_some() {
-            self.audit_and_resync();
-            self.tel.handle.record(Event::Phase { name: "fault_off" });
-        }
-        self.fault = None;
-    }
-
     /// Whether fault injection is active.
     #[must_use]
     pub fn fault_injection_enabled(&self) -> bool {
         self.fault.is_some()
-    }
-
-    /// Fault-injection counters, if fault injection is enabled.
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault.as_ref().map(|fs| fs.channel.stats())
-    }
-
-    /// Bits the fault-recovery protocol retransmitted so far (0 on a
-    /// reliable link). These bits are already included in
-    /// [`LinkStats::wire_bits`]; the latency attribution reads deltas of
-    /// this counter to split the retry penalty out of plain wire
-    /// serialization.
-    #[must_use]
-    pub fn retransmitted_wire_bits(&self) -> u64 {
-        self.fault_stats().map_or(0, |fs| fs.retransmitted_bits)
-    }
-
-    /// Enables/disables compression (the §VI-D on/off control knob).
-    /// Actual transitions mark a trace phase boundary, so `cable report`
-    /// splits its per-phase stats at each controller decision.
-    pub fn set_compression_enabled(&mut self, enabled: bool) {
-        if enabled != self.compression_enabled {
-            self.tel.handle.record(Event::Phase {
-                name: if enabled {
-                    "compression_on"
-                } else {
-                    "compression_off"
-                },
-            });
-        }
-        self.compression_enabled = enabled;
-    }
-
-    /// Whether compression is currently enabled.
-    #[must_use]
-    pub fn compression_enabled(&self) -> bool {
-        self.compression_enabled
-    }
-
-    /// Switches the escalated reliable delivery mode (the degradation
-    /// ladder's `LinkOff` rung). While set, fault-mode frames skip the
-    /// lossy channel and pay one acknowledgement flit each, and
-    /// synchronization notices are applied directly instead of being
-    /// subjected to drop/delay fates. Without fault injection armed this
-    /// is a pure marker: delivery is already reliable. Transitions mark a
-    /// trace phase boundary like the compression knob.
-    pub fn set_reliable_mode(&mut self, reliable: bool) {
-        if reliable != self.reliable_mode {
-            self.tel.handle.record(Event::Phase {
-                name: if reliable {
-                    "reliable_on"
-                } else {
-                    "reliable_off"
-                },
-            });
-        }
-        self.reliable_mode = reliable;
-    }
-
-    /// Whether escalated reliable delivery is active.
-    #[must_use]
-    pub fn reliable_mode(&self) -> bool {
-        self.reliable_mode
-    }
-
-    /// Services a read request for `addr`. `memory` supplies the line's
-    /// content if it has to be fetched from backing memory (home miss).
-    ///
-    /// Returns the resulting transfer; a remote-cache hit costs no traffic.
-    pub fn request(&mut self, addr: Address, memory: LineData) -> Transfer {
-        self.request_in_state(addr, memory, CoherenceState::Shared)
-    }
-
-    /// Services a write-intent request (read-for-ownership): the line is
-    /// installed Exclusive, is still compressed on the wire, but is *not*
-    /// entered into the hash tables ("only cache lines sent in the 'shared'
-    /// state are incorporated into the hash table", §III-F).
-    pub fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer {
-        self.request_in_state(addr, memory, CoherenceState::Exclusive)
     }
 
     fn request_in_state(
@@ -931,56 +924,6 @@ impl CableLink {
         }
 
         transfer
-    }
-
-    /// Remote store to a resident line: upgrades it to Modified and
-    /// desynchronizes its signatures on both ends (§III-F's "upgrade
-    /// request (from shared to dirty)").
-    ///
-    /// Returns `false` if the line is not resident remotely (callers should
-    /// issue [`CableLink::request_exclusive`] first).
-    pub fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
-        let addr = addr.line_aligned();
-        if self.remote.lookup(addr).is_none() {
-            return false;
-        }
-        self.upgrade(addr);
-        self.remote.write(addr, data);
-        true
-    }
-
-    /// Services a slice of accesses in one call, appending one [`Transfer`]
-    /// per element to `transfers`.
-    ///
-    /// Each element behaves exactly like the corresponding sequence of
-    /// [`CableLink::request`] / [`CableLink::request_exclusive`] /
-    /// [`CableLink::remote_store`] calls, in slice order — stats, telemetry
-    /// and wire output are bit-identical to the per-call loop. The batch
-    /// form exists to amortize per-access call overhead on the encode hot
-    /// path (trace replay pushes thousands of accesses per measurement).
-    pub fn request_batch(&mut self, batch: &[BatchAccess], transfers: &mut Vec<Transfer>) {
-        transfers.reserve(batch.len());
-        for (i, a) in batch.iter().enumerate() {
-            // Software pipelining: touch the next access's home/remote sets
-            // before servicing this one, so the next element's (random,
-            // usually cold) tag-array lines are fetched while this element
-            // computes. Pure cache warming — element semantics unchanged.
-            if let Some(next) = batch.get(i + 1) {
-                let next_addr = next.addr.line_aligned();
-                self.home.warm(next_addr);
-                self.remote.warm(next_addr);
-            }
-            let t = match a.op {
-                BatchOp::Read => self.request(a.addr, a.memory),
-                BatchOp::Exclusive => self.request_exclusive(a.addr, a.memory),
-                BatchOp::Write(store) => {
-                    let t = self.request_exclusive(a.addr, a.memory);
-                    self.remote_store(a.addr, store);
-                    t
-                }
-            };
-            transfers.push(t);
-        }
     }
 
     fn upgrade(&mut self, addr: Address) {
@@ -1385,161 +1328,6 @@ impl CableLink {
         Ok(())
     }
 
-    /// Audits home/remote synchronization after a period of lossy operation
-    /// and repairs every divergence it finds: delayed notices are flushed,
-    /// buffered evictions replayed (idempotently), stale WMT mappings
-    /// purged or restored, missed upgrades replayed, and both hash tables
-    /// scrubbed of dangling entries.
-    ///
-    /// Postcondition: [`CableLink::check_invariants`] returns `Ok` — the
-    /// property test in `tests/fault_injection.rs` drives arbitrary seeded
-    /// fault schedules and asserts exactly that.
-    pub fn audit_and_resync(&mut self) -> ResyncReport {
-        let mut report = ResyncReport::default();
-        if let Some(mut fs) = self.fault.take() {
-            // 1. Flush delayed notices in order.
-            while let Some(pending) = fs.pending.pop_front() {
-                self.apply_notice(pending.notice, &mut fs);
-                report.replayed_notices += 1;
-            }
-            // 2. Replay every still-buffered eviction; apply_notice's
-            // address guards make re-application of an already-delivered
-            // notice a no-op.
-            let buffered: Vec<(u64, LineId, Address)> = fs
-                .evict_buffer
-                .iter()
-                .map(|e| (e.seq, e.line_id, e.addr))
-                .collect();
-            for (seq, remote_lid, addr) in buffered {
-                self.apply_notice(
-                    Notice::Eviction {
-                        seq,
-                        remote_lid,
-                        addr,
-                    },
-                    &mut fs,
-                );
-                report.replayed_notices += 1;
-            }
-            // All synchronization debt is now settled; drain the buffer
-            // even across sequence gaps left by overflow-dropped entries.
-            let top = fs.evict_buffer.next_seq() - 1;
-            fs.force_processed_up_to(top);
-            fs.evict_buffer.acknowledge(top);
-            fs.channel.stats_mut().resyncs += 1;
-            self.fault = Some(fs);
-        }
-        // 3. Purge WMT mappings that outlived their lines (a lost eviction
-        // notice leaves the mapping pointing at an empty or re-tagged
-        // slot).
-        let stale: Vec<(LineId, LineId, bool)> = self
-            .wmt
-            .iter_mapped()
-            .filter_map(|(rlid, hlid)| {
-                let raddr = self.remote.addr_by_id(rlid);
-                let haddr = self.home.addr_by_id(hlid);
-                (haddr.is_none() || raddr != haddr).then_some((
-                    rlid,
-                    hlid,
-                    raddr.is_none() && haddr.is_some(),
-                ))
-            })
-            .collect();
-        for (rlid, hlid, scrub_home) in stale {
-            self.wmt.invalidate(rlid);
-            report.purged_wmt += 1;
-            if scrub_home {
-                // The mapping still named the evicted line's home copy:
-                // finish the lost notice's cleanup.
-                self.remove_home_signatures(hlid);
-            }
-        }
-        // 4. Remote lines: restore lost mappings, replay missed upgrades,
-        // purge diverged shared copies.
-        let remote_lines: Vec<(LineId, Address, CoherenceState)> =
-            self.remote.iter_valid().collect();
-        for (rlid, addr, state) in remote_lines {
-            if self.remote.addr_by_id(rlid) != Some(addr) {
-                // Gone since the snapshot (e.g. a back-invalidation from a
-                // write-back this loop issued).
-                continue;
-            }
-            let home_lid = match self.wmt.home_lid_of(rlid) {
-                Some(h) => h,
-                None if !self.config.inclusive => continue,
-                None => {
-                    if let Some(h) = self.home.lookup(addr) {
-                        self.wmt.update(rlid, h);
-                        report.restored_wmt += 1;
-                        h
-                    } else {
-                        // No home backing at all: recover dirty data via a
-                        // write-back, drop clean copies.
-                        report.invalidated_remote += 1;
-                        if state == CoherenceState::Modified {
-                            let data = self.remote.read_by_id(rlid).expect("valid");
-                            self.writeback(addr, data);
-                        } else if let Some(victim) = self.remote.invalidate(addr) {
-                            self.on_remote_victim(&victim);
-                        }
-                        continue;
-                    }
-                }
-            };
-            if !self.config.inclusive {
-                continue;
-            }
-            match state {
-                CoherenceState::Modified
-                    if self.home.state_by_id(home_lid) == CoherenceState::Shared =>
-                {
-                    // A lost upgrade notice: the home still advertises the
-                    // stale shared copy. Replay the home-side upgrade.
-                    self.remove_home_signatures(home_lid);
-                    self.home.set_state(addr, CoherenceState::Modified);
-                    report.replayed_upgrades += 1;
-                }
-                CoherenceState::Shared => {
-                    let rd = self.remote.read_by_id(rlid).expect("valid");
-                    let hd = self.home.read_by_id(home_lid).expect("valid");
-                    if rd != hd {
-                        // Diverged shared content (defensive; delivery is
-                        // bit-exact, so this indicates external tampering):
-                        // drop the remote copy.
-                        self.wmt.invalidate(rlid);
-                        if let Some(victim) = self.remote.invalidate(addr) {
-                            self.on_remote_victim(&victim);
-                        }
-                        report.divergence_purges += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // 5. Scrub both hash tables: every entry must name a valid Shared
-        // line on its own side.
-        let home_geometry = *self.home.geometry();
-        let home = &self.home;
-        report.scrubbed_home_sigs = self.home_table.retain(|packed| {
-            let lid = LineId::unpack(u64::from(packed), &home_geometry);
-            home.read_by_id(lid).is_some() && home.state_by_id(lid) == CoherenceState::Shared
-        }) as u64;
-        let remote_geometry = *self.remote.geometry();
-        let remote = &self.remote;
-        report.scrubbed_remote_sigs = self.remote_table.retain(|packed| {
-            let lid = LineId::unpack(u64::from(packed), &remote_geometry);
-            remote.read_by_id(lid).is_some() && remote.state_by_id(lid) == CoherenceState::Shared
-        }) as u64;
-        if let Some(fs) = &mut self.fault {
-            fs.channel.stats_mut().resync_repairs += report.total_repairs();
-        }
-        self.tel.resyncs.inc();
-        self.tel.handle.record(Event::Resync {
-            repairs: report.total_repairs(),
-        });
-        report
-    }
-
     // ---- synchronization helpers -------------------------------------
 
     /// Cached insert signatures of `packed`, falling back to recomputation
@@ -1917,6 +1705,292 @@ impl CableLink {
             .expect("transmitted DIFF decodes");
         assert_eq!(r.remaining_bits(), 0, "the DIFF ends the frame");
         line
+    }
+}
+
+impl Link for CableLink {
+    fn request(&mut self, addr: Address, memory: LineData) -> Transfer {
+        self.request_in_state(addr, memory, CoherenceState::Shared)
+    }
+
+    /// The line is still compressed on the wire, but is *not* entered into
+    /// the hash tables ("only cache lines sent in the 'shared'
+    /// state are incorporated into the hash table", §III-F).
+    fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer {
+        self.request_in_state(addr, memory, CoherenceState::Exclusive)
+    }
+
+    /// The upgrade desynchronizes the line's signatures on both ends
+    /// (§III-F's "upgrade request (from shared to dirty)").
+    fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
+        let addr = addr.line_aligned();
+        if self.remote.lookup(addr).is_none() {
+            return false;
+        }
+        self.upgrade(addr);
+        self.remote.write(addr, data);
+        true
+    }
+
+    fn stats(&self) -> &LinkStats {
+        &self.stats
+    }
+
+    /// Also clears fault counters when fault injection is enabled (the fault schedule itself continues
+    /// uninterrupted).
+    fn reset_stats(&mut self) {
+        self.stats = LinkStats::default();
+        if let Some(fs) = &mut self.fault {
+            fs.channel.reset_stats();
+        }
+    }
+
+    fn warm(&self, addr: Address) {
+        self.home.warm(addr);
+        self.remote.warm(addr);
+    }
+
+    /// Attaching a disabled handle (the default state) reduces every
+    /// instrumentation point to a single branch, and the simulation outcome
+    /// is identical either way (property-tested in `cable-sim`).
+    fn set_telemetry(&mut self, tel: Telemetry) {
+        self.tel = LinkTelemetry::new(tel);
+        if let Some(hop) = self.wire_hop {
+            self.tel.set_wire_hop(hop);
+        }
+    }
+
+    /// Actual transitions mark a trace phase boundary, so `cable report`
+    /// splits its per-phase stats at each controller decision.
+    fn set_compression_enabled(&mut self, enabled: bool) {
+        if enabled != self.compression_enabled {
+            self.tel.handle.record(Event::Phase {
+                name: if enabled {
+                    "compression_on"
+                } else {
+                    "compression_off"
+                },
+            });
+        }
+        self.compression_enabled = enabled;
+    }
+
+    fn compression_enabled(&self) -> bool {
+        self.compression_enabled
+    }
+
+    /// Frames gain CRC guards
+    /// ([`crate::codec::GUARD_BITS`] extra bits each), corrupted deliveries
+    /// are NACKed and retransmitted (degrading to raw past the retry
+    /// budget), and eviction/upgrade notices become lossy messages backed by
+    /// the §IV-A eviction buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.validate()` fails.
+    fn enable_fault_injection(&mut self, cfg: FaultConfig) {
+        if self.fault.is_none() {
+            self.tel.handle.record(Event::Phase { name: "fault_on" });
+        }
+        self.fault = Some(Box::new(FaultState::new(cfg)));
+    }
+
+    /// Pending synchronization debt is settled first via
+    /// [`Link::audit_and_resync`] so the tables are left consistent.
+    fn disable_fault_injection(&mut self) {
+        if self.fault.is_some() {
+            self.audit_and_resync();
+            self.tel.handle.record(Event::Phase { name: "fault_off" });
+        }
+        self.fault = None;
+    }
+
+    /// Injected faults, NACKs, and retransmitted bits are additionally
+    /// charged to the hop-keyed counters, which is what lets
+    /// `cable report --hops` localize a faulty wire.
+    fn set_wire_hop(&mut self, hop: u32) {
+        self.wire_hop = Some(hop);
+        self.tel.set_wire_hop(hop);
+    }
+
+    /// While set, fault-mode frames skip the
+    /// lossy channel and pay one acknowledgement flit each, and
+    /// synchronization notices are applied directly instead of being
+    /// subjected to drop/delay fates. Without fault injection armed this
+    /// is a pure marker: delivery is already reliable. Transitions mark a
+    /// trace phase boundary like the compression knob.
+    fn set_reliable_mode(&mut self, reliable: bool) {
+        if reliable != self.reliable_mode {
+            self.tel.handle.record(Event::Phase {
+                name: if reliable {
+                    "reliable_on"
+                } else {
+                    "reliable_off"
+                },
+            });
+        }
+        self.reliable_mode = reliable;
+    }
+
+    fn reliable_mode(&self) -> bool {
+        self.reliable_mode
+    }
+
+    fn fault_stats(&self) -> Option<&FaultStats> {
+        self.fault.as_ref().map(|fs| fs.channel.stats())
+    }
+
+    /// Delayed notices are flushed, buffered evictions replayed
+    /// (idempotently), stale WMT mappings purged or restored, missed
+    /// upgrades replayed, and both hash tables scrubbed of dangling entries.
+    ///
+    /// Postcondition: [`CableLink::check_invariants`] returns `Ok` — the
+    /// property test in `tests/fault_injection.rs` drives arbitrary seeded
+    /// fault schedules and asserts exactly that.
+    fn audit_and_resync(&mut self) -> ResyncReport {
+        let mut report = ResyncReport::default();
+        if let Some(mut fs) = self.fault.take() {
+            // 1. Flush delayed notices in order.
+            while let Some(pending) = fs.pending.pop_front() {
+                self.apply_notice(pending.notice, &mut fs);
+                report.replayed_notices += 1;
+            }
+            // 2. Replay every still-buffered eviction; apply_notice's
+            // address guards make re-application of an already-delivered
+            // notice a no-op.
+            let buffered: Vec<(u64, LineId, Address)> = fs
+                .evict_buffer
+                .iter()
+                .map(|e| (e.seq, e.line_id, e.addr))
+                .collect();
+            for (seq, remote_lid, addr) in buffered {
+                self.apply_notice(
+                    Notice::Eviction {
+                        seq,
+                        remote_lid,
+                        addr,
+                    },
+                    &mut fs,
+                );
+                report.replayed_notices += 1;
+            }
+            // All synchronization debt is now settled; drain the buffer
+            // even across sequence gaps left by overflow-dropped entries.
+            let top = fs.evict_buffer.next_seq() - 1;
+            fs.force_processed_up_to(top);
+            fs.evict_buffer.acknowledge(top);
+            fs.channel.stats_mut().resyncs += 1;
+            self.fault = Some(fs);
+        }
+        // 3. Purge WMT mappings that outlived their lines (a lost eviction
+        // notice leaves the mapping pointing at an empty or re-tagged
+        // slot).
+        let stale: Vec<(LineId, LineId, bool)> = self
+            .wmt
+            .iter_mapped()
+            .filter_map(|(rlid, hlid)| {
+                let raddr = self.remote.addr_by_id(rlid);
+                let haddr = self.home.addr_by_id(hlid);
+                (haddr.is_none() || raddr != haddr).then_some((
+                    rlid,
+                    hlid,
+                    raddr.is_none() && haddr.is_some(),
+                ))
+            })
+            .collect();
+        for (rlid, hlid, scrub_home) in stale {
+            self.wmt.invalidate(rlid);
+            report.purged_wmt += 1;
+            if scrub_home {
+                // The mapping still named the evicted line's home copy:
+                // finish the lost notice's cleanup.
+                self.remove_home_signatures(hlid);
+            }
+        }
+        // 4. Remote lines: restore lost mappings, replay missed upgrades,
+        // purge diverged shared copies.
+        let remote_lines: Vec<(LineId, Address, CoherenceState)> =
+            self.remote.iter_valid().collect();
+        for (rlid, addr, state) in remote_lines {
+            if self.remote.addr_by_id(rlid) != Some(addr) {
+                // Gone since the snapshot (e.g. a back-invalidation from a
+                // write-back this loop issued).
+                continue;
+            }
+            let home_lid = match self.wmt.home_lid_of(rlid) {
+                Some(h) => h,
+                None if !self.config.inclusive => continue,
+                None => {
+                    if let Some(h) = self.home.lookup(addr) {
+                        self.wmt.update(rlid, h);
+                        report.restored_wmt += 1;
+                        h
+                    } else {
+                        // No home backing at all: recover dirty data via a
+                        // write-back, drop clean copies.
+                        report.invalidated_remote += 1;
+                        if state == CoherenceState::Modified {
+                            let data = self.remote.read_by_id(rlid).expect("valid");
+                            self.writeback(addr, data);
+                        } else if let Some(victim) = self.remote.invalidate(addr) {
+                            self.on_remote_victim(&victim);
+                        }
+                        continue;
+                    }
+                }
+            };
+            if !self.config.inclusive {
+                continue;
+            }
+            match state {
+                CoherenceState::Modified
+                    if self.home.state_by_id(home_lid) == CoherenceState::Shared =>
+                {
+                    // A lost upgrade notice: the home still advertises the
+                    // stale shared copy. Replay the home-side upgrade.
+                    self.remove_home_signatures(home_lid);
+                    self.home.set_state(addr, CoherenceState::Modified);
+                    report.replayed_upgrades += 1;
+                }
+                CoherenceState::Shared => {
+                    let rd = self.remote.read_by_id(rlid).expect("valid");
+                    let hd = self.home.read_by_id(home_lid).expect("valid");
+                    if rd != hd {
+                        // Diverged shared content (defensive; delivery is
+                        // bit-exact, so this indicates external tampering):
+                        // drop the remote copy.
+                        self.wmt.invalidate(rlid);
+                        if let Some(victim) = self.remote.invalidate(addr) {
+                            self.on_remote_victim(&victim);
+                        }
+                        report.divergence_purges += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // 5. Scrub both hash tables: every entry must name a valid Shared
+        // line on its own side.
+        let home_geometry = *self.home.geometry();
+        let home = &self.home;
+        report.scrubbed_home_sigs = self.home_table.retain(|packed| {
+            let lid = LineId::unpack(u64::from(packed), &home_geometry);
+            home.read_by_id(lid).is_some() && home.state_by_id(lid) == CoherenceState::Shared
+        }) as u64;
+        let remote_geometry = *self.remote.geometry();
+        let remote = &self.remote;
+        report.scrubbed_remote_sigs = self.remote_table.retain(|packed| {
+            let lid = LineId::unpack(u64::from(packed), &remote_geometry);
+            remote.read_by_id(lid).is_some() && remote.state_by_id(lid) == CoherenceState::Shared
+        }) as u64;
+        if let Some(fs) = &mut self.fault {
+            fs.channel.stats_mut().resync_repairs += report.total_repairs();
+        }
+        self.tel.resyncs.inc();
+        self.tel.handle.record(Event::Resync {
+            repairs: report.total_repairs(),
+        });
+        report
     }
 }
 

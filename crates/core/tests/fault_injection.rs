@@ -16,7 +16,7 @@
 
 use cable_cache::CacheGeometry;
 use cable_common::{Address, LineData, SplitMix64};
-use cable_core::{CableConfig, CableLink, FaultConfig, TransferKind};
+use cable_core::{CableConfig, CableLink, FaultConfig, Link, TransferKind};
 use proptest::prelude::*;
 
 /// A small link (64 KiB home, 16 KiB remote) so seeded traffic actually

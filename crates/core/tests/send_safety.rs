@@ -4,9 +4,12 @@
 //! this file stops compiling instead of a downstream caller breaking at a
 //! distance.
 
-use cable_core::{BaselineLink, CableLink, FaultyChannel, OooLink};
+use cable_core::{BaselineLink, CableLink, FaultyChannel, Link, OooLink};
 
 fn assert_send<T: Send>() {}
+
+/// Both link families fit a `Box<dyn Link + Send>`.
+fn assert_send_link<T: Link + Send>() {}
 
 #[test]
 fn link_state_is_send() {
@@ -14,4 +17,7 @@ fn link_state_is_send() {
     assert_send::<BaselineLink>();
     assert_send::<FaultyChannel>();
     assert_send::<OooLink>();
+    assert_send::<Box<dyn Link + Send>>();
+    assert_send_link::<CableLink>();
+    assert_send_link::<BaselineLink>();
 }

@@ -107,12 +107,6 @@ impl EnergyModel {
         Self::default()
     }
 
-    /// Creates a model with explicit parameters.
-    #[must_use]
-    pub fn with_params(params: EnergyParams) -> Self {
-        EnergyModel { params }
-    }
-
     /// The parameter set in use.
     #[must_use]
     pub fn params(&self) -> &EnergyParams {

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// A length requirement for [`vec`]: a fixed size or a size range.
+/// A length requirement for [`vec()`]: a fixed size or a size range.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     lo: usize,

@@ -16,12 +16,12 @@
 //!
 //! A chip's step is decomposed into two halves:
 //!
-//! - [`ChipNode::step_functional`] touches only *chip-private* state (the
+//! - `ChipNode::step_functional` touches only *chip-private* state (the
 //!   workload generator, the private L1/L2, and this chip's directional
 //!   compression pipelines — each `(requester, home)` pipeline is driven
-//!   by exactly one requester) and records a [`StepTrace`] of the step's
+//!   by exactly one requester) and records a `StepTrace` of the step's
 //!   timing-relevant facts;
-//! - [`FabricSim::apply_step_timing`] replays a trace against the *shared*
+//! - `FabricSim::apply_step_timing` replays a trace against the *shared*
 //!   timing resources (PTP wires, local wires, DRAM channels) and the
 //!   chip's clock, in exactly the operation order of the original fused
 //!   step.
@@ -826,25 +826,11 @@ impl FabricSim {
     /// pipeline mid-run — the burst half of the degradation benchmark.
     /// Arming decorrelates per-pipeline seeds exactly like
     /// [`FabricSim::with_config`]; disarming settles synchronization debt
-    /// first (see `CableLink::disable_fault_injection`).
+    /// first (see `Link::disable_fault_injection`).
     pub fn set_fault_injection(&mut self, fault: Option<FaultConfig>) {
         self.config.fault = fault;
-        self.rearm_fault_injection();
-    }
-
-    /// Arms (`Some`) or disarms (`None`) the mesh-pipeline fault override
-    /// mid-run, optionally pinned to one wire — the mesh half of the
-    /// degradation sweep. Seeds decorrelate per `(hop, direction)` exactly
-    /// like [`FabricSim::with_config`].
-    pub fn set_mesh_fault_injection(&mut self, fault: Option<FaultConfig>, hop: Option<u32>) {
-        self.config.mesh_fault = fault;
-        self.config.mesh_fault_hop = hop;
-        self.rearm_fault_injection();
-    }
-
-    /// Re-derives every pipeline's fault schedule from the current config
-    /// (mesh override first, then the plain schedule, else disarm).
-    fn rearm_fault_injection(&mut self) {
+        // Re-derive every pipeline's schedule: mesh override first, then
+        // the plain schedule, else disarm.
         for (i, chip) in self.chips.iter_mut().enumerate() {
             for (h, link) in chip.links.iter_mut().enumerate() {
                 match pipeline_fault_config(self.nodes, i, h, &self.config) {
@@ -887,7 +873,7 @@ impl FabricSim {
     /// Per-link stats of every coherence pipeline, in `(requester, home)`
     /// row-major order (requester != home) — the byte-identity surface of
     /// the run-equivalence tests.
-    #[must_use]
+    #[cfg(test)]
     pub fn pipeline_stats(&self) -> Vec<LinkStats> {
         let mut out = Vec::with_capacity(self.nodes * (self.nodes - 1));
         for (i, chip) in self.chips.iter().enumerate() {
@@ -901,7 +887,7 @@ impl FabricSim {
     }
 
     /// Stats of each chip's local memory link.
-    #[must_use]
+    #[cfg(test)]
     pub fn local_link_stats(&self) -> Vec<LinkStats> {
         self.chips
             .iter()

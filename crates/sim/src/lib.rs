@@ -6,7 +6,8 @@
 //! - [`config`]: the Table IV configuration and compression latencies;
 //! - [`resources`]: the FCFS off-chip link and closed-page DDR3 channel;
 //! - [`thread`]: one in-order thread with private L1/L2 and a compressed
-//!   LLC↔L4 link ([`thread::CompressedLink`] wraps CABLE or a baseline);
+//!   LLC↔L4 link ([`thread::CompressedLink`] holds CABLE or a baseline and
+//!   derefs to their shared [`cable_core::Link`] interface);
 //! - [`single`]: single-threaded latency/energy studies (Figs. 17–18);
 //! - [`throughput`]: the group-of-eight bandwidth-sharing methodology of
 //!   the Fig. 14 throughput studies;
@@ -42,8 +43,13 @@ pub mod numa;
 pub mod resources;
 #[cfg(test)]
 mod run_equivalence;
+// The adversarial line families are shared with cable-compress's oracle
+// tests; test-only items do not cross crates, so the file is included.
 pub mod sched;
 pub mod single;
+#[cfg(test)]
+#[path = "../../compress/src/test_lines.rs"]
+mod test_lines;
 pub mod thread;
 pub mod throughput;
 

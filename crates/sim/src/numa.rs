@@ -150,7 +150,7 @@ impl NumaSim {
     ///
     /// This study is functional, not timed — it measures what the link
     /// compresses, not when — but it now sits on the shared
-    /// [`Scheduler`](crate::Scheduler) event core like every other
+    /// [`crate::Scheduler`] event core like every other
     /// multi-actor loop: the generator is an actor enqueued at its next
     /// operation time (one [`NUMA_OP_PITCH_PS`] per access), so the report
     /// timelines see the same event-driven clock discipline as the timed

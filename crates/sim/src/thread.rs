@@ -15,13 +15,14 @@ use cable_cache::{CacheGeometry, SetAssocCache};
 use cable_common::{Address, LineData};
 use cable_compress::EngineKind;
 use cable_core::{
-    BaselineKind, BaselineLink, BatchAccess, CableConfig, CableLink, FaultConfig, FaultStats,
-    LinkStats, ResyncReport, Transfer, TransferKind,
+    BaselineKind, BaselineLink, BatchAccess, CableConfig, CableLink, FaultConfig, Link, Transfer,
+    TransferKind,
 };
 use cable_energy::ActivityCounts;
 use cable_telemetry::{LatencyRecorder, StageSpans, Telemetry};
 use cable_trace::{WorkloadGen, WorkloadProfile};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A link-compression scheme under evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,6 +66,11 @@ impl fmt::Display for Scheme {
 }
 
 /// A compressed (or uncompressed) LLC↔L4 link of either family.
+///
+/// Every [`Link`] method is reached through `Deref<Target = dyn Link>`.
+/// The link stays a two-variant enum rather than a `Box<dyn Link>` so that
+/// `clone_from` can restore a snapshot into the existing link's storage
+/// (see [`crate::SimArena`]).
 pub enum CompressedLink {
     /// CABLE endpoints.
     Cable(Box<CableLink>),
@@ -100,190 +106,39 @@ impl CompressedLink {
         remote: CacheGeometry,
         link_width_bits: u32,
     ) -> Self {
-        match scheme {
-            Scheme::Uncompressed => CompressedLink::Baseline(Box::new(BaselineLink::new(
-                BaselineKind::Uncompressed,
-                home,
-                remote,
-                link_width_bits,
-            ))),
-            Scheme::Baseline(kind) => CompressedLink::Baseline(Box::new(BaselineLink::new(
-                kind,
-                home,
-                remote,
-                link_width_bits,
-            ))),
+        let kind = match scheme {
+            Scheme::Uncompressed => BaselineKind::Uncompressed,
+            Scheme::Baseline(kind) => kind,
             Scheme::Cable(engine) => {
                 let mut cfg = CableConfig::memory_link_default()
                     .with_geometries(home, remote)
                     .with_engine(engine)
                     .with_link_width(link_width_bits);
                 cfg.data_access_count = 16; // §VI-A: sixteen outside §VI-B
-                CompressedLink::Cable(Box::new(CableLink::new(cfg)))
+                return CompressedLink::Cable(Box::new(CableLink::new(cfg)));
             }
-        }
+        };
+        let link = BaselineLink::new(kind, home, remote, link_width_bits);
+        CompressedLink::Baseline(Box::new(link))
     }
+}
 
-    /// See [`CableLink::request`].
-    pub fn request(&mut self, addr: Address, memory: LineData) -> Transfer {
+impl Deref for CompressedLink {
+    type Target = dyn Link;
+
+    fn deref(&self) -> &Self::Target {
         match self {
-            CompressedLink::Cable(l) => l.request(addr, memory),
-            CompressedLink::Baseline(l) => l.request(addr, memory),
+            CompressedLink::Cable(l) => &**l,
+            CompressedLink::Baseline(l) => &**l,
         }
     }
+}
 
-    /// See [`CableLink::request_exclusive`].
-    pub fn request_exclusive(&mut self, addr: Address, memory: LineData) -> Transfer {
+impl DerefMut for CompressedLink {
+    fn deref_mut(&mut self) -> &mut Self::Target {
         match self {
-            CompressedLink::Cable(l) => l.request_exclusive(addr, memory),
-            CompressedLink::Baseline(l) => l.request_exclusive(addr, memory),
-        }
-    }
-
-    /// See [`CableLink::remote_store`].
-    pub fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
-        match self {
-            CompressedLink::Cable(l) => l.remote_store(addr, data),
-            CompressedLink::Baseline(l) => l.remote_store(addr, data),
-        }
-    }
-
-    /// See [`CableLink::request_batch`]: pushes a slice of accesses through
-    /// the link in one call, appending one [`Transfer`] per element. The
-    /// scheme dispatch happens once per batch instead of once per access.
-    pub fn request_batch(&mut self, batch: &[BatchAccess], transfers: &mut Vec<Transfer>) {
-        match self {
-            CompressedLink::Cable(l) => l.request_batch(batch, transfers),
-            CompressedLink::Baseline(l) => l.request_batch(batch, transfers),
-        }
-    }
-
-    /// Cumulative link statistics.
-    #[must_use]
-    pub fn stats(&self) -> &LinkStats {
-        match self {
-            CompressedLink::Cable(l) => l.stats(),
-            CompressedLink::Baseline(l) => l.stats(),
-        }
-    }
-
-    /// Clears link statistics.
-    pub fn reset_stats(&mut self) {
-        match self {
-            CompressedLink::Cable(l) => l.reset_stats(),
-            CompressedLink::Baseline(l) => l.reset_stats(),
-        }
-    }
-
-    /// Toggles compression (only meaningful for CABLE, §VI-D's control).
-    pub fn set_compression_enabled(&mut self, enabled: bool) {
-        if let CompressedLink::Cable(l) = self {
-            l.set_compression_enabled(enabled);
-        }
-    }
-
-    /// Whether compression is currently enabled (baselines are always on).
-    #[must_use]
-    pub fn compression_enabled(&self) -> bool {
-        match self {
-            CompressedLink::Cable(l) => l.compression_enabled(),
-            CompressedLink::Baseline(_) => true,
-        }
-    }
-
-    /// Arms fault injection on a CABLE link (see
-    /// [`CableLink::enable_fault_injection`]). Baseline links model
-    /// reliable wires and ignore the request — the degradation sweep
-    /// compares CABLE against its own fault-free operating point.
-    pub fn enable_fault_injection(&mut self, cfg: FaultConfig) {
-        if let CompressedLink::Cable(l) = self {
-            l.enable_fault_injection(cfg);
-        }
-    }
-
-    /// Disarms fault injection on a CABLE link, settling synchronization
-    /// debt first (see [`CableLink::disable_fault_injection`]). A no-op
-    /// for baselines.
-    pub fn disable_fault_injection(&mut self) {
-        if let CompressedLink::Cable(l) = self {
-            l.disable_fault_injection();
-        }
-    }
-
-    /// Tags a CABLE link as one directional pipeline of mesh wire `hop`
-    /// (see [`CableLink::set_wire_hop`]): its fault-protocol counters
-    /// then also publish under `mesh.hop.{hop}.*`. Purely observational;
-    /// a no-op for baselines.
-    pub fn set_wire_hop(&mut self, hop: u32) {
-        if let CompressedLink::Cable(l) = self {
-            l.set_wire_hop(hop);
-        }
-    }
-
-    /// Switches the escalated reliable delivery mode (the degradation
-    /// ladder's `LinkOff` rung; see [`CableLink::set_reliable_mode`]).
-    /// Baselines already model reliable wires and ignore the request.
-    pub fn set_reliable_mode(&mut self, reliable: bool) {
-        if let CompressedLink::Cable(l) = self {
-            l.set_reliable_mode(reliable);
-        }
-    }
-
-    /// Whether escalated reliable delivery is active (never, for
-    /// baselines).
-    #[must_use]
-    pub fn reliable_mode(&self) -> bool {
-        match self {
-            CompressedLink::Cable(l) => l.reliable_mode(),
-            CompressedLink::Baseline(_) => false,
-        }
-    }
-
-    /// Fault-injection statistics, if this is a CABLE link in fault mode.
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        match self {
-            CompressedLink::Cable(l) => l.fault_stats(),
-            CompressedLink::Baseline(_) => None,
-        }
-    }
-
-    /// Bits retransmitted by fault recovery so far (0 for baselines and
-    /// reliable CABLE links); see
-    /// [`CableLink::retransmitted_wire_bits`]. The latency attribution
-    /// reads deltas of this to split the retry span out of wire time.
-    #[must_use]
-    pub fn retransmitted_wire_bits(&self) -> u64 {
-        match self {
-            CompressedLink::Cable(l) => l.retransmitted_wire_bits(),
-            CompressedLink::Baseline(l) => l.retransmitted_wire_bits(),
-        }
-    }
-
-    /// Audits home/remote synchronization (see
-    /// [`CableLink::audit_and_resync`]); a no-op report for baselines.
-    pub fn audit_and_resync(&mut self) -> ResyncReport {
-        match self {
-            CompressedLink::Cable(l) => l.audit_and_resync(),
-            CompressedLink::Baseline(_) => ResyncReport::default(),
-        }
-    }
-
-    /// Attaches a [`Telemetry`] handle to the link endpoints (see
-    /// [`CableLink::set_telemetry`]).
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        match self {
-            CompressedLink::Cable(l) => l.set_telemetry(tel),
-            CompressedLink::Baseline(l) => l.set_telemetry(tel),
-        }
-    }
-
-    /// The link's telemetry handle (disabled unless attached).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        match self {
-            CompressedLink::Cable(l) => l.telemetry(),
-            CompressedLink::Baseline(l) => l.telemetry(),
+            CompressedLink::Cable(l) => &mut **l,
+            CompressedLink::Baseline(l) => &mut **l,
         }
     }
 }
@@ -326,7 +181,7 @@ pub struct ThreadSim {
     /// resolved once when an enabled telemetry handle attaches. `None`
     /// keeps the uninstrumented hot path span-free.
     lat: Option<LatencyRecorder>,
-    /// Reusable transfer buffer for [`CompressedLink::request_batch`] — the
+    /// Reusable transfer buffer for [`Link::request_batch`] — the
     /// step loop issues its link requests through the batch entry point.
     xfers: Vec<Transfer>,
 }
@@ -707,7 +562,10 @@ impl fmt::Debug for ThreadSim {
 mod tests {
     use super::*;
     use crate::resources::{DramModel, SharedLink};
+    use cable_core::BatchOp;
     use cable_trace::by_name;
+    use proptest::prelude::*;
+    use proptest::{array, collection};
 
     fn run(scheme: Scheme, name: &str, steps: usize) -> ThreadSim {
         let cfg = SystemConfig::paper_defaults();
@@ -945,5 +803,71 @@ mod tests {
         assert_eq!(Scheme::Uncompressed.label(), "Uncompressed");
         assert_eq!(Scheme::Baseline(BaselineKind::Gzip).label(), "gzip");
         assert_eq!(Scheme::Cable(EngineKind::Lbe).label(), "CABLE+LBE");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `request_batch` is the per-call loop it documents, for every
+        /// scheme: a batch and the matching `request` / `request_exclusive`
+        /// + `remote_store` calls, run on two clones of one warmed link,
+        /// give equal transfers and equal statistics, and CABLE's
+        /// synchronization invariants hold after the batch. Small caches
+        /// and a 256-line address range keep hits, evictions and dirty
+        /// write-backs in every case.
+        #[test]
+        fn prop_request_batch_matches_the_per_call_loop(
+            (refs, line) in crate::test_lines::family_case(),
+            random in collection::vec(array::uniform16(prop_oneof![Just(0u32), any::<u32>()]), 1..6),
+            ops in collection::vec((0u8..3, 0u64..256, any::<u32>(), any::<u32>()), 1..80),
+        ) {
+            let mut pool = refs;
+            pool.push(line);
+            pool.extend(random.into_iter().map(LineData::from_words));
+            let pick = |i: u32| pool[i as usize % pool.len()];
+            let batch: Vec<BatchAccess> = ops
+                .iter()
+                .map(|&(op, line_no, memory, store)| {
+                    let addr = Address::from_line_number(line_no);
+                    match op {
+                        0 => BatchAccess::read(addr, pick(memory)),
+                        1 => BatchAccess::exclusive(addr, pick(memory)),
+                        _ => BatchAccess::write(addr, pick(memory), pick(store)),
+                    }
+                })
+                .collect();
+            let schemes = std::iter::once(Scheme::Uncompressed)
+                .chain(BaselineKind::ALL.map(Scheme::Baseline))
+                .chain(EngineKind::ALL.map(Scheme::Cable));
+            for scheme in schemes {
+                let mut warmed = CompressedLink::build(
+                    scheme,
+                    CacheGeometry::new(8 << 10, 4),
+                    CacheGeometry::new(2 << 10, 2),
+                    16,
+                );
+                warmed.request_batch(&batch, &mut Vec::new());
+                let (mut batched, mut looped) = (warmed.clone(), warmed);
+                let mut via_batch = Vec::new();
+                batched.request_batch(&batch, &mut via_batch);
+                let via_loop: Vec<Transfer> = batch
+                    .iter()
+                    .map(|a| match a.op {
+                        BatchOp::Read => looped.request(a.addr, a.memory),
+                        BatchOp::Exclusive => looped.request_exclusive(a.addr, a.memory),
+                        BatchOp::Write(store) => {
+                            let t = looped.request_exclusive(a.addr, a.memory);
+                            looped.remote_store(a.addr, store);
+                            t
+                        }
+                    })
+                    .collect();
+                prop_assert_eq!(&via_batch, &via_loop, "{}", scheme);
+                prop_assert_eq!(batched.stats(), looped.stats(), "{}", scheme);
+                if let CompressedLink::Cable(l) = &batched {
+                    prop_assert_eq!(l.check_invariants(), Ok(()), "{}", scheme);
+                }
+            }
+        }
     }
 }

@@ -251,33 +251,6 @@ impl Telemetry {
         }
     }
 
-    /// Events drained to the streaming sink so far.
-    #[must_use]
-    pub fn drained_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.tracer.drained(),
-            None => 0,
-        }
-    }
-
-    /// Total events ever recorded (buffered + drained + dropped).
-    #[must_use]
-    pub fn recorded_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.tracer.recorded(),
-            None => 0,
-        }
-    }
-
-    /// Forces a drain of buffered events to the streaming sink; returns
-    /// how many were written (0 without a sink).
-    pub fn drain_events(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.tracer.drain(),
-            None => 0,
-        }
-    }
-
     /// Ends a streaming export: drains the remaining events, hands the
     /// sink the final metrics snapshot, and releases it. Returns
     /// `(events_total, dropped)`. A no-op `Ok((0, 0))` on disabled or

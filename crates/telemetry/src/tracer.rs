@@ -1,7 +1,7 @@
 //! The bounded sim-time event tracer.
 //!
 //! One fixed-capacity ring buffer per exporter track (see
-//! [`TRACKS`](crate::event::TRACKS)): pushes past a track's capacity
+//! [`crate::event::TRACKS`]): pushes past a track's capacity
 //! evict that track's oldest event and count it as dropped, so a long
 //! run keeps the *most recent* window of activity per track at a bounded
 //! memory cost — a chatty track (encode outcomes) can no longer evict a

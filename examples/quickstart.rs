@@ -5,7 +5,7 @@
 //! ```
 
 use cable::common::{Address, LineData};
-use cable::core::{CableConfig, CableLink, TransferKind};
+use cable::core::{CableConfig, CableLink, Link, TransferKind};
 
 fn main() {
     // A CABLE-compressed link between a 1 MB LLC (remote) and a 4 MB L4

@@ -5,7 +5,7 @@
 //! downstream users can depend on a single crate:
 //!
 //! - [`common`]: 64-byte [`common::LineData`], addresses, bitstreams.
-//! - [`cache`]: set-associative caches and inclusive home/remote pairs.
+//! - [`cache`]: set-associative caches, LineIDs and coherence states.
 //! - [`compress`]: CPACK, BDI, LBE, LZSS ("gzip"), Oracle engines.
 //! - [`core`]: the CABLE framework — signatures, hash table, Way-Map Table,
 //!   search pipeline, DIFF codec, and the compressed link endpoints.
@@ -16,7 +16,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use cable::core::{CableConfig, CableLink};
+//! use cable::core::{CableConfig, CableLink, Link};
 //! use cable::common::LineData;
 //!
 //! // A home cache (e.g. off-chip L4) talking to a remote cache (on-chip LLC)

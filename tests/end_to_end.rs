@@ -4,7 +4,7 @@
 
 use cable::common::{Address, LineData};
 use cable::compress::EngineKind;
-use cable::core::{BaselineKind, CableConfig, CableLink, TransferKind};
+use cable::core::{BaselineKind, CableConfig, CableLink, Link, TransferKind};
 use cable::sim::{CompressedLink, Scheme};
 use cable::trace::WorkloadGen;
 use cable_cache::CacheGeometry;

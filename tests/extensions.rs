@@ -5,7 +5,7 @@
 use cable::cache::CacheGeometry;
 use cable::common::{Address, LineData};
 use cable::core::ooo::{OooLink, Resolution};
-use cable::core::{CableConfig, CableLink, SuperWmt, TransferKind};
+use cable::core::{CableConfig, CableLink, Link, SuperWmt, TransferKind};
 use cable::trace::WorkloadGen;
 use cable_cache::LineId;
 

@@ -5,10 +5,8 @@
 //! format documentation together).
 
 use cable::common::{Address, LineData};
-use cable::compress::{
-    Bdi, Compressor, Cpack, EngineKind, Lbe, Lzss, Oracle, SeededCompressor, Zce,
-};
-use cable::core::{CableConfig, CableLink, TransferKind};
+use cable::compress::{Bdi, Compressor, Cpack, EngineKind, Lbe, Lzss, Oracle, SeededCompressor};
+use cable::core::{CableConfig, CableLink, Link, TransferKind};
 
 fn object_line() -> LineData {
     LineData::from_words(core::array::from_fn(|i| 0x0400_0000 + (i as u32) * 0x111))
@@ -31,11 +29,6 @@ fn golden_engine_payload_bits() {
     let mut bdi = Bdi::new();
     assert_eq!(bdi.compress(&zero).len_bits(), 4);
     assert_eq!(bdi.compress(&splat).len_bits(), 4 + 64);
-
-    // ZCE.
-    let mut zce = Zce::new();
-    assert_eq!(zce.compress(&zero).len_bits(), 16);
-    assert_eq!(zce.compress(&splat).len_bits(), 16 + 16 * 32);
 
     // LBE unseeded.
     let lbe = Lbe::seeded();
