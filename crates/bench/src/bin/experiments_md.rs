@@ -4,350 +4,12 @@
 //! table/figure's measured headline numbers with the paper's published
 //! values and the reproduction verdict.
 
-use cable_bench::report::{load_json, LoadedFigure};
-use std::fmt::Write as _;
+use cable_bench::experiments::experiments_md;
 use std::fs;
-
-fn load(id: &str) -> Option<LoadedFigure> {
-    let text = fs::read_to_string(format!("results/{id}.json")).ok()?;
-    match load_json(&text) {
-        Ok(f) => Some(f),
-        Err(e) => {
-            eprintln!("warning: cannot parse results/{id}.json: {e}");
-            None
-        }
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or("n/a".into(), |v| format!("{v:.2}"))
-}
+use std::path::Path;
 
 fn main() {
-    let mut out = String::new();
-    let w = &mut out;
-
-    writeln!(w, "# EXPERIMENTS — paper vs. measured\n").unwrap();
-    writeln!(
-        w,
-        "Generated by `cargo run --release -p cable-bench --bin experiments_md` \
-         from the `results/*.json` files written by `all_figures`.\n\n\
-         Workloads are synthetic SPEC2006 stand-ins (DESIGN.md, substitution 1), so\n\
-         **absolute values are not expected to match**; the reproduction target is\n\
-         the *shape*: orderings, winners, crossovers, and trend directions.\n"
-    )
-    .unwrap();
-
-    writeln!(w, "| Experiment | Paper | Measured | Shape verdict |").unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-
-    // --- Fig. 3 --------------------------------------------------------
-    if let Some(f) = load("fig03") {
-        let small = f.value("64B", "Ideal");
-        let big = f.value("16777216B", "Ideal");
-        let big_ptr = f.value("16777216B", "Ideal+Pointer");
-        let small_ptr = f.value("64B", "Ideal+Pointer");
-        let grows = matches!((small, big), (Some(s), Some(b)) if b > s * 1.2);
-        let flat = matches!((small_ptr, big_ptr), (Some(s), Some(b)) if b < s * 1.25);
-        writeln!(w,
-            "| Fig. 3 dictionary scaling | Ideal grows with dictionary; with pointers, flat | Ideal {}→{}; +Pointer {}→{} | {} |",
-            fmt_opt(small), fmt_opt(big), fmt_opt(small_ptr), fmt_opt(big_ptr),
-            if grows && flat { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Figs. 11/12 ------------------------------------------------------
-    if let Some(f) = load("fig12") {
-        let cable = f.value("MEAN(all)", "CABLE+LBE");
-        let cpack = f.value("MEAN(all)", "CPACK");
-        let gzip = f.value("MEAN(all)", "gzip");
-        let rel = match (cable, cpack) {
-            (Some(a), Some(b)) => Some(a / b),
-            _ => None,
-        };
-        let ok =
-            rel.is_some_and(|r| r > 1.5) && matches!((cable, gzip), (Some(c), Some(g)) if c > g);
-        writeln!(w,
-            "| Fig. 12 off-chip ratios | CABLE 8.2x, CPACK 4.5x (CABLE/CPACK = 1.82); CABLE ≥ gzip overall | CABLE {}, CPACK {}, gzip {} (CABLE/CPACK = {}) | {} |",
-            fmt_opt(cable), fmt_opt(cpack), fmt_opt(gzip), fmt_opt(rel),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-        // gzip wins a few benchmarks.
-        let gzip_wins = f
-            .rows
-            .iter()
-            .filter(|(l, _)| !l.starts_with("MEAN"))
-            .filter(|(l, _)| {
-                matches!(
-                    (f.value(l, "gzip"), f.value(l, "CABLE+LBE")),
-                    (Some(g), Some(c)) if g > c
-                )
-            })
-            .count();
-        writeln!(w,
-            "| Fig. 11 vs gzip per benchmark | \"CABLE only loses to gzip in a few benchmarks\" | gzip wins {gzip_wins} of 28 | {} |",
-            if (1..=8).contains(&gzip_wins) { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-        // Zero-dominant group saturates.
-        let easy: Vec<f64> = ["mcf", "lbm", "libquantum", "milc", "bwaves", "GemsFDTD"]
-            .iter()
-            .filter_map(|n| f.value(n, "CABLE+LBE"))
-            .collect();
-        let easy_min = easy.iter().cloned().fold(f64::MAX, f64::min);
-        let easy_max = easy.iter().cloned().fold(0.0f64, f64::max);
-        writeln!(w,
-            "| Fig. 12 zero-dominant group | all schemes \"consistently reaching 16x and higher\" | CABLE {easy_min:.1}–{easy_max:.1} (link cap 32x) | PARTIAL (same saturation shape, lower floor) |",
-        ).unwrap();
-    }
-
-    // --- Fig. 13 ---------------------------------------------------------
-    if let Some(f) = load("fig13") {
-        let cable = f.value("MEAN(all)", "CABLE+LBE");
-        let cpack = f.value("MEAN(all)", "CPACK");
-        let rel = match (cable, cpack) {
-            (Some(a), Some(b)) => Some(a / b),
-            _ => None,
-        };
-        writeln!(w,
-            "| Fig. 13 coherence link | CABLE+LBE 10.6x, 86.4% over CPACK; slightly below the memory link | CABLE {}, CPACK {} (+{}%) | {} |",
-            fmt_opt(cable), fmt_opt(cpack),
-            rel.map_or("n/a".into(), |r| format!("{:.0}", (r - 1.0) * 100.0)),
-            if rel.is_some_and(|r| r > 1.4) { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 14 ---------------------------------------------------------
-    if let Some(f) = load("fig14a") {
-        let cable = f.value("MEAN", "CABLE+LBE");
-        let mcf = f.value("mcf", "CABLE+LBE");
-        let povray = f.value("povray", "CABLE+LBE");
-        let ok = matches!((mcf, povray), (Some(m), Some(p)) if m > 2.0 && p < 1.5);
-        writeln!(w,
-            "| Fig. 14a throughput @2048T | avg 3.78x; memory-bound (mcf/lbm) largest, compute-bound ≈ 1x | avg {}, mcf {}, povray {} | {} |",
-            fmt_opt(cable), fmt_opt(mcf), fmt_opt(povray),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-    if let Some(f) = load("fig14b") {
-        let low = f.value("256 threads", "CABLE+LBE");
-        let high = f.value("2048 threads", "CABLE+LBE");
-        let ok = matches!((low, high), (Some(l), Some(h)) if h > l * 1.3 && l < 1.6);
-        writeln!(w,
-            "| Fig. 14b speedup vs threads | marginal at 256, large at 2048 | 256T {}, 2048T {} | {} |",
-            fmt_opt(low), fmt_opt(high),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 15 ---------------------------------------------------------
-    if let Some(f) = load("fig15") {
-        let cs = f.value("MEAN", "CABLE-Single");
-        let cm = f.value("MEAN", "CABLE-Multi4");
-        let gs = f.value("MEAN", "gzip-Single");
-        let gm = f.value("MEAN", "gzip-Multi4");
-        let cable_gain = match (cs, cm) {
-            (Some(s), Some(m)) => Some((m / s - 1.0) * 100.0),
-            _ => None,
-        };
-        let gzip_gain = match (gs, gm) {
-            (Some(s), Some(m)) => Some((m / s - 1.0) * 100.0),
-            _ => None,
-        };
-        let ok = cable_gain.is_some_and(|g| g > 5.0)
-            && matches!((cable_gain, gzip_gain), (Some(c), Some(g)) if c > g);
-        writeln!(w,
-            "| Fig. 15 cooperative Multi4 | CABLE +60%, gzip smaller/negative; namd loses for both | CABLE {}%, gzip {}% (namd negative for both) | {} |",
-            cable_gain.map_or("n/a".into(), |v| format!("{v:+.0}")),
-            gzip_gain.map_or("n/a".into(), |v| format!("{v:+.0}")),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 16 ---------------------------------------------------------
-    if let Some(f) = load("fig16") {
-        let gzip = f.value("MEAN", "gzip");
-        let cable = f.value("MEAN", "CABLE+LBE");
-        let ok = matches!((gzip, cable), (Some(g), Some(c)) if g < 1.0 && c >= g && c > 0.95);
-        writeln!(w,
-            "| Fig. 16 destructive mixes | gzip up to -25% (pollution); CABLE maintains, up to +35% | gzip mean {}, CABLE mean {} | {} |",
-            fmt_opt(gzip), fmt_opt(cable),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 17 ---------------------------------------------------------
-    if let Some(f) = load("fig17") {
-        let cpack = f.value("MEAN", "CPACK");
-        let gzip = f.value("MEAN", "gzip");
-        let cable = f.value("MEAN", "CABLE+LBE");
-        let ordered = matches!((cpack, cable, gzip), (Some(c), Some(a), Some(g)) if c < a && a < g);
-        writeln!(w,
-            "| Fig. 17 latency degradation | proportional to comp+decomp cycles (CPACK 16 < CABLE 48 < gzip 96); CABLE ~5% | CPACK {}%, CABLE {}%, gzip {}% | {} |",
-            fmt_opt(cpack), fmt_opt(cable), fmt_opt(gzip),
-            if ordered { "REPRODUCED (ordering; magnitudes ~3-4x paper — our miss path is shallower, see DESIGN.md)" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 18 ---------------------------------------------------------
-    if let Some(f) = load("fig18") {
-        let norm = f.value("MEAN", "CABLE/base");
-        let link_share = f.value("MEAN", "base link share");
-        let ok = norm.is_some_and(|n| n < 1.0) && link_share.is_some_and(|s| s > 0.08);
-        writeln!(w,
-            "| Fig. 18 energy | ~16% net savings; link ≈ 20% of memory-subsystem energy | CABLE/base {}, base link share {} | {} |",
-            fmt_opt(norm), fmt_opt(link_share),
-            if ok { "REPRODUCED (direction; smaller savings — DRAM-heavier mix)" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 19 ---------------------------------------------------------
-    if let Some(f) = load("fig19a") {
-        let small = f.value("LLC 128KB", "CABLE+LBE");
-        let large = f.value("LLC 2048KB", "CABLE+LBE");
-        let ok = matches!((small, large), (Some(s), Some(l)) if l >= s && l < s * 1.6);
-        writeln!(w,
-            "| Fig. 19a cache sizes | ratios mostly static, slightly better with larger caches | CABLE 128KB {}, 2MB {} | {} |",
-            fmt_opt(small), fmt_opt(large),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-    if let Some(f) = load("fig19b") {
-        let r2 = f.value("1:2", "CABLE+LBE");
-        let r8 = f.value("1:8", "CABLE+LBE");
-        let ok = matches!((r2, r8), (Some(a), Some(b)) if (a / b - 1.0).abs() < 0.05);
-        writeln!(w,
-            "| Fig. 19b L4 ratio | averages vary within 1% (dictionary = smaller cache) | 1:2 {}, 1:8 {} | {} |",
-            fmt_opt(r2), fmt_opt(r8),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 20 ---------------------------------------------------------
-    if let Some(f) = load("fig20") {
-        let cpack = f.value("MEAN", "CABLE+CPACK128");
-        let lbe = f.value("MEAN", "CABLE+LBE");
-        let gzip = f.value("MEAN", "CABLE+gzip");
-        let oracle = f.value("MEAN", "CABLE+ORACLE");
-        let ok = matches!(
-            (lbe, gzip, oracle),
-            (Some(l), Some(g), Some(o)) if l > g && o > l
-        );
-        writeln!(w,
-            "| Fig. 20 engines | LBE > gzip > CPACK128; ORACLE shows headroom | CPACK128 {}, LBE {}, gzip {}, ORACLE {} | {} |",
-            fmt_opt(cpack), fmt_opt(lbe), fmt_opt(gzip), fmt_opt(oracle),
-            if ok { "REPRODUCED (LBE ≈ CPACK128 here; word-aligned content)" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 21 ---------------------------------------------------------
-    if let Some(f) = load("fig21") {
-        let eighth = f.value("1/8x", "vs 2x");
-        let extreme = f.value("1/2048x", "vs 2x");
-        let ok = eighth.is_some_and(|v| v > 0.9) && extreme.is_some_and(|v| v > 0.5);
-        writeln!(w,
-            "| Fig. 21 hash-table size | graceful; 1/8x within 7% worst-case | 1/8x {}, 1/2048x {} (of the 2x table) | {} |",
-            fmt_opt(eighth), fmt_opt(extreme),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 22 ---------------------------------------------------------
-    if let Some(f) = load("fig22") {
-        let one = f.value("1 accesses", "vs 64");
-        let ok = one.is_some_and(|v| v > 0.8);
-        writeln!(w,
-            "| Fig. 22 data accesses | 1 access within 80% of 64 (pre-rank filters collisions) | 1 access at {} of 64 | {} |",
-            fmt_opt(one),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Fig. 23 ---------------------------------------------------------
-    if let Some(f) = load("fig23") {
-        let w16 = f.value("16-bit", "CABLE+LBE");
-        let w64 = f.value("64-bit", "CABLE+LBE");
-        let packed = f.value("64-bit Packed", "CABLE+LBE");
-        let ok = matches!(
-            (w16, w64, packed),
-            (Some(a), Some(b), Some(p)) if a > b && p > b
-        );
-        writeln!(w,
-            "| Fig. 23 link width | narrow links best; packed transport recovers wide-link loss | 16b {}, 64b {}, 64b packed {} | {} |",
-            fmt_opt(w16), fmt_opt(w64), fmt_opt(packed),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Toggles -----------------------------------------------------------
-    if let Some(f) = load("toggles") {
-        let cable = f.value("MEAN", "CABLE+LBE");
-        let cpack = f.value("MEAN", "CPACK");
-        let ok = matches!((cable, cpack), (Some(a), Some(b)) if a > b && a > 0.2);
-        writeln!(w,
-            "| §VI-D bit toggles | CABLE reduces toggles 30.2%, 16.9 points more than CPACK | CABLE {}%, CPACK {}% | {} |",
-            cable.map_or("n/a".into(), |v| format!("{:.0}", v * 100.0)),
-            cpack.map_or("n/a".into(), |v| format!("{:.0}", v * 100.0)),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    // --- Adaptive ----------------------------------------------------------
-    if let Some(f) = load("adaptive") {
-        let on = f.value("MEAN", "always-on");
-        let ctl = f.value("MEAN", "controlled");
-        let ok = matches!((on, ctl), (Some(a), Some(c)) if c < a * 0.5);
-        writeln!(w,
-            "| §VI-D on/off control | single-thread degradation \"effectively nullified\" | always-on {}% → controlled {}% | {} |",
-            fmt_opt(on), fmt_opt(ctl),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        ).unwrap();
-    }
-
-    if let Some(f) = load("adaptive_throughput") {
-        let delta = f.value("MEAN", "delta %");
-        let ok = delta.is_some_and(|d| d.abs() < 6.0);
-        writeln!(
-            w,
-            "| §VI-D control at 2048T | throughput decreases only 2.3% on average | {}% | {} |",
-            fmt_opt(delta),
-            if ok { "REPRODUCED" } else { "PARTIAL" }
-        )
-        .unwrap();
-    }
-
-    // --- Tables ------------------------------------------------------------
-    if let Some(f) = load("table03") {
-        let ht = f.value("Hash table %", "buffer");
-        let wmt = f.value("Way-map table %", "buffer");
-        let lid = f.value("RemoteLID bits", "buffer");
-        let ok = ht.is_some_and(|v| (v - 1.76).abs() < 0.1)
-            && wmt.is_some_and(|v| (v - 0.4).abs() < 0.05)
-            && lid == Some(17.0);
-        writeln!(w,
-            "| Table III area | buffer hash 1.76%, WMT 0.4%, 17-bit RemoteLIDs; on-chip 3.32% | hash {}%, WMT {}%, {} bits | {} |",
-            fmt_opt(ht), fmt_opt(wmt), fmt_opt(lid),
-            if ok { "REPRODUCED (exact arithmetic)" } else { "PARTIAL" }
-        ).unwrap();
-    }
-    writeln!(w,
-        "| Tables II/IV/V constants | energy scales, system config, power params | echoed verbatim by `table02/04/05` | REPRODUCED |"
-    ).unwrap();
-
-    writeln!(w, "\n## Reading the verdicts\n").unwrap();
-    writeln!(
-        w,
-        "- **REPRODUCED**: the paper's qualitative claim (ordering, winner,\n\
-         trend direction, crossover) holds in our measurement.\n\
-         - **PARTIAL**: the direction holds but the magnitude band differs, or\n\
-         only part of the claim is observable at our study sizes.\n\n\
-         Systematic magnitude differences and their causes are catalogued in\n\
-         DESIGN.md (\"Implementation notes & deliberate deviations\"): synthetic\n\
-         content carries a designed floor of incompressible lines, the timing\n\
-         model's miss path is shallower than the authors' testbed, and baseline\n\
-         framing/quantization choices are documented there.\n"
-    )
-    .unwrap();
-
+    let out = experiments_md(Path::new("results"));
     fs::write("EXPERIMENTS.md", &out).expect("write EXPERIMENTS.md");
     println!("{out}");
     println!("wrote EXPERIMENTS.md");

@@ -121,13 +121,6 @@ impl LineData {
         self.0.iter().all(|&b| b == 0)
     }
 
-    /// Counts the 32-bit words of `self` that exactly equal the corresponding
-    /// word of `other` (the "coverage" metric of §III-C, before combining).
-    #[must_use]
-    pub fn matching_words(&self, other: &LineData) -> u32 {
-        self.coverage_vector(other).count_ones()
-    }
-
     /// Computes the 16-bit coverage bit vector (CBV) of `candidate` against
     /// `self`: bit `i` is set when word `i` matches exactly (§III-C).
     ///
@@ -222,7 +215,7 @@ mod tests {
         b.set_word(15, 99);
         let cbv = a.coverage_vector(&b);
         assert_eq!(cbv, 0b0111_1111_1111_1110);
-        assert_eq!(a.matching_words(&b), 14);
+        assert_eq!(cbv.count_ones(), 14);
     }
 
     #[test]

@@ -213,6 +213,7 @@ impl Bdi {
     }
 
     /// Compressed size in bits for `line` (without round-tripping).
+    #[cfg(test)]
     #[must_use]
     pub fn compressed_bits(line: &LineData) -> usize {
         let enc = Self::pick_encoding(line);

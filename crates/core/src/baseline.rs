@@ -189,18 +189,6 @@ impl BaselineLink {
         }
     }
 
-    /// The scheme driving this link.
-    #[must_use]
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
-
-    /// The remote (smaller) cache.
-    #[must_use]
-    pub fn remote(&self) -> &SetAssocCache {
-        &self.remote
-    }
-
     fn request_in_state(
         &mut self,
         addr: Address,

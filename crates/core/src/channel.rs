@@ -32,7 +32,7 @@
 //! assert_eq!(again.transmit(&frame, 128).bytes, tx.bytes);
 //! ```
 
-use crate::evict_buffer::EvictionBuffer;
+use crate::evict_buffer::{EvictionBuffer, EVICT_BUFFER_CAPACITY};
 use cable_cache::LineId;
 use cable_common::{div_ceil, Address, SplitMix64};
 use std::collections::{BTreeSet, VecDeque};
@@ -58,8 +58,6 @@ pub struct FaultConfig {
     pub compressed_retries: u32,
     /// Raw retransmissions before escalating to the reliable path.
     pub raw_retries: u32,
-    /// Capacity of the remote eviction buffer (§IV-A) in fault mode.
-    pub evict_buffer_capacity: usize,
 }
 
 impl FaultConfig {
@@ -76,7 +74,6 @@ impl FaultConfig {
             delay_ops: 16,
             compressed_retries: 2,
             raw_retries: 32,
-            evict_buffer_capacity: 64,
         }
     }
 
@@ -94,7 +91,7 @@ impl FaultConfig {
         }
     }
 
-    /// Validates probability ranges and structural parameters.
+    /// Validates probability ranges.
     ///
     /// # Errors
     ///
@@ -110,9 +107,6 @@ impl FaultConfig {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} = {p} is not a probability"));
             }
-        }
-        if self.evict_buffer_capacity == 0 {
-            return Err("evict_buffer_capacity must be at least 1".into());
         }
         Ok(())
     }
@@ -354,12 +348,6 @@ impl ResyncReport {
             + self.scrubbed_home_sigs
             + self.scrubbed_remote_sigs
     }
-
-    /// True if the audit found nothing to repair.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.total_repairs() == 0
-    }
 }
 
 impl fmt::Display for ResyncReport {
@@ -425,7 +413,7 @@ impl FaultState {
     pub fn new(cfg: FaultConfig) -> Self {
         FaultState {
             channel: FaultyChannel::new(cfg),
-            evict_buffer: EvictionBuffer::new(cfg.evict_buffer_capacity),
+            evict_buffer: EvictionBuffer::new(EVICT_BUFFER_CAPACITY),
             pending: VecDeque::new(),
             op: 0,
             processed: BTreeSet::new(),

@@ -8,15 +8,24 @@
 //! cache echoes the last EvictSeq it has processed in its responses, which
 //! tells the remote cache which buffer entries are safe to drop. This works
 //! "even with an out-of-order link transport such as Intel's QPI".
+//!
+//! [`crate::CableLink`]'s fault path is the only user: it buffers every
+//! clean remote eviction and resolves a fill reference to an empty remote
+//! slot from here.
 
 use cable_cache::LineId;
 use cable_common::{Address, LineData};
 use std::collections::VecDeque;
 use std::fmt;
 
+/// Entries the remote's eviction buffer holds in fault mode. When it is
+/// full the oldest unacknowledged eviction is dropped; a reference to it
+/// then fails at the receiver and is resent raw.
+pub(crate) const EVICT_BUFFER_CAPACITY: usize = 64;
+
 /// One buffered eviction awaiting home-side acknowledgement.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BufferedEviction {
+pub(crate) struct BufferedEviction {
     /// Sequence number assigned at eviction time.
     pub seq: u64,
     /// Line-aligned address of the evicted line.
@@ -28,24 +37,8 @@ pub struct BufferedEviction {
 }
 
 /// The remote cache's eviction buffer.
-///
-/// # Examples
-///
-/// ```
-/// use cable_core::evict_buffer::EvictionBuffer;
-/// use cable_cache::LineId;
-/// use cable_common::{Address, LineData};
-///
-/// let mut buf = EvictionBuffer::new(8);
-/// let seq = buf.insert(Address::new(0x40), LineId::new(1, 0), LineData::splat_word(7));
-/// // A stale reference to the evicted slot still resolves...
-/// assert!(buf.lookup_by_line_id(LineId::new(1, 0)).is_some());
-/// // ...until the home cache acknowledges the eviction.
-/// buf.acknowledge(seq);
-/// assert!(buf.lookup_by_line_id(LineId::new(1, 0)).is_none());
-/// ```
 #[derive(Clone)]
-pub struct EvictionBuffer {
+pub(crate) struct EvictionBuffer {
     entries: VecDeque<BufferedEviction>,
     capacity: usize,
     next_seq: u64,
@@ -60,7 +53,7 @@ impl EvictionBuffer {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer must hold at least one eviction");
         EvictionBuffer {
             entries: VecDeque::with_capacity(capacity),
@@ -79,7 +72,7 @@ impl EvictionBuffer {
     /// If the buffer is full the oldest entry is dropped and counted as an
     /// overflow — in hardware this case is prevented by back-pressuring
     /// evictions until an acknowledgement arrives.
-    pub fn insert(&mut self, addr: Address, line_id: LineId, data: LineData) -> u64 {
+    pub(crate) fn insert(&mut self, addr: Address, line_id: LineId, data: LineData) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.entries.len() == self.capacity {
@@ -102,7 +95,7 @@ impl EvictionBuffer {
     /// The acknowledged watermark is monotone: a stale or duplicated ack
     /// (an out-of-order link may reorder responses) can never regress it,
     /// and future sequences are clamped to what has actually been issued.
-    pub fn acknowledge(&mut self, acked: u64) {
+    pub(crate) fn acknowledge(&mut self, acked: u64) {
         let acked = acked.min(self.next_seq - 1);
         if acked <= self.acked_up_to {
             return;
@@ -114,14 +107,16 @@ impl EvictionBuffer {
     }
 
     /// The highest EvictSeq the home cache has acknowledged (0 = none).
+    #[cfg(test)]
     #[must_use]
-    pub fn acked_up_to(&self) -> u64 {
+    pub(crate) fn acked_up_to(&self) -> u64 {
         self.acked_up_to
     }
 
     /// Configured capacity in entries.
+    #[cfg(test)]
     #[must_use]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -129,44 +124,48 @@ impl EvictionBuffer {
     /// remote slot whose line was just evicted; the buffered copy is used
     /// for decompression instead.
     #[must_use]
-    pub fn lookup_by_line_id(&self, line_id: LineId) -> Option<&BufferedEviction> {
+    pub(crate) fn lookup_by_line_id(&self, line_id: LineId) -> Option<&BufferedEviction> {
         // Newest entry wins if the slot was recycled multiple times.
         self.entries.iter().rev().find(|e| e.line_id == line_id)
     }
 
     /// Iterates the buffered evictions, oldest first.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &BufferedEviction> {
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &BufferedEviction> {
         self.entries.iter()
     }
 
     /// Resolves a buffered eviction by address.
+    #[cfg(test)]
     #[must_use]
-    pub fn lookup_by_addr(&self, addr: Address) -> Option<&BufferedEviction> {
+    pub(crate) fn lookup_by_addr(&self, addr: Address) -> Option<&BufferedEviction> {
         let addr = addr.line_aligned();
         self.entries.iter().rev().find(|e| e.addr == addr)
     }
 
     /// The EvictSeq that will be assigned to the next eviction.
     #[must_use]
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Unacknowledged evictions currently held.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True if no evictions are pending acknowledgement.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Evictions dropped because the buffer was full.
+    #[cfg(test)]
     #[must_use]
-    pub fn overflows(&self) -> u64 {
+    pub(crate) fn overflows(&self) -> u64 {
         self.overflows
     }
 }
@@ -175,10 +174,11 @@ impl fmt::Debug for EvictionBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "EvictionBuffer({}/{} pending, next seq {})",
+            "EvictionBuffer({}/{} pending, next seq {}, {} overflows)",
             self.entries.len(),
             self.capacity,
-            self.next_seq
+            self.next_seq,
+            self.overflows
         )
     }
 }

@@ -17,11 +17,13 @@
 //! 6. [`link`] — the [`Link`] interface every scheme implements and the
 //!    [`CableLink`] endpoints tying it together, including synchronization
 //!    (§III-F) and write-back compression (§III-G);
-//! 7. [`evict_buffer`] — the EvictSeq race protocol (§IV-A);
-//! 8. [`channel`] — deterministic fault injection, CRC-guarded frames, and
-//!    the NACK/retry recovery statistics;
-//! 9. [`baseline`] — the CPACK/BDI/CPACK128/LBE256/gzip comparison links;
-//! 10. [`area`] — the Table III analytic area model.
+//! 7. [`channel`] — deterministic fault injection, CRC-guarded frames, and
+//!    the NACK/retry recovery statistics. In fault mode a crate-private
+//!    eviction buffer keeps each evicted remote line until the home
+//!    acknowledges its EvictSeq, so a DIFF naming a just-evicted reference
+//!    still decodes (§IV-A);
+//! 8. [`baseline`] — the CPACK/BDI/CPACK128/LBE256/gzip comparison links;
+//! 9. [`area`] — the Table III analytic area model.
 //!
 //! # Quickstart
 //!
@@ -50,15 +52,13 @@ pub mod baseline;
 pub mod channel;
 pub mod codec;
 pub mod config;
-pub mod evict_buffer;
+mod evict_buffer;
 pub mod h3;
 pub mod hash_table;
 pub mod link;
-pub mod ooo;
 pub mod search;
 pub mod sig_cache;
 pub mod signature;
-pub mod super_wmt;
 pub mod wmt;
 
 // The adversarial line families are shared with cable-compress's oracle
@@ -74,9 +74,7 @@ pub use config::CableConfig;
 pub use link::{
     BatchAccess, BatchOp, CableLink, Direction, Link, LinkStats, Transfer, TransferKind,
 };
-pub use ooo::OooLink;
 pub use search::{Reference, SearchScratch};
 pub use sig_cache::InsertSigCache;
 pub use signature::{Signature, SignatureBuf, SignatureExtractor};
-pub use super_wmt::SuperWmt;
 pub use wmt::WayMapTable;

@@ -831,12 +831,6 @@ impl CableLink {
         &self.wmt
     }
 
-    /// Whether fault injection is active.
-    #[must_use]
-    pub fn fault_injection_enabled(&self) -> bool {
-        self.fault.is_some()
-    }
-
     fn request_in_state(
         &mut self,
         addr: Address,

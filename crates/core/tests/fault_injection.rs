@@ -17,6 +17,7 @@
 use cable_cache::CacheGeometry;
 use cable_common::{Address, LineData, SplitMix64};
 use cable_core::{CableConfig, CableLink, FaultConfig, Link, TransferKind};
+use cable_telemetry::{Event, Telemetry};
 use proptest::prelude::*;
 
 /// A small link (64 KiB home, 16 KiB remote) so seeded traffic actually
@@ -41,6 +42,19 @@ fn base_lines() -> Vec<LineData> {
         .collect()
 }
 
+/// Bit-exact delivery: the remote now holds precisely the home's copy of
+/// the line just filled.
+fn assert_fill_bit_exact(link: &CableLink, addr: Address) {
+    let hlid = link.home().lookup(addr).expect("home holds filled line");
+    let expected = link.home().read_by_id(hlid).expect("valid");
+    let rlid = link
+        .remote()
+        .lookup(addr)
+        .expect("remote holds filled line");
+    let got = link.remote().read_by_id(rlid).expect("valid");
+    assert_eq!(got, expected, "fill of {addr} not bit-exact");
+}
+
 /// Drives `ops` mixed operations (fills, stores, write-backs, remote
 /// evictions) over near-duplicate lines, checking bit-exact delivery after
 /// every completed transfer. Returns the number of compressed fills seen so
@@ -61,16 +75,7 @@ fn drive_traffic(link: &mut CableLink, rng: &mut SplitMix64, ops: usize) -> u64 
                     if t.kind() != TransferKind::Raw {
                         compressed_fills += 1;
                     }
-                    // Bit-exact delivery: the remote now holds precisely the
-                    // home's copy of the line.
-                    let hlid = link.home().lookup(addr).expect("home holds filled line");
-                    let expected = link.home().read_by_id(hlid).expect("valid");
-                    let rlid = link
-                        .remote()
-                        .lookup(addr)
-                        .expect("remote holds filled line");
-                    let got = link.remote().read_by_id(rlid).expect("valid");
-                    assert_eq!(got, expected, "fill of {addr} not bit-exact");
+                    assert_fill_bit_exact(link, addr);
                 }
             }
             6..=7 => {
@@ -127,7 +132,11 @@ fn lossless_fault_mode_injects_and_detects_nothing() {
     assert_eq!(stats.retransmitted_bits, 0);
     // A guarded-but-lossless link needs no repairs either.
     let report = link.audit_and_resync();
-    assert!(report.is_clean(), "lossless link needed repairs: {report}");
+    assert_eq!(
+        report.total_repairs(),
+        0,
+        "lossless link needed repairs: {report}"
+    );
     link.check_invariants().expect("invariants hold");
 }
 
@@ -163,7 +172,106 @@ fn dropped_notice_is_replayed_idempotently() {
         .unwrap_or_else(|e| panic!("invariants broken after resync: {e}"));
     // Replaying already-settled notices must change nothing.
     let second = link.audit_and_resync();
-    assert!(second.is_clean(), "resync not idempotent: {second}");
+    assert_eq!(second.total_repairs(), 0, "resync not idempotent: {second}");
+}
+
+/// The §IV-A race on the production link. Every eviction notice is
+/// delayed, so the home keeps naming remote slots that were just evicted
+/// in the DIFFs it sends. Each such reference must resolve from the
+/// eviction buffer: no fill fails and none falls back to raw.
+#[test]
+fn delayed_notices_resolve_stale_references_from_the_eviction_buffer() {
+    let bases = base_lines();
+    for (seed, delay_ops) in [(123u64, 64u64), (124, 1024)] {
+        let mut link = small_link();
+        link.enable_fault_injection(FaultConfig {
+            delay_notice_prob: 1.0,
+            delay_ops,
+            ..FaultConfig::lossless(seed)
+        });
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..10_000 {
+            let addr = Address::from_line_number(rng.next_bounded(2048));
+            if rng.next_bounded(4) == 0 {
+                link.evict_remote(addr);
+                continue;
+            }
+            let mut line = bases[rng.next_bounded(6) as usize];
+            for _ in 0..rng.next_bounded(4) {
+                line.set_word(rng.next_bounded(16) as usize, rng.next_u32());
+            }
+            if link.request(addr, line).kind() != TransferKind::RemoteHit {
+                assert_fill_bit_exact(&link, addr);
+            }
+        }
+        let stats = *link.fault_stats().expect("fault mode on");
+        assert!(stats.delayed_notices > 0, "delay {delay_ops}: {stats:?}");
+        assert!(
+            stats.evict_buffer_hits > 0,
+            "delay {delay_ops}: the race never occurred: {stats:?}"
+        );
+        assert_eq!(stats.detected, 0, "delay {delay_ops}: {stats:?}");
+        assert_eq!(stats.fallback_raw, 0, "delay {delay_ops}: {stats:?}");
+    }
+}
+
+/// A stale reference whose buffer entry was already pushed out by later
+/// evictions cannot resolve. The receiver NACKs it as a reference failure,
+/// the home resends the line raw, and the delivery stays bit-exact.
+#[test]
+fn overflowed_eviction_falls_back_to_raw() {
+    let mut link = small_link();
+    let tel = Telemetry::enabled();
+    link.set_telemetry(tel.clone());
+    // With every notice lost, the home never learns of an eviction.
+    link.enable_fault_injection(FaultConfig {
+        drop_notice_prob: 1.0,
+        ..FaultConfig::lossless(5)
+    });
+    let base = base_lines()[0];
+    let first = Address::from_line_number(0);
+    link.request(first, base);
+    link.evict_remote(first);
+    // Evict more lines than the 64-entry buffer holds, none of them from
+    // the first line's remote set (64 sets), so its slot stays empty.
+    let mut rng = SplitMix64::new(5);
+    for n in (1..100u64).filter(|n| n % 64 != 0) {
+        let addr = Address::from_line_number(n);
+        link.request(
+            addr,
+            LineData::from_words(core::array::from_fn(|_| rng.next_u32())),
+        );
+        link.evict_remote(addr);
+    }
+    let before = *link.fault_stats().expect("fault mode on");
+    assert_eq!(before.detected, 0, "{before:?}");
+
+    // A near-copy of the first line: the home still names its old slot.
+    let mut near = base;
+    near.set_word(5, 0x0123_4567);
+    let addr = Address::from_line_number(200);
+    assert_eq!(link.request(addr, near).kind(), TransferKind::Diff);
+    assert_fill_bit_exact(&link, addr);
+
+    let stats = *link.fault_stats().expect("fault mode on");
+    assert_eq!(stats.evict_buffer_hits, 0, "{stats:?}");
+    assert_eq!(stats.detected, 1, "{stats:?}");
+    assert_eq!(stats.nacks, 1, "{stats:?}");
+    assert_eq!(stats.fallback_raw, 1, "{stats:?}");
+    assert_eq!(stats.recovered, stats.detected);
+    let classes: Vec<&str> = tel
+        .events()
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::Nack { class } => Some(class),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(classes, ["reference"]);
+
+    link.audit_and_resync();
+    link.check_invariants()
+        .unwrap_or_else(|e| panic!("invariants broken after resync: {e}"));
 }
 
 #[test]
@@ -173,7 +281,7 @@ fn disable_fault_injection_resyncs_and_restores_reliable_operation() {
     let mut rng = SplitMix64::new(11);
     drive_traffic(&mut link, &mut rng, 300);
     link.disable_fault_injection();
-    assert!(!link.fault_injection_enabled());
+    assert!(link.fault_stats().is_none(), "fault mode off");
     link.check_invariants().expect("resync on disable");
     // Reliable operation continues with hard verification re-armed.
     drive_traffic(&mut link, &mut rng, 100);
@@ -208,6 +316,6 @@ proptest! {
             "invariants after resync: {:?}", link.check_invariants()
         );
         let second = link.audit_and_resync();
-        prop_assert!(second.is_clean(), "second audit repaired: {}", second);
+        prop_assert_eq!(second.total_repairs(), 0, "second audit repaired: {}", second);
     }
 }

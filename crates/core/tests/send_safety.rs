@@ -4,7 +4,7 @@
 //! this file stops compiling instead of a downstream caller breaking at a
 //! distance.
 
-use cable_core::{BaselineLink, CableLink, FaultyChannel, Link, OooLink};
+use cable_core::{BaselineLink, CableLink, FaultyChannel, Link};
 
 fn assert_send<T: Send>() {}
 
@@ -16,7 +16,6 @@ fn link_state_is_send() {
     assert_send::<CableLink>();
     assert_send::<BaselineLink>();
     assert_send::<FaultyChannel>();
-    assert_send::<OooLink>();
     assert_send::<Box<dyn Link + Send>>();
     assert_send_link::<CableLink>();
     assert_send_link::<BaselineLink>();

@@ -61,6 +61,7 @@ impl EnergyParams {
 
     /// Table II's scale claim: an off-chip transfer costs hundreds of times
     /// an on-chip compression or cache access.
+    #[cfg(test)]
     #[must_use]
     pub fn link_to_compression_scale(&self) -> f64 {
         // Table II compares a 15 nJ link event to a 50 pJ CPACK op (300x);

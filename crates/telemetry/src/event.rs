@@ -171,6 +171,7 @@ impl LaneKind {
     }
 
     /// The lane a live [`Event`] occupies (`None` for non-busy events).
+    #[cfg(test)]
     #[must_use]
     pub fn of_event(event: &Event) -> Option<LaneKind> {
         match event {

@@ -200,12 +200,14 @@ impl Tracer {
     }
 
     /// Events written to the sink so far.
+    #[cfg(test)]
     #[must_use]
     pub fn drained(&self) -> u64 {
         self.shared.lock().expect("tracer poisoned").drained
     }
 
     /// Total events ever recorded (buffered + drained + dropped).
+    #[cfg(test)]
     #[must_use]
     pub fn recorded(&self) -> u64 {
         self.shared.lock().expect("tracer poisoned").seq

@@ -335,7 +335,11 @@ mod tests {
         // With 32 templates, many pairs must match in >= 12 words.
         let mut best = 0;
         for i in 1..200.min(template_lines.len()) {
-            best = best.max(template_lines[0].matching_words(&template_lines[i]));
+            best = best.max(
+                template_lines[0]
+                    .coverage_vector(&template_lines[i])
+                    .count_ones(),
+            );
         }
         assert!(best >= 12, "best pair match {best} words");
     }

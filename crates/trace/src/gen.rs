@@ -311,7 +311,7 @@ mod tests {
         let clean = g.content(addr);
         let dirty = g.store_data(addr);
         assert_ne!(clean, dirty);
-        assert!(clean.matching_words(&dirty) >= 15);
+        assert!(clean.coverage_vector(&dirty).count_ones() >= 15);
     }
 
     #[test]
