@@ -123,3 +123,66 @@ fn golden_engine_dispatch_sizes_are_stable() {
         assert_eq!(edit, edit_bits, "{kind} edited payload");
     }
 }
+
+/// `LinkStats` of the §VI-A CABLE+LBE link (4 MB 16-way home L4, 1 MB
+/// 8-way remote LLC, 16-bit link; the link perfbench's `encode-dealII`
+/// drives) after a fixed dealII stream sent in 64-access batches: 20,480
+/// warm-up accesses, `reset_stats`, then 20,480 measured ones. Every field
+/// is pinned, so a host-side change that moves a modelled count (data-array
+/// reads, compression operations, bit toggles) on this geometry fails here.
+#[test]
+fn golden_section_vi_a_link_stats() {
+    use cable::cache::CacheGeometry;
+    use cable::core::{BatchAccess, LinkStats};
+    use cable::sim::{CompressedLink, Scheme};
+    use cable::trace::WorkloadGen;
+
+    let mut link = CompressedLink::build(
+        Scheme::Cable(EngineKind::Lbe),
+        CacheGeometry::new(4 << 20, 16),
+        CacheGeometry::new(1 << 20, 8),
+        16,
+    );
+    let mut gen = WorkloadGen::new(cable::trace::by_name("dealII").unwrap(), 0);
+    let mut batch = Vec::new();
+    let mut xfers = Vec::new();
+    let mut drive = |link: &mut CompressedLink, batches: usize| {
+        for _ in 0..batches {
+            batch.clear();
+            for _ in 0..64 {
+                let a = gen.next_access();
+                let memory = gen.content(a.addr);
+                batch.push(if a.is_write {
+                    BatchAccess::write(a.addr, memory, gen.store_data(a.addr))
+                } else {
+                    BatchAccess::read(a.addr, memory)
+                });
+            }
+            xfers.clear();
+            link.request_batch(&batch, &mut xfers);
+        }
+    };
+    drive(&mut link, 320);
+    link.reset_stats();
+    drive(&mut link, 320);
+
+    let expect = LinkStats {
+        fills: 6_582,
+        remote_hits: 13_898,
+        writebacks: 277,
+        home_hits: 4,
+        raw_transfers: 331,
+        unseeded_transfers: 1_719,
+        diff_transfers: 4_809,
+        refs_sent: 5_165,
+        uncompressed_bits: 3_511_808,
+        payload_bits: 766_834,
+        wire_bits: 818_752,
+        wire_bits_packed: 836_986,
+        data_array_reads: 39_307,
+        compression_ops: 16_746,
+        bit_toggles: 400_043,
+        flits: 51_172,
+    };
+    assert_eq!(*link.stats(), expect);
+}
