@@ -1,6 +1,6 @@
 //! Cache geometry arithmetic and the `index + way` LineID coordinate.
 
-use cable_common::{bits_for, Address, LINE_BYTES};
+use cable_common::{bits_for, Address, Divisor, LINE_BYTES};
 use std::fmt;
 
 /// Capacity and associativity of a set-associative cache with 64-byte lines.
@@ -19,10 +19,18 @@ use std::fmt;
 /// assert_eq!(llc.lines(), 1 << 17);
 /// assert_eq!(llc.line_id_bits(), 17);
 /// ```
+///
+/// The set count is a power of two, so set index and tag are a mask and a
+/// shift of the line number; the way count need not be, so splitting a
+/// packed LineID divides by a precomputed reciprocal. No accessor runs a
+/// divide instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    ways_div: Divisor,
 }
 
 impl CacheGeometry {
@@ -31,22 +39,33 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics if the capacity is not a positive multiple of
-    /// `ways * LINE_BYTES`, or if the resulting set count is not a power of
-    /// two (required for the paper's index/alias bit manipulation).
+    /// `ways * LINE_BYTES`, if the resulting set count is not a power of
+    /// two (required for the paper's index/alias bit manipulation), if a
+    /// way number does not fit a `u8`, or if a packed LineID would not fit
+    /// a `u32` (more than 2^32 lines).
     #[must_use]
     pub fn new(size_bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
+        assert!(ways <= 256, "way numbers are u8: {ways} ways");
         assert!(
             size_bytes > 0 && size_bytes.is_multiple_of(u64::from(ways) * LINE_BYTES as u64),
             "capacity {size_bytes} is not a multiple of ways * line size"
         );
-        let geometry = CacheGeometry { size_bytes, ways };
+        let sets = size_bytes / (u64::from(ways) * LINE_BYTES as u64);
         assert!(
-            geometry.sets().is_power_of_two(),
-            "set count {} must be a power of two",
-            geometry.sets()
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
         );
-        geometry
+        assert!(
+            size_bytes / LINE_BYTES as u64 <= 1 << 32,
+            "{size_bytes} bytes is more lines than a u32 LineID addresses"
+        );
+        CacheGeometry {
+            size_bytes,
+            ways,
+            set_shift: sets.trailing_zeros(),
+            ways_div: Divisor::new(ways),
+        }
     }
 
     /// Total capacity in bytes.
@@ -64,7 +83,7 @@ impl CacheGeometry {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> u64 {
-        self.size_bytes / (u64::from(self.ways) * LINE_BYTES as u64)
+        1 << self.set_shift
     }
 
     /// Total number of cache lines.
@@ -76,7 +95,7 @@ impl CacheGeometry {
     /// Bits needed for a set index.
     #[must_use]
     pub fn index_bits(&self) -> u32 {
-        bits_for(self.sets())
+        self.set_shift
     }
 
     /// Bits needed for a way number.
@@ -94,13 +113,13 @@ impl CacheGeometry {
     /// Set index for an address.
     #[must_use]
     pub fn index_of(&self, addr: Address) -> u64 {
-        addr.line_number() % self.sets()
+        addr.line_number() & (self.sets() - 1)
     }
 
     /// Tag (the line-number bits above the index) for an address.
     #[must_use]
     pub fn tag_of(&self, addr: Address) -> u64 {
-        addr.line_number() / self.sets()
+        addr.line_number() >> self.set_shift
     }
 }
 
@@ -186,9 +205,12 @@ impl LineId {
     #[must_use]
     pub fn unpack(packed: u64, geometry: &CacheGeometry) -> Self {
         assert!(packed < geometry.lines(), "packed LineID out of range");
+        // `new` caps `lines()` at 2^32, so `packed` fits the u32 divide.
+        let packed = packed as u32;
+        let index = geometry.ways_div.quotient(packed);
         LineId {
-            index: (packed / u64::from(geometry.ways())) as u32,
-            way: (packed % u64::from(geometry.ways())) as u8,
+            index,
+            way: (packed - index * geometry.ways) as u8,
         }
     }
 }
@@ -208,6 +230,7 @@ impl fmt::Display for LineId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_geometry_bit_widths() {
@@ -239,6 +262,55 @@ mod tests {
                 let lid = LineId::new(index, way);
                 assert_eq!(LineId::unpack(lid.pack(&geom), &geom), lid);
             }
+        }
+    }
+
+    #[test]
+    fn pack_unpack_round_trip_on_ways_not_a_power_of_two() {
+        for ways in [3u32, 5, 6, 7, 12, 24, 255, 256] {
+            let geom = CacheGeometry::new(u64::from(ways) * 64 * 64, ways);
+            let mut packed_seen = 0;
+            for index in 0..geom.sets() as u32 {
+                for way in 0..ways {
+                    let lid = LineId::new(index, way as u8);
+                    let packed = lid.pack(&geom);
+                    assert_eq!(packed, packed_seen, "packing is dense and ordered");
+                    assert_eq!(LineId::unpack(packed, &geom), lid);
+                    packed_seen += 1;
+                }
+            }
+            assert_eq!(packed_seen, geom.lines());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_unpack_matches_division(
+            log_sets in 0u32..16,
+            ways in 1u32..=256,
+            pick in any::<u64>(),
+        ) {
+            let geom = CacheGeometry::new((u64::from(ways) * 64) << log_sets, ways);
+            let packed = pick % geom.lines();
+            let lid = LineId::unpack(packed, &geom);
+            prop_assert_eq!(u64::from(lid.index()), packed / u64::from(ways));
+            prop_assert_eq!(u64::from(lid.way()), packed % u64::from(ways));
+            prop_assert_eq!(lid.pack(&geom), packed);
+        }
+
+        #[test]
+        fn prop_index_and_tag_match_division(
+            log_sets in 0u32..20,
+            ways in 1u32..=16,
+            line in any::<u64>(),
+        ) {
+            let geom = CacheGeometry::new((u64::from(ways) * 64) << log_sets, ways);
+            let addr = Address::from_line_number(line >> 6);
+            let n = addr.line_number();
+            prop_assert_eq!(geom.sets(), geom.lines() / u64::from(ways));
+            prop_assert_eq!(geom.index_of(addr), n % geom.sets());
+            prop_assert_eq!(geom.tag_of(addr), n / geom.sets());
+            prop_assert_eq!(geom.index_bits(), bits_for(geom.sets()));
         }
     }
 

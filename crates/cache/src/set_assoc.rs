@@ -54,13 +54,15 @@ pub struct InsertOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
+/// The tag-array entry of one slot: everything a set walk (lookup,
+/// victim choice) reads, kept apart from the line data so a 16-way walk
+/// reads 16 × 24 bytes instead of 16 slots of tag and line together.
 /// `Copy`, so restoring a snapshot (`Vec::clone_from`) is one memcpy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Slot {
+struct Tag {
     tag: u64,
-    state: CoherenceState,
-    data: LineData,
     last_use: u64,
+    state: CoherenceState,
 }
 
 /// An LRU set-associative cache of 64-byte lines.
@@ -72,6 +74,10 @@ struct Slot {
 ///   *without* a tag check, as the search pipeline performs (§III-C);
 /// - [`SetAssocCache::victim_way`]: the replacement-way info that remote
 ///   caches embed in their requests (§II-C).
+///
+/// Like the hardware it models, the cache keeps a tag array and a data
+/// array: set walks read only tags, and the data array is touched only by
+/// data reads, fills, writes and evictions.
 ///
 /// # Examples
 ///
@@ -87,7 +93,13 @@ struct Slot {
 /// ```
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    slots: Vec<Slot>,
+    /// Tag array, `index * ways + way`.
+    tags: Vec<Tag>,
+    /// Data array, same layout. The data of an invalid slot is stale and
+    /// never read. Elements keep `LineData`'s natural alignment on
+    /// purpose: 64-byte-aligned elements doubled perfbench's peak RSS
+    /// through glibc's aligned-allocation path.
+    data: Vec<LineData>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -97,26 +109,29 @@ impl Clone for SetAssocCache {
     fn clone(&self) -> Self {
         SetAssocCache {
             geometry: self.geometry,
-            slots: self.slots.clone(),
+            tags: self.tags.clone(),
+            data: self.data.clone(),
             clock: self.clock,
             hits: self.hits,
             misses: self.misses,
         }
     }
 
-    /// Copies `source` into this cache's existing slot array, so restoring
-    /// a snapshot of the same geometry reuses memory that is already
-    /// mapped instead of allocating a fresh array.
+    /// Copies `source` into this cache's existing tag and data arrays, so
+    /// restoring a snapshot of the same geometry reuses memory that is
+    /// already mapped instead of allocating fresh arrays.
     fn clone_from(&mut self, source: &Self) {
         let SetAssocCache {
             geometry,
-            slots,
+            tags,
+            data,
             clock,
             hits,
             misses,
         } = self;
         *geometry = source.geometry;
-        slots.clone_from(&source.slots);
+        tags.clone_from(&source.tags);
+        data.clone_from(&source.data);
         *clock = source.clock;
         *hits = source.hits;
         *misses = source.misses;
@@ -127,9 +142,11 @@ impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
+        let lines = geometry.lines() as usize;
         SetAssocCache {
             geometry,
-            slots: vec![Slot::default(); geometry.lines() as usize],
+            tags: vec![Tag::default(); lines],
+            data: vec![LineData::zeroed(); lines],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -142,30 +159,41 @@ impl SetAssocCache {
         &self.geometry
     }
 
-    fn slot_pos(&self, index: u32, way: u8) -> usize {
-        index as usize * self.geometry.ways() as usize + way as usize
+    fn slot_pos(&self, lid: LineId) -> usize {
+        lid.index() as usize * self.geometry.ways() as usize + lid.way() as usize
     }
 
-    /// Touches every slot of `addr`'s set so the set's (random, usually
+    /// The tag entries of `index`'s set, way 0 first.
+    fn set_tags(&self, index: u32) -> &[Tag] {
+        let ways = self.geometry.ways() as usize;
+        let base = index as usize * ways;
+        &self.tags[base..base + ways]
+    }
+
+    fn tag(&self, lid: LineId) -> &Tag {
+        &self.tags[self.slot_pos(lid)]
+    }
+
+    fn tag_mut(&mut self, lid: LineId) -> &mut Tag {
+        let pos = self.slot_pos(lid);
+        &mut self.tags[pos]
+    }
+
+    /// The line address held by a slot with tag `tag` in set `index`.
+    fn addr_of(&self, tag: u64, index: u32) -> Address {
+        Address::from_line_number((tag << self.geometry.index_bits()) | u64::from(index))
+    }
+
+    /// Touches every tag of `addr`'s set so the set's (random, usually
     /// cold) cache lines are fetched with overlapping misses before a
     /// subsequent lookup/insert walk serializes on them. Pure cache
     /// warming: LRU order, statistics, and contents are untouched.
     pub fn warm(&self, addr: Address) {
-        let index = self.geometry.index_of(addr) as u32;
-        let mut touched = 0u64;
-        for way in 0..self.geometry.ways() as u8 {
-            touched ^= self.slots[self.slot_pos(index, way)].tag;
-        }
+        let touched = self
+            .set_tags(self.geometry.index_of(addr) as u32)
+            .iter()
+            .fold(0, |acc, t| acc ^ t.tag);
         std::hint::black_box(touched);
-    }
-
-    fn slot(&self, lid: LineId) -> &Slot {
-        &self.slots[self.slot_pos(lid.index(), lid.way())]
-    }
-
-    fn slot_mut(&mut self, lid: LineId) -> &mut Slot {
-        let pos = self.slot_pos(lid.index(), lid.way());
-        &mut self.slots[pos]
     }
 
     /// Looks up `addr` without touching LRU state or hit/miss counters.
@@ -173,11 +201,10 @@ impl SetAssocCache {
     pub fn lookup(&self, addr: Address) -> Option<LineId> {
         let index = self.geometry.index_of(addr) as u32;
         let tag = self.geometry.tag_of(addr);
-        (0..self.geometry.ways() as u8).find_map(|way| {
-            let slot = &self.slots[self.slot_pos(index, way)];
-            (slot.state != CoherenceState::Invalid && slot.tag == tag)
-                .then(|| LineId::new(index, way))
-        })
+        self.set_tags(index)
+            .iter()
+            .position(|t| t.state != CoherenceState::Invalid && t.tag == tag)
+            .map(|way| LineId::new(index, way as u8))
     }
 
     /// Looks up `addr`, updating LRU order and hit/miss statistics.
@@ -187,7 +214,7 @@ impl SetAssocCache {
             Some(lid) => {
                 self.hits += 1;
                 let clock = self.clock;
-                self.slot_mut(lid).last_use = clock;
+                self.tag_mut(lid).last_use = clock;
                 Some(lid)
             }
             None => {
@@ -201,18 +228,20 @@ impl SetAssocCache {
     /// — the replacement-way hint a remote cache embeds in its request.
     #[must_use]
     pub fn victim_way(&self, addr: Address) -> u8 {
-        let index = self.geometry.index_of(addr) as u32;
         // Prefer an invalid way; otherwise least recently used.
         let mut best_way = 0u8;
         let mut best_use = u64::MAX;
-        for way in 0..self.geometry.ways() as u8 {
-            let slot = &self.slots[self.slot_pos(index, way)];
-            if slot.state == CoherenceState::Invalid {
-                return way;
+        for (way, t) in self
+            .set_tags(self.geometry.index_of(addr) as u32)
+            .iter()
+            .enumerate()
+        {
+            if t.state == CoherenceState::Invalid {
+                return way as u8;
             }
-            if slot.last_use < best_use {
-                best_use = slot.last_use;
-                best_way = way;
+            if t.last_use < best_use {
+                best_use = t.last_use;
+                best_way = way as u8;
             }
         }
         best_way
@@ -249,45 +278,37 @@ impl SetAssocCache {
         let tag = self.geometry.tag_of(addr);
 
         // Update in place on a tag match.
-        if let Some(lid) = self.lookup(addr) {
-            let clock = self.clock;
-            let slot = self.slot_mut(lid);
-            slot.data = data;
-            slot.state = state;
-            slot.last_use = clock;
-            return InsertOutcome {
-                line_id: lid,
-                evicted: None,
+        let (lid, evicted) = if let Some(lid) = self.lookup(addr) {
+            (lid, None)
+        } else {
+            let way = match way {
+                Some(w) => {
+                    assert!(
+                        u32::from(w) < self.geometry.ways(),
+                        "way {w} out of range for {}-way cache",
+                        self.geometry.ways()
+                    );
+                    w
+                }
+                None => self.victim_way(addr),
             };
-        }
-
-        let way = match way {
-            Some(w) => {
-                assert!(
-                    u32::from(w) < self.geometry.ways(),
-                    "way {w} out of range for {}-way cache",
-                    self.geometry.ways()
-                );
-                w
-            }
-            None => self.victim_way(addr),
+            let lid = LineId::new(index, way);
+            let old = *self.tag(lid);
+            let evicted = (old.state != CoherenceState::Invalid).then(|| EvictedLine {
+                addr: self.addr_of(old.tag, index),
+                data: self.data[self.slot_pos(lid)],
+                state: old.state,
+                line_id: lid,
+            });
+            (lid, evicted)
         };
-        let lid = LineId::new(index, way);
-        let sets = self.geometry.sets();
-        let clock = self.clock;
-        let slot = self.slot_mut(lid);
-        let evicted = (slot.state != CoherenceState::Invalid).then(|| EvictedLine {
-            addr: Address::from_line_number(slot.tag * sets + u64::from(index)),
-            data: slot.data,
-            state: slot.state,
-            line_id: lid,
-        });
-        *slot = Slot {
+        let pos = self.slot_pos(lid);
+        self.tags[pos] = Tag {
             tag,
+            last_use: self.clock,
             state,
-            data,
-            last_use: clock,
         };
+        self.data[pos] = data;
         InsertOutcome {
             line_id: lid,
             evicted,
@@ -300,37 +321,34 @@ impl SetAssocCache {
     /// Returns `None` only if the slot is invalid.
     #[must_use]
     pub fn read_by_id(&self, lid: LineId) -> Option<LineData> {
-        let slot = self.slot(lid);
-        (slot.state != CoherenceState::Invalid).then_some(slot.data)
+        let pos = self.slot_pos(lid);
+        (self.tags[pos].state != CoherenceState::Invalid).then(|| self.data[pos])
     }
 
     /// Returns the coherence state of a slot.
     #[must_use]
     pub fn state_by_id(&self, lid: LineId) -> CoherenceState {
-        self.slot(lid).state
+        self.tag(lid).state
     }
 
     /// Reconstructs the line-aligned address stored in a slot, if valid.
     #[must_use]
     pub fn addr_by_id(&self, lid: LineId) -> Option<Address> {
-        let slot = self.slot(lid);
-        (slot.state != CoherenceState::Invalid).then(|| {
-            Address::from_line_number(slot.tag * self.geometry.sets() + u64::from(lid.index()))
-        })
+        let t = self.tag(lid);
+        (t.state != CoherenceState::Invalid).then(|| self.addr_of(t.tag, lid.index()))
     }
 
     /// Invalidates `addr` if present, returning the removed line.
     pub fn invalidate(&mut self, addr: Address) -> Option<EvictedLine> {
         let lid = self.lookup(addr)?;
-        let sets = self.geometry.sets();
-        let slot = self.slot_mut(lid);
+        let pos = self.slot_pos(lid);
         let evicted = EvictedLine {
-            addr: Address::from_line_number(slot.tag * sets + u64::from(lid.index())),
-            data: slot.data,
-            state: slot.state,
+            addr: addr.line_aligned(),
+            data: self.data[pos],
+            state: self.tags[pos].state,
             line_id: lid,
         };
-        *slot = Slot::default();
+        self.tags[pos] = Tag::default();
         Some(evicted)
     }
 
@@ -340,10 +358,7 @@ impl SetAssocCache {
     /// Returns the previous state, or `None` if `addr` is absent.
     pub fn set_state(&mut self, addr: Address, state: CoherenceState) -> Option<CoherenceState> {
         let lid = self.lookup(addr)?;
-        let slot = self.slot_mut(lid);
-        let old = slot.state;
-        slot.state = state;
-        Some(old)
+        Some(std::mem::replace(&mut self.tag_mut(lid).state, state))
     }
 
     /// Overwrites the data of a present line and marks it Modified.
@@ -353,11 +368,10 @@ impl SetAssocCache {
         match self.lookup(addr) {
             Some(lid) => {
                 self.clock += 1;
-                let clock = self.clock;
-                let slot = self.slot_mut(lid);
-                slot.data = data;
-                slot.state = CoherenceState::Modified;
-                slot.last_use = clock;
+                let pos = self.slot_pos(lid);
+                self.tags[pos].state = CoherenceState::Modified;
+                self.tags[pos].last_use = self.clock;
+                self.data[pos] = data;
                 true
             }
             None => false,
@@ -366,27 +380,29 @@ impl SetAssocCache {
 
     /// Iterates over all valid lines as `(LineId, Address, state)`.
     pub fn iter_valid(&self) -> impl Iterator<Item = (LineId, Address, CoherenceState)> + '_ {
-        let ways = self.geometry.ways() as usize;
-        let sets = self.geometry.sets();
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(pos, slot)| {
-                if slot.state == CoherenceState::Invalid {
-                    return None;
-                }
-                let lid = LineId::new((pos / ways) as u32, (pos % ways) as u8);
-                let addr = Address::from_line_number(slot.tag * sets + u64::from(lid.index()));
-                Some((lid, addr, slot.state))
+        self.tags
+            .chunks_exact(self.geometry.ways() as usize)
+            .zip(0u32..)
+            .flat_map(move |(set, index)| {
+                set.iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.state != CoherenceState::Invalid)
+                    .map(move |(way, t)| {
+                        (
+                            LineId::new(index, way as u8),
+                            self.addr_of(t.tag, index),
+                            t.state,
+                        )
+                    })
             })
     }
 
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.slots
+        self.tags
             .iter()
-            .filter(|s| s.state != CoherenceState::Invalid)
+            .filter(|t| t.state != CoherenceState::Invalid)
             .count()
     }
 
@@ -569,13 +585,15 @@ mod tests {
     fn assert_same(a: &SetAssocCache, b: &SetAssocCache) {
         let SetAssocCache {
             geometry,
-            slots,
+            tags,
+            data,
             clock,
             hits,
             misses,
         } = a;
         assert!(*geometry == b.geometry);
-        assert!(*slots == b.slots);
+        assert!(*tags == b.tags);
+        assert!(*data == b.data);
         assert_eq!((*clock, *hits, *misses), (b.clock, b.hits, b.misses));
     }
 
@@ -598,6 +616,296 @@ mod tests {
             restored.clone_from(src);
             assert_same(&restored, &src.clone());
             assert_same(&restored, src);
+        }
+    }
+
+    /// The array-of-slots cache this one replaced: tag, state, LRU stamp
+    /// and data in one slot, every walk over whole slots. It is the oracle
+    /// the tag/data split is checked against.
+    mod model {
+        use super::*;
+
+        #[derive(Clone, Copy, Default)]
+        struct Slot {
+            tag: u64,
+            state: CoherenceState,
+            data: LineData,
+            last_use: u64,
+        }
+
+        pub struct SlotCache {
+            geometry: CacheGeometry,
+            slots: Vec<Slot>,
+            clock: u64,
+            hits: u64,
+            misses: u64,
+        }
+
+        impl SlotCache {
+            pub fn new(geometry: CacheGeometry) -> Self {
+                SlotCache {
+                    geometry,
+                    slots: vec![Slot::default(); geometry.lines() as usize],
+                    clock: 0,
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            fn pos(&self, lid: LineId) -> usize {
+                lid.index() as usize * self.geometry.ways() as usize + lid.way() as usize
+            }
+
+            fn addr(&self, tag: u64, index: u32) -> Address {
+                Address::from_line_number(tag * self.geometry.sets() + u64::from(index))
+            }
+
+            pub fn lookup(&self, addr: Address) -> Option<LineId> {
+                let index = (addr.line_number() % self.geometry.sets()) as u32;
+                let tag = addr.line_number() / self.geometry.sets();
+                (0..self.geometry.ways() as u8).find_map(|way| {
+                    let slot = &self.slots[self.pos(LineId::new(index, way))];
+                    (slot.state != CoherenceState::Invalid && slot.tag == tag)
+                        .then(|| LineId::new(index, way))
+                })
+            }
+
+            pub fn access(&mut self, addr: Address) -> Option<LineId> {
+                self.clock += 1;
+                let lid = self.lookup(addr);
+                match lid {
+                    Some(lid) => {
+                        self.hits += 1;
+                        let pos = self.pos(lid);
+                        self.slots[pos].last_use = self.clock;
+                    }
+                    None => self.misses += 1,
+                }
+                lid
+            }
+
+            pub fn victim_way(&self, addr: Address) -> u8 {
+                let index = (addr.line_number() % self.geometry.sets()) as u32;
+                let mut best_way = 0u8;
+                let mut best_use = u64::MAX;
+                for way in 0..self.geometry.ways() as u8 {
+                    let slot = &self.slots[self.pos(LineId::new(index, way))];
+                    if slot.state == CoherenceState::Invalid {
+                        return way;
+                    }
+                    if slot.last_use < best_use {
+                        best_use = slot.last_use;
+                        best_way = way;
+                    }
+                }
+                best_way
+            }
+
+            pub fn insert_at_way(
+                &mut self,
+                addr: Address,
+                data: LineData,
+                state: CoherenceState,
+                way: Option<u8>,
+            ) -> InsertOutcome {
+                self.clock += 1;
+                let index = (addr.line_number() % self.geometry.sets()) as u32;
+                let tag = addr.line_number() / self.geometry.sets();
+                if let Some(lid) = self.lookup(addr) {
+                    let pos = self.pos(lid);
+                    let slot = &mut self.slots[pos];
+                    slot.data = data;
+                    slot.state = state;
+                    slot.last_use = self.clock;
+                    return InsertOutcome {
+                        line_id: lid,
+                        evicted: None,
+                    };
+                }
+                let way = way.unwrap_or_else(|| self.victim_way(addr));
+                let lid = LineId::new(index, way);
+                let pos = self.pos(lid);
+                let old = self.slots[pos];
+                let evicted = (old.state != CoherenceState::Invalid).then(|| EvictedLine {
+                    addr: self.addr(old.tag, index),
+                    data: old.data,
+                    state: old.state,
+                    line_id: lid,
+                });
+                self.slots[pos] = Slot {
+                    tag,
+                    state,
+                    data,
+                    last_use: self.clock,
+                };
+                InsertOutcome {
+                    line_id: lid,
+                    evicted,
+                }
+            }
+
+            pub fn read_by_id(&self, lid: LineId) -> Option<LineData> {
+                let slot = &self.slots[self.pos(lid)];
+                (slot.state != CoherenceState::Invalid).then_some(slot.data)
+            }
+
+            pub fn state_by_id(&self, lid: LineId) -> CoherenceState {
+                self.slots[self.pos(lid)].state
+            }
+
+            pub fn addr_by_id(&self, lid: LineId) -> Option<Address> {
+                let slot = &self.slots[self.pos(lid)];
+                (slot.state != CoherenceState::Invalid).then(|| self.addr(slot.tag, lid.index()))
+            }
+
+            pub fn invalidate(&mut self, addr: Address) -> Option<EvictedLine> {
+                let lid = self.lookup(addr)?;
+                let pos = self.pos(lid);
+                let slot = self.slots[pos];
+                self.slots[pos] = Slot::default();
+                Some(EvictedLine {
+                    addr: self.addr(slot.tag, lid.index()),
+                    data: slot.data,
+                    state: slot.state,
+                    line_id: lid,
+                })
+            }
+
+            pub fn set_state(
+                &mut self,
+                addr: Address,
+                state: CoherenceState,
+            ) -> Option<CoherenceState> {
+                let lid = self.lookup(addr)?;
+                let pos = self.pos(lid);
+                Some(std::mem::replace(&mut self.slots[pos].state, state))
+            }
+
+            pub fn write(&mut self, addr: Address, data: LineData) -> bool {
+                let Some(lid) = self.lookup(addr) else {
+                    return false;
+                };
+                self.clock += 1;
+                let pos = self.pos(lid);
+                let slot = &mut self.slots[pos];
+                slot.data = data;
+                slot.state = CoherenceState::Modified;
+                slot.last_use = self.clock;
+                true
+            }
+
+            pub fn iter_valid(&self) -> Vec<(LineId, Address, CoherenceState)> {
+                let ways = self.geometry.ways() as usize;
+                let mut out = Vec::new();
+                for (pos, slot) in self.slots.iter().enumerate() {
+                    if slot.state != CoherenceState::Invalid {
+                        let lid = LineId::new((pos / ways) as u32, (pos % ways) as u8);
+                        out.push((lid, self.addr(slot.tag, lid.index()), slot.state));
+                    }
+                }
+                out
+            }
+
+            pub fn stats(&self) -> (u64, u64) {
+                (self.hits, self.misses)
+            }
+        }
+    }
+
+    mod model_check {
+        use super::model::SlotCache;
+        use super::*;
+        use proptest::prelude::*;
+
+        const STATES: [CoherenceState; 4] = [
+            CoherenceState::Invalid,
+            CoherenceState::Shared,
+            CoherenceState::Exclusive,
+            CoherenceState::Modified,
+        ];
+
+        /// Every observable of the two caches, over every slot and every
+        /// address of a universe three times the capacity.
+        fn assert_agree(c: &SetAssocCache, m: &SlotCache, universe: u64) {
+            let g = *c.geometry();
+            for n in 0..universe {
+                let a = Address::from_line_number(n);
+                assert_eq!(c.lookup(a), m.lookup(a), "lookup line {n}");
+                assert_eq!(c.victim_way(a), m.victim_way(a), "victim way line {n}");
+            }
+            for index in 0..g.sets() as u32 {
+                for way in 0..g.ways() as u8 {
+                    let lid = LineId::new(index, way);
+                    assert_eq!(c.read_by_id(lid), m.read_by_id(lid), "{lid:?} data");
+                    assert_eq!(c.state_by_id(lid), m.state_by_id(lid), "{lid:?} state");
+                    assert_eq!(c.addr_by_id(lid), m.addr_by_id(lid), "{lid:?} addr");
+                }
+            }
+            assert_eq!(c.iter_valid().collect::<Vec<_>>(), m.iter_valid());
+            assert_eq!(c.valid_lines(), m.iter_valid().len());
+            assert_eq!(c.stats(), m.stats());
+        }
+
+        /// Drives both caches with one random op sequence: `(op, line,
+        /// word, extra)`, where `extra` picks a state or a way.
+        fn run(geometry: CacheGeometry, ops: &[(u8, u16, u32, u8)]) {
+            let universe = geometry.lines() * 3;
+            let mut cache = SetAssocCache::new(geometry);
+            let mut model = SlotCache::new(geometry);
+            for &(op, line, word, extra) in ops {
+                let a = Address::from_line_number(u64::from(line) % universe);
+                let data = LineData::splat_word(word);
+                let state = STATES[1 + usize::from(extra) % 3];
+                match op % 6 {
+                    0 => assert_eq!(
+                        cache.insert(a, data, state),
+                        model.insert_at_way(a, data, state, None)
+                    ),
+                    1 => {
+                        let way = Some((u32::from(extra) % geometry.ways()) as u8);
+                        assert_eq!(
+                            cache.insert_at_way(a, data, state, way),
+                            model.insert_at_way(a, data, state, way)
+                        );
+                    }
+                    2 => assert_eq!(cache.access(a), model.access(a)),
+                    3 => assert_eq!(cache.write(a, data), model.write(a, data)),
+                    4 => assert_eq!(
+                        cache.set_state(a, STATES[usize::from(extra) % 4]),
+                        model.set_state(a, STATES[usize::from(extra) % 4])
+                    ),
+                    _ => assert_eq!(cache.invalidate(a), model.invalidate(a)),
+                }
+                assert_agree(&cache, &model, universe);
+            }
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<(u8, u16, u32, u8)>> {
+            proptest::collection::vec((any::<u8>(), any::<u16>(), 0u32..8, any::<u8>()), 1..160)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prop_twelve_ways_four_sets(ops in ops()) {
+                run(CacheGeometry::new(12 * 4 * 64, 12), &ops);
+            }
+
+            #[test]
+            fn prop_two_ways_eight_sets(ops in ops()) {
+                run(CacheGeometry::new(2 * 8 * 64, 2), &ops);
+            }
+
+            #[test]
+            fn prop_three_ways_one_set(ops in ops()) {
+                run(CacheGeometry::new(3 * 64, 3), &ops);
+            }
+
+            #[test]
+            fn prop_direct_mapped(ops in ops()) {
+                run(CacheGeometry::new(16 * 64, 1), &ops);
+            }
         }
     }
 }

@@ -14,6 +14,8 @@
 //! - [`lanes`]: SWAR kernels (broadcast-compare, movemask) that the encode
 //!   hot path uses to process whole lines lane-parallel. Each caller's
 //!   scalar loop lives on in its unit tests as the oracle.
+//! - [`Divisor`]: exact `u32` division and remainder by a run-time constant
+//!   through a precomputed reciprocal (cache index and bucket arithmetic).
 //!
 //! # Examples
 //!
@@ -32,6 +34,7 @@
 pub mod addr;
 pub mod bits;
 pub mod crc;
+pub mod fastdiv;
 pub mod lanes;
 pub mod line;
 pub mod rng;
@@ -39,6 +42,7 @@ pub mod rng;
 pub use addr::{Address, PAGE_BYTES};
 pub use bits::{BitReader, BitWriter};
 pub use crc::{crc32, Crc32};
+pub use fastdiv::Divisor;
 pub use line::{LineData, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use rng::SplitMix64;
 

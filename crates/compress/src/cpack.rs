@@ -70,22 +70,27 @@ const CODE_MMMX: u64 = 0b1110;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cpack {
-    capacity_words: usize,
     persist: bool,
-    /// FIFO dictionary, kept contiguous (a `Vec`, not a ring) so the lane
-    /// probe can movemask over it directly.
-    dict: Vec<u32>,
+    /// The link's FIFO dictionary (reset per line unless `persist`).
+    dict: Dict<Vec<u32>>,
 }
 
+/// Largest seeded dictionary buffer kept on the stack: room for a 32-word
+/// (CPACK128) dictionary plus the 16 pushes one line can make.
+const SEEDED_STACK_WORDS: usize = 64;
+
 impl Cpack {
+    fn with_capacity(capacity_words: usize, persist: bool) -> Self {
+        Cpack {
+            persist,
+            dict: Dict::new(vec![0; 2 * capacity_words], capacity_words),
+        }
+    }
+
     /// Classic per-line CPACK: 16-word (64-byte) dictionary, reset per line.
     #[must_use]
     pub fn per_line() -> Self {
-        Cpack {
-            capacity_words: WORDS_PER_LINE,
-            persist: false,
-            dict: Vec::new(),
-        }
+        Cpack::with_capacity(WORDS_PER_LINE, false)
     }
 
     /// Streaming CPACK with a `dict_bytes` FIFO dictionary that persists
@@ -100,11 +105,7 @@ impl Cpack {
             dict_bytes > 0 && dict_bytes.is_multiple_of(WORD_BYTES),
             "dictionary must be a positive multiple of 4 bytes"
         );
-        Cpack {
-            capacity_words: dict_bytes / WORD_BYTES,
-            persist: true,
-            dict: Vec::new(),
-        }
+        Cpack::with_capacity(dict_bytes / WORD_BYTES, true)
     }
 
     /// CABLE-seeded CPACK: a per-call temporary dictionary sized for three
@@ -112,37 +113,99 @@ impl Cpack {
     /// CABLE+CPACK128 in Fig. 20).
     #[must_use]
     pub fn seeded() -> Self {
-        Cpack {
-            capacity_words: 32,
-            persist: false,
-            dict: Vec::new(),
-        }
+        Cpack::with_capacity(32, false)
     }
 
     /// Dictionary capacity in 32-bit words.
     #[must_use]
     pub fn capacity_words(&self) -> usize {
-        self.capacity_words
+        self.dict.cap
     }
 
-    fn index_bits(&self) -> u32 {
-        bits_for(self.capacity_words as u64).max(1)
+    /// The temporary dictionary of one seeded call, without cloning the
+    /// engine: the FIFO state after pushing every reference word (the last
+    /// `capacity_words` of them), in `stack` when the dictionary and one
+    /// line's pushes fit, else in `heap`.
+    fn seeded_dict<'a>(
+        &self,
+        refs: &[LineData],
+        stack: &'a mut [u32; SEEDED_STACK_WORDS],
+        heap: &'a mut Vec<u32>,
+    ) -> Dict<&'a mut [u32]> {
+        let cap = self.dict.cap;
+        let len = cap + WORDS_PER_LINE;
+        let buf: &mut [u32] = if len <= SEEDED_STACK_WORDS {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0);
+            heap
+        };
+        let total = refs.len() * WORDS_PER_LINE;
+        let kept = total.min(cap);
+        let tail = refs.iter().flat_map(LineData::words).skip(total - kept);
+        for (slot, w) in buf.iter_mut().zip(tail) {
+            *slot = w;
+        }
+        let mut dict = Dict::new(buf, cap);
+        dict.end = kept;
+        dict
+    }
+}
+
+/// C-PACK's FIFO dictionary: at most `cap` words, oldest first, stored as
+/// the window `buf[start..end]`. A push appends at `end` and, at capacity,
+/// advances `start`, so indices stay FIFO positions without shifting the
+/// words. Only when `end` reaches the end of `buf` does the window move
+/// back to the front: one `copy_within` per `buf.len() - cap` pushes.
+#[derive(Clone, Debug)]
+struct Dict<B> {
+    buf: B,
+    start: usize,
+    end: usize,
+    cap: usize,
+}
+
+impl<B: AsRef<[u32]> + AsMut<[u32]>> Dict<B> {
+    /// An empty dictionary of `cap` words over `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` has no room beyond `cap` words.
+    fn new(buf: B, cap: usize) -> Self {
+        assert!(buf.as_ref().len() > cap, "dictionary buffer too small");
+        Dict {
+            buf,
+            start: 0,
+            end: 0,
+            cap,
+        }
+    }
+
+    fn words(&self) -> &[u32] {
+        &self.buf.as_ref()[self.start..self.end]
+    }
+
+    fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
     }
 
     fn push(&mut self, word: u32) {
-        if self.dict.len() == self.capacity_words {
-            self.dict.remove(0);
+        let buf = self.buf.as_mut();
+        if self.end == buf.len() {
+            buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        self.dict.push(word);
+        buf[self.end] = word;
+        self.end += 1;
+        if self.end - self.start > self.cap {
+            self.start += 1;
+        }
     }
 
-    fn seed_dict(&mut self, refs: &[LineData]) {
-        self.dict.clear();
-        for r in refs {
-            for w in r.words() {
-                self.push(w);
-            }
-        }
+    fn index_bits(&self) -> u32 {
+        bits_for(self.cap as u64).max(1)
     }
 
     fn encode_line(&mut self, line: &LineData, out: &mut BitWriter) {
@@ -169,10 +232,11 @@ impl Cpack {
         // literals are pushed), so the probe is per word — but it
         // classifies the whole dictionary in one pass when it fits a
         // 64-lane movemask.
-        let probe = if self.dict.len() <= 64 {
-            probe_lanes(&self.dict, word)
+        let dict = self.words();
+        let probe = if dict.len() <= 64 {
+            probe_lanes(dict, word)
         } else {
-            probe_scalar(&self.dict, word)
+            probe_scalar(dict, word)
         };
         match probe {
             Probe::Full(i) => {
@@ -199,6 +263,13 @@ impl Cpack {
         }
     }
 
+    fn entry(&self, idx: usize) -> Result<u32, DecodeError> {
+        self.words()
+            .get(idx)
+            .copied()
+            .ok_or_else(|| DecodeError::new(format!("bad dict index {idx}")))
+    }
+
     fn decode_line(&mut self, r: &mut BitReader<'_>) -> Result<LineData, DecodeError> {
         let b = self.index_bits();
         let mut line = LineData::zeroed();
@@ -221,10 +292,7 @@ impl Cpack {
                         .read_bits(b)
                         .ok_or_else(|| DecodeError::new("truncated index"))?
                         as usize;
-                    *self
-                        .dict
-                        .get(idx)
-                        .ok_or_else(|| DecodeError::new(format!("bad dict index {idx}")))?
+                    self.entry(idx)?
                 }
                 _ => {
                     // Extended 4-bit code.
@@ -242,10 +310,7 @@ impl Cpack {
                                 .read_bits(b)
                                 .ok_or_else(|| DecodeError::new("truncated index"))?
                                 as usize;
-                            let base = *self
-                                .dict
-                                .get(idx)
-                                .ok_or_else(|| DecodeError::new(format!("bad dict index {idx}")))?;
+                            let base = self.entry(idx)?;
                             let w = if c4 == CODE_MMMX {
                                 let low = r
                                     .read_bits(8)
@@ -343,7 +408,7 @@ impl Compressor for Cpack {
             self.dict.clear();
         }
         let mut out = BitWriter::new();
-        self.encode_line(line, &mut out);
+        self.dict.encode_line(line, &mut out);
         Encoded::new(out)
     }
 
@@ -358,7 +423,7 @@ impl Decompressor for Cpack {
             self.dict.clear();
         }
         let mut r = payload.reader();
-        self.decode_line(&mut r)
+        self.dict.decode_line(&mut r)
     }
 
     fn clone_box(&self) -> Box<dyn Decompressor + Send> {
@@ -372,9 +437,10 @@ impl SeededCompressor for Cpack {
     }
 
     fn compress_seeded_into(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
-        let mut scratch = self.clone();
-        scratch.seed_dict(refs);
-        scratch.encode_line(line, out);
+        let mut stack = [0u32; SEEDED_STACK_WORDS];
+        let mut heap = Vec::new();
+        self.seeded_dict(refs, &mut stack, &mut heap)
+            .encode_line(line, out);
     }
 
     fn decompress_seeded_from(
@@ -382,9 +448,9 @@ impl SeededCompressor for Cpack {
         refs: &[LineData],
         r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
-        let mut scratch = self.clone();
-        scratch.seed_dict(refs);
-        scratch.decode_line(r)
+        let mut stack = [0u32; SEEDED_STACK_WORDS];
+        let mut heap = Vec::new();
+        self.seeded_dict(refs, &mut stack, &mut heap).decode_line(r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {
@@ -667,17 +733,31 @@ mod tests {
     /// Encodes `line` word by word, checking before each word that the lane
     /// probe and the scalar probe classify it identically against the
     /// dictionary as it stands.
-    fn assert_probes_agree(engine: &mut Cpack, line: &LineData) {
-        let b = engine.index_bits();
+    fn assert_probes_agree<B: AsRef<[u32]> + AsMut<[u32]>>(dict: &mut Dict<B>, line: &LineData) {
+        let b = dict.index_bits();
         let mut out = BitWriter::new();
         for word in line.words() {
-            assert!(engine.dict.len() <= 64);
+            assert!(dict.words().len() <= 64);
             assert_eq!(
-                probe_lanes(&engine.dict, word),
-                probe_scalar(&engine.dict, word)
+                probe_lanes(dict.words(), word),
+                probe_scalar(dict.words(), word)
             );
-            engine.encode_word(word, b, &mut out);
+            dict.encode_word(word, b, &mut out);
         }
+    }
+
+    /// The seeded call as it was first written: clone the engine, push
+    /// every reference word through its FIFO, then encode. The oracle for
+    /// the clone-free [`Cpack::seeded_dict`].
+    fn seeded_by_pushes(engine: &Cpack, refs: &[LineData], line: &LineData) -> BitWriter {
+        let mut scratch = engine.clone();
+        scratch.dict.clear();
+        for w in refs.iter().flat_map(LineData::words) {
+            scratch.dict.push(w);
+        }
+        let mut out = BitWriter::new();
+        scratch.dict.encode_line(line, &mut out);
+        out
     }
 
     proptest! {
@@ -746,9 +826,10 @@ mod tests {
                 crate::test_lines::family_case(),
             ],
         ) {
-            let mut engine = Cpack::seeded();
-            engine.seed_dict(&refs);
-            assert_probes_agree(&mut engine, &line);
+            let engine = Cpack::seeded();
+            let mut stack = [0u32; SEEDED_STACK_WORDS];
+            let mut heap = Vec::new();
+            assert_probes_agree(&mut engine.seeded_dict(&refs, &mut stack, &mut heap), &line);
         }
 
         /// Streaming equivalence: the probes agree on every dictionary state
@@ -764,8 +845,54 @@ mod tests {
         ) {
             let mut engine = Cpack::streaming(128);
             for words in lines {
-                assert_probes_agree(&mut engine, &LineData::from_words(words));
+                assert_probes_agree(&mut engine.dict, &LineData::from_words(words));
             }
+        }
+
+        /// The windowed FIFO holds exactly the last `cap` words pushed,
+        /// oldest first, whatever the slack of its buffer.
+        #[test]
+        fn prop_dict_is_a_fifo(
+            cap in 1usize..40,
+            slack in 1usize..20,
+            pushes in proptest::collection::vec(any::<u32>(), 0..200),
+        ) {
+            let mut dict = Dict::new(vec![0; cap + slack], cap);
+            let mut model = VecDeque::new();
+            for w in pushes {
+                dict.push(w);
+                model.push_back(w);
+                if model.len() > cap {
+                    model.pop_front();
+                }
+                prop_assert_eq!(dict.words(), model.make_contiguous());
+            }
+        }
+
+        /// The clone-free seeded dictionary encodes exactly as cloning the
+        /// engine and pushing every reference word did, for zero to four
+        /// references (four overflow the 32-word dictionary), on the stack
+        /// (CPACK128) and on the heap (a 64-word dictionary); the payload
+        /// decodes back to the line.
+        #[test]
+        fn prop_seeded_matches_pushing_every_reference_word(
+            refs in proptest::collection::vec(
+                proptest::array::uniform16(prop_oneof![
+                    Just(0x1234_5600u32), Just(0x1234_0000u32), 0u32..256, any::<u32>(),
+                ]),
+                0..5,
+            ),
+            target in proptest::array::uniform16(prop_oneof![
+                Just(0x1234_5678u32), Just(0x1234_0042u32), 0u32..256, any::<u32>(),
+            ]),
+            big in any::<bool>(),
+        ) {
+            let engine = if big { Cpack::streaming(256) } else { Cpack::seeded() };
+            let refs: Vec<LineData> = refs.into_iter().map(LineData::from_words).collect();
+            let line = LineData::from_words(target);
+            let payload = engine.compress_seeded(&refs, &line);
+            prop_assert_eq!(&payload, &Encoded::new(seeded_by_pushes(&engine, &refs, &line)));
+            prop_assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), line);
         }
     }
 }

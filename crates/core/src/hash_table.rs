@@ -13,6 +13,7 @@
 //! signatures of the most recent half".
 
 use crate::signature::Signature;
+use cable_common::Divisor;
 use std::fmt;
 
 /// Sentinel for an empty slot (no real packed LineID reaches u32::MAX —
@@ -41,7 +42,8 @@ const EMPTY: u32 = u32::MAX;
 /// assert!(table.lookup(sig).is_empty());
 /// ```
 pub struct SignatureTable {
-    entries: u64,
+    /// Bucket count; a signature's bucket is `sig % entries`.
+    entries: Divisor,
     depth: usize,
     /// Flat bucket storage: `entries * depth` slots; within a bucket, slot 0
     /// is the oldest (FIFO order).
@@ -83,15 +85,17 @@ impl SignatureTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `depth` is zero.
+    /// Panics if `entries` is zero or above `u32::MAX`, or if `depth` is
+    /// zero.
     #[must_use]
     pub fn new(entries: u64, depth: usize) -> Self {
         assert!(entries > 0, "table must have at least one entry");
         assert!(depth > 0, "buckets must hold at least one LineID");
+        let entries = u32::try_from(entries).expect("at most u32::MAX buckets");
         SignatureTable {
-            entries,
+            entries: Divisor::new(entries),
             depth,
-            slots: vec![EMPTY; (entries as usize) * depth],
+            slots: vec![EMPTY; entries as usize * depth],
             inserted: 0,
             evicted: 0,
         }
@@ -100,7 +104,7 @@ impl SignatureTable {
     /// Number of buckets.
     #[must_use]
     pub fn entries(&self) -> u64 {
-        self.entries
+        u64::from(self.entries.get())
     }
 
     /// LineIDs per bucket.
@@ -110,7 +114,7 @@ impl SignatureTable {
     }
 
     fn bucket_range(&self, sig: Signature) -> std::ops::Range<usize> {
-        let idx = (u64::from(sig.as_u32()) % self.entries) as usize;
+        let idx = self.entries.remainder(sig.as_u32()) as usize;
         idx * self.depth..(idx + 1) * self.depth
     }
 
@@ -254,7 +258,7 @@ impl SignatureTable {
     /// input (`entries × depth × lid_bits`).
     #[must_use]
     pub fn storage_bits(&self, lid_bits: u32) -> u64 {
-        self.entries * self.depth as u64 * u64::from(lid_bits)
+        self.entries() * self.depth as u64 * u64::from(lid_bits)
     }
 }
 
@@ -263,7 +267,7 @@ impl fmt::Debug for SignatureTable {
         write!(
             f,
             "SignatureTable({} entries x {} deep, {} occupied)",
-            self.entries,
+            self.entries(),
             self.depth,
             self.occupancy()
         )
@@ -369,7 +373,54 @@ mod tests {
         assert_eq!(t.occupancy(), 0);
     }
 
+    /// `n` signatures of distinct words: H3 spreads their raw values.
+    fn sigs(n: usize) -> Vec<Signature> {
+        (0..n as u32)
+            .map(|i| sig_of(i.wrapping_mul(0x9e37_79b9)))
+            .collect()
+    }
+
+    #[test]
+    fn bucket_choice_is_signature_mod_entries() {
+        for entries in [1u64, 2, 3, 7, 12, 64, 1000, 4097] {
+            let t = SignatureTable::new(entries, 3);
+            for sig in sigs(300) {
+                let want = (u64::from(sig.as_u32()) % entries) as usize * 3;
+                assert_eq!(t.bucket_range(sig), want..want + 3, "{entries} entries");
+            }
+        }
+    }
+
+    #[test]
+    fn signatures_in_one_bucket_collide_on_a_table_not_a_power_of_two() {
+        // Depth 3: three signatures with equal `sig % 3` share one bucket.
+        let mut t = SignatureTable::new(3, 3);
+        let all = sigs(64);
+        let same: Vec<Signature> = all
+            .iter()
+            .copied()
+            .filter(|s| s.as_u32() % 3 == all[0].as_u32() % 3)
+            .take(3)
+            .collect();
+        assert_eq!(same.len(), 3);
+        for (lid, &sig) in same.iter().enumerate() {
+            t.insert(sig, lid as u32);
+        }
+        for &sig in &same {
+            assert_eq!(t.lookup(sig), &[0, 1, 2]);
+        }
+        assert_eq!(t.occupancy(), 3);
+    }
+
     proptest! {
+        #[test]
+        fn prop_bucket_matches_modulo(entries in 1u64..5000, word in any::<u32>()) {
+            let t = SignatureTable::new(entries, 3);
+            let sig = sig_of(word);
+            let want = (u64::from(sig.as_u32()) % entries) as usize * 3;
+            prop_assert_eq!(t.bucket_range(sig), want..want + 3);
+        }
+
         #[test]
         fn prop_lookup_never_exceeds_depth(
             ops in proptest::collection::vec((any::<u32>(), 0u32..1000), 1..200),

@@ -852,10 +852,10 @@ impl CableLink {
 
         // Home lookup / memory fill (§V-A: on a miss, fetch then compress
         // as if it was a hit).
-        let home_hit = self.home.access(addr).is_some();
-        let (home_lid, line) = if home_hit {
+        let home = self.home.access(addr);
+        let home_hit = home.is_some();
+        let (home_lid, line) = if let Some(lid) = home {
             self.stats.home_hits += 1;
-            let lid = self.home.lookup(addr).expect("hit implies present");
             if grant == CoherenceState::Shared {
                 // Sending in the shared state re-shares the home copy (its
                 // data is authoritative even after an absorbed write-back),

@@ -10,12 +10,14 @@
 //!    more likely to contain more similarities" — and keeps the top
 //!    `data_access_count` (6 by default);
 //! 4. reads those candidates from the data array (no tag check), dropping
-//!    any that are not reference-safe (non-Shared) or — when a Way-Map
-//!    Table is provided — not provably resident in the remote cache;
+//!    any that are not reference-safe (non-Shared) or cover no word;
 //! 5. computes a 16-bit coverage bit vector (CBV) per candidate and greedily
 //!    selects up to three references that maximize combined coverage,
 //!    dropping references made redundant by later picks (the paper's
-//!    `1100/0110/0011` example).
+//!    `1100/0110/0011` example). On the request path each pick is
+//!    translated through the Way-Map Table as it is made; a pick not
+//!    provably resident in the remote cache is dropped and the pick is
+//!    repeated, so only chosen references pay for a WMT lookup.
 
 use crate::hash_table::SignatureTable;
 use crate::signature::{SignatureBuf, SignatureExtractor};
@@ -243,27 +245,23 @@ pub fn search_references_into(
         if !cache.state_by_id(lid).is_reference_safe() {
             continue; // dirty/exclusive lines are never references (§II-C)
         }
-        let wire_lid = match wmt {
-            Some(wmt) => match wmt.remote_lid_of(lid) {
-                Some(rlid) => rlid,
-                None => continue, // not guaranteed present remotely (§III-D)
-            },
-            None => lid,
-        };
         let cbv = line.coverage_vector(&data);
         if cbv == 0 {
             continue; // pure hash collision (Fig. 7)
         }
         candidates.push(Reference {
             local_lid: lid,
-            wire_lid,
+            wire_lid: lid,
             data,
             cbv,
         });
     }
 
-    // 5. Greedy max-coverage selection with redundancy pruning.
-    select_indices(candidates, max_refs, sel_idx, keep);
+    // 5. Greedy max-coverage selection with redundancy pruning; the WMT
+    // translates each pick (a miss means the line is not guaranteed
+    // present remotely, §III-D).
+    let translate = |lid| wmt.map_or(Some(lid), |wmt| wmt.remote_lid_of(lid));
+    select_indices(candidates, max_refs, translate, sel_idx, keep);
     selected.clear();
     selected.extend(sel_idx.iter().map(|&i| candidates[i].clone()));
     stats.selected = selected.len();
@@ -300,15 +298,24 @@ pub fn search_references(
 /// Core of the greedy CBV set-cover, operating on candidate indices so the
 /// hot path never clones losing candidates. Leaves the kept indices (in
 /// selection order) in `sel_idx`; `keep` is selection-local scratch.
+///
+/// Each pick's wire pointer comes from `translate` when it is made. A pick
+/// that does not translate is dropped for good (its CBV is zeroed, so it
+/// never wins again) and the pick is repeated. That selects exactly what
+/// translating every candidate first and selecting among the survivors
+/// would: dropping a candidate does not reorder the others, so each
+/// repeated pick is the first maximum among the survivors, and pruning
+/// sees the same selected set.
 fn select_indices(
-    candidates: &[Reference],
+    candidates: &mut [Reference],
     max_refs: usize,
+    mut translate: impl FnMut(LineId) -> Option<LineId>,
     sel_idx: &mut Vec<usize>,
     keep: &mut Vec<bool>,
 ) {
     sel_idx.clear();
     let mut covered: u16 = 0;
-    for _ in 0..max_refs {
+    while sel_idx.len() < max_refs {
         // First maximum wins ties: candidates arrive in pre-rank order.
         let mut best: Option<usize> = None;
         let mut best_gain = 0;
@@ -322,12 +329,15 @@ fn select_indices(
                 best = Some(i);
             }
         }
-        match best {
-            Some(i) => {
-                covered |= candidates[i].cbv;
+        let Some(i) = best else { break };
+        let c = &mut candidates[i];
+        match translate(c.local_lid) {
+            Some(wire_lid) => {
+                c.wire_lid = wire_lid;
+                covered |= c.cbv;
                 sel_idx.push(i);
             }
-            None => break,
+            None => c.cbv = 0,
         }
     }
     // Redundancy pruning: remove references whose coverage is subsumed.
@@ -356,10 +366,37 @@ fn select_indices(
 /// by the others (the paper drops `0110` once `1100` and `0011` are in).
 #[cfg(test)]
 fn select_by_coverage(candidates: &[Reference], max_refs: usize) -> Vec<Reference> {
+    let mut candidates = candidates.to_vec();
     let mut sel_idx = Vec::new();
     let mut keep = Vec::new();
-    select_indices(candidates, max_refs, &mut sel_idx, &mut keep);
+    select_indices(&mut candidates, max_refs, Some, &mut sel_idx, &mut keep);
     sel_idx.into_iter().map(|i| candidates[i].clone()).collect()
+}
+
+/// The eager order the search used before lazy translation: translate
+/// every candidate, drop the misses, then select among the survivors.
+/// Returns `(candidate index, wire LineID)` per selected reference; the
+/// oracle the lazy [`select_indices`] is checked against.
+#[cfg(test)]
+fn select_eager(
+    candidates: &[Reference],
+    max_refs: usize,
+    translate: impl Fn(LineId) -> Option<LineId>,
+) -> Vec<(usize, LineId)> {
+    let mut origin = Vec::new();
+    let mut wire = Vec::new();
+    let mut survivors = Vec::new();
+    for (i, c) in candidates.iter().enumerate() {
+        if let Some(wire_lid) = translate(c.local_lid) {
+            origin.push(i);
+            wire.push(wire_lid);
+            survivors.push(c.clone());
+        }
+    }
+    let mut sel_idx = Vec::new();
+    let mut keep = Vec::new();
+    select_indices(&mut survivors, max_refs, Some, &mut sel_idx, &mut keep);
+    sel_idx.into_iter().map(|i| (origin[i], wire[i])).collect()
 }
 
 #[cfg(test)]
@@ -565,6 +602,49 @@ mod tests {
                         .fold(0, |acc, (_, o)| acc | o.cbv);
                     prop_assert!(r.cbv & !others != 0, "kept a subsumed reference");
                 }
+            }
+
+            /// Translating each pick as it is made selects the same
+            /// candidates, with the same wire LineIDs, as translating every
+            /// candidate first and selecting among the survivors. Bit `i`
+            /// of `misses` makes candidate `i` a WMT miss.
+            #[test]
+            fn prop_lazy_translation_matches_eager(
+                cbvs in proptest::collection::vec(1u16.., 1..16),
+                misses in any::<u16>(),
+                max_refs in 1usize..=3,
+            ) {
+                let candidates: Vec<Reference> = cbvs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &cbv)| Reference {
+                        local_lid: LineId::new(i as u32, 0),
+                        ..make_ref(cbv)
+                    })
+                    .collect();
+                let translate = |lid: LineId| {
+                    ((misses >> lid.index()) & 1 == 0).then(|| LineId::new(lid.index() + 100, 7))
+                };
+                let want = select_eager(&candidates, max_refs, translate);
+
+                let mut lazy = candidates.clone();
+                let mut sel_idx = Vec::new();
+                let mut keep = Vec::new();
+                let mut lookups = 0;
+                select_indices(
+                    &mut lazy,
+                    max_refs,
+                    |lid| {
+                        lookups += 1;
+                        translate(lid)
+                    },
+                    &mut sel_idx,
+                    &mut keep,
+                );
+                let got: Vec<(usize, LineId)> =
+                    sel_idx.iter().map(|&i| (i, lazy[i].wire_lid)).collect();
+                prop_assert_eq!(got, want);
+                prop_assert!(lookups <= candidates.len());
             }
         }
     }

@@ -103,20 +103,22 @@ impl WayMapTable {
         remote_lid.index() as usize * self.remote.ways() as usize + remote_lid.way() as usize
     }
 
+    /// Splits a HomeLID into its remote set index (the low
+    /// `remote.index_bits()` bits of the home index) and its normalized
+    /// entry (the alias above them, plus the home way).
     fn normalize(&self, home_lid: LineId) -> (u64, Normalized) {
-        let remote_index = u64::from(home_lid.index()) % self.remote.sets();
-        let alias = (u64::from(home_lid.index()) / self.remote.sets()) as u32;
+        let index = u64::from(home_lid.index());
         (
-            remote_index,
+            index & (self.remote.sets() - 1),
             Normalized {
-                alias,
+                alias: (index >> self.remote.index_bits()) as u32,
                 home_way: home_lid.way(),
             },
         )
     }
 
     fn denormalize(&self, remote_index: u64, n: Normalized) -> LineId {
-        let home_index = u64::from(n.alias) * self.remote.sets() + remote_index;
+        let home_index = (u64::from(n.alias) << self.remote.index_bits()) | remote_index;
         LineId::new(home_index as u32, n.home_way)
     }
 
@@ -158,10 +160,12 @@ impl WayMapTable {
     #[must_use]
     pub fn remote_lid_of(&self, home_lid: LineId) -> Option<LineId> {
         let (remote_index, normalized) = self.normalize(home_lid);
-        (0..self.remote.ways() as u8).find_map(|way| {
-            let rlid = LineId::new(remote_index as u32, way);
-            (self.entries[self.slot(rlid)] == Some(normalized)).then_some(rlid)
-        })
+        let ways = self.remote.ways() as usize;
+        let base = remote_index as usize * ways;
+        self.entries[base..base + ways]
+            .iter()
+            .position(|&e| e == Some(normalized))
+            .map(|way| LineId::new(remote_index as u32, way as u8))
     }
 
     /// The §III-G reverse translation for write-back compression: the
@@ -175,15 +179,15 @@ impl WayMapTable {
     /// Iterates every valid mapping as `(remote_lid, home_lid)` pairs — the
     /// resync audit walks this to find mappings that outlived their lines.
     pub fn iter_mapped(&self) -> impl Iterator<Item = (LineId, LineId)> + '_ {
-        let ways = self.remote.ways() as usize;
         self.entries
-            .iter()
+            .chunks_exact(self.remote.ways() as usize)
             .enumerate()
-            .filter_map(move |(slot, e)| {
-                e.map(|n| {
-                    let remote_lid = LineId::new((slot / ways) as u32, (slot % ways) as u8);
-                    let home_lid = self.denormalize(u64::from(remote_lid.index()), n);
-                    (remote_lid, home_lid)
+            .flat_map(move |(index, set)| {
+                set.iter().enumerate().filter_map(move |(way, e)| {
+                    e.map(|n| {
+                        let remote_lid = LineId::new(index as u32, way as u8);
+                        (remote_lid, self.denormalize(index as u64, n))
+                    })
                 })
             })
     }
