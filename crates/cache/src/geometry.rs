@@ -27,10 +27,9 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: u64,
-    ways: u32,
+    ways: Divisor,
     /// `log2(sets)`.
     set_shift: u32,
-    ways_div: Divisor,
 }
 
 impl CacheGeometry {
@@ -62,9 +61,8 @@ impl CacheGeometry {
         );
         CacheGeometry {
             size_bytes,
-            ways,
+            ways: Divisor::new(ways),
             set_shift: sets.trailing_zeros(),
-            ways_div: Divisor::new(ways),
         }
     }
 
@@ -77,7 +75,7 @@ impl CacheGeometry {
     /// Associativity (ways per set).
     #[must_use]
     pub fn ways(&self) -> u32 {
-        self.ways
+        self.ways.get()
     }
 
     /// Number of sets.
@@ -101,7 +99,7 @@ impl CacheGeometry {
     /// Bits needed for a way number.
     #[must_use]
     pub fn way_bits(&self) -> u32 {
-        bits_for(u64::from(self.ways))
+        bits_for(u64::from(self.ways()))
     }
 
     /// Bits needed for a LineID (`index + way`), the CABLE pointer width.
@@ -129,7 +127,7 @@ impl fmt::Debug for CacheGeometry {
             f,
             "CacheGeometry({} KB, {}-way, {} sets)",
             self.size_bytes / 1024,
-            self.ways,
+            self.ways(),
             self.sets()
         )
     }
@@ -207,10 +205,10 @@ impl LineId {
         assert!(packed < geometry.lines(), "packed LineID out of range");
         // `new` caps `lines()` at 2^32, so `packed` fits the u32 divide.
         let packed = packed as u32;
-        let index = geometry.ways_div.quotient(packed);
+        let index = geometry.ways.quotient(packed);
         LineId {
             index,
-            way: (packed - index * geometry.ways) as u8,
+            way: (packed - index * geometry.ways()) as u8,
         }
     }
 }
