@@ -124,25 +124,19 @@ fn golden_engine_dispatch_sizes_are_stable() {
     }
 }
 
-/// `LinkStats` of the §VI-A CABLE+LBE link (4 MB 16-way home L4, 1 MB
-/// 8-way remote LLC, 16-bit link; the link perfbench's `encode-dealII`
-/// drives) after a fixed dealII stream sent in 64-access batches: 20,480
-/// warm-up accesses, `reset_stats`, then 20,480 measured ones. Every field
-/// is pinned, so a host-side change that moves a modelled count (data-array
-/// reads, compression operations, bit toggles) on this geometry fails here.
-#[test]
-fn golden_section_vi_a_link_stats() {
-    use cable::cache::CacheGeometry;
-    use cable::core::{BatchAccess, LinkStats};
+/// `LinkStats` of a CABLE+LBE link with the given home and remote caches
+/// (16-bit link, §VI-A engine setup) after a fixed dealII stream sent in
+/// 64-access batches: 20,480 warm-up accesses, `reset_stats`, then 20,480
+/// measured ones.
+fn dealii_link_stats(
+    home: cable::cache::CacheGeometry,
+    remote: cable::cache::CacheGeometry,
+) -> cable::core::LinkStats {
+    use cable::core::BatchAccess;
     use cable::sim::{CompressedLink, Scheme};
     use cable::trace::WorkloadGen;
 
-    let mut link = CompressedLink::build(
-        Scheme::Cable(EngineKind::Lbe),
-        CacheGeometry::new(4 << 20, 16),
-        CacheGeometry::new(1 << 20, 8),
-        16,
-    );
+    let mut link = CompressedLink::build(Scheme::Cable(EngineKind::Lbe), home, remote, 16);
     let mut gen = WorkloadGen::new(cable::trace::by_name("dealII").unwrap(), 0);
     let mut batch = Vec::new();
     let mut xfers = Vec::new();
@@ -165,6 +159,18 @@ fn golden_section_vi_a_link_stats() {
     drive(&mut link, 320);
     link.reset_stats();
     drive(&mut link, 320);
+    *link.stats()
+}
+
+/// Every `LinkStats` field of the §VI-A CABLE+LBE link (4 MB 16-way home
+/// L4, 1 MB 8-way remote LLC; the link perfbench's `encode-dealII` drives)
+/// on the fixed dealII stream is pinned, so a host-side change that moves a
+/// modelled count (data-array reads, compression operations, bit toggles)
+/// on this geometry fails here.
+#[test]
+fn golden_section_vi_a_link_stats() {
+    use cable::cache::CacheGeometry;
+    use cable::core::LinkStats;
 
     let expect = LinkStats {
         fills: 6_582,
@@ -184,5 +190,49 @@ fn golden_section_vi_a_link_stats() {
         bit_toggles: 400_043,
         flits: 51_172,
     };
-    assert_eq!(*link.stats(), expect);
+    let stats = dealii_link_stats(
+        CacheGeometry::new(4 << 20, 16),
+        CacheGeometry::new(1 << 20, 8),
+    );
+    assert_eq!(stats, expect);
+}
+
+/// The same stream on a small CABLE+LBE link: 128 KB 4-way home, 64 KB
+/// 8-way remote. The §VI-A link above sees few write-backs and home hits.
+/// Here every §III-F signature-removal path runs thousands of times over
+/// the 40,960 accesses: about 11,500 home evictions, 2,500 inclusive
+/// back-invalidations, 10,100 displaced-home removals, 16,200 upgrades and
+/// 3,000 write-backs. Their removals feed the pinned counts.
+#[test]
+fn golden_small_cache_link_stats() {
+    use cable::cache::CacheGeometry;
+    use cable::core::LinkStats;
+
+    let stats = dealii_link_stats(
+        CacheGeometry::new(128 << 10, 4),
+        CacheGeometry::new(64 << 10, 8),
+    );
+    assert!(
+        stats.writebacks >= 1_000,
+        "removal paths not exercised: {stats:?}"
+    );
+    let expect = LinkStats {
+        fills: 6_800,
+        remote_hits: 13_680,
+        writebacks: 1_966,
+        home_hits: 24,
+        raw_transfers: 979,
+        unseeded_transfers: 6_296,
+        diff_transfers: 1_491,
+        refs_sent: 1_621,
+        uncompressed_bits: 4_488_192,
+        payload_bits: 2_705_341,
+        wire_bits: 2_779_824,
+        wire_bits_packed: 2_799_020,
+        data_array_reads: 95_457,
+        compression_ops: 15_628,
+        bit_toggles: 1_365_955,
+        flits: 173_739,
+    };
+    assert_eq!(stats, expect);
 }
