@@ -113,8 +113,15 @@ impl SignatureTable {
         self.depth
     }
 
+    /// Index of the bucket `sig` maps to, in [`SignatureTable::iter_buckets`]
+    /// order.
+    #[must_use]
+    pub fn bucket_of(&self, sig: Signature) -> usize {
+        self.entries.remainder(sig.as_u32()) as usize
+    }
+
     fn bucket_range(&self, sig: Signature) -> std::ops::Range<usize> {
-        let idx = self.entries.remainder(sig.as_u32()) as usize;
+        let idx = self.bucket_of(sig);
         idx * self.depth..(idx + 1) * self.depth
     }
 
