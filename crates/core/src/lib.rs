@@ -57,7 +57,6 @@ pub mod h3;
 pub mod hash_table;
 pub mod link;
 pub mod search;
-pub mod sig_cache;
 pub mod signature;
 pub mod wmt;
 
@@ -75,6 +74,5 @@ pub use link::{
     BatchAccess, BatchOp, CableLink, Direction, Link, LinkStats, Transfer, TransferKind,
 };
 pub use search::{Reference, SearchScratch};
-pub use sig_cache::InsertSigCache;
 pub use signature::{Signature, SignatureBuf, SignatureExtractor};
 pub use wmt::WayMapTable;

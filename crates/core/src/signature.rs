@@ -103,12 +103,6 @@ impl SignatureBuf {
             self.len += 1;
         }
     }
-
-    /// Appends an already-deduplicated signature (cache refill path).
-    pub(crate) fn push(&mut self, sig: Signature) {
-        self.sigs[self.len] = sig;
-        self.len += 1;
-    }
 }
 
 impl fmt::Debug for SignatureBuf {
