@@ -236,3 +236,96 @@ fn golden_small_cache_link_stats() {
     };
     assert_eq!(stats, expect);
 }
+
+/// Fault-mode counterpart of the small-cache golden: the same CABLE+LBE
+/// link (128 KB 4-way home, 64 KB 8-way remote) over the fixed dealII
+/// stream with fault injection armed, and one access in four replaced by
+/// an `evict_remote` of its line. Every `LinkStats` and `FaultStats` field
+/// is pinned, so a change to the fault-mode receiver that moves a modelled
+/// count (compression operations, data-array reads, NACKs) fails here.
+#[test]
+fn golden_small_cache_fault_mode_stats() {
+    use cable::cache::CacheGeometry;
+    use cable::common::SplitMix64;
+    use cable::core::{FaultConfig, FaultStats, LinkStats};
+
+    let mut cfg = CableConfig::memory_link_default()
+        .with_geometries(
+            CacheGeometry::new(128 << 10, 4),
+            CacheGeometry::new(64 << 10, 8),
+        )
+        .with_engine(EngineKind::Lbe)
+        .with_link_width(16);
+    cfg.data_access_count = 16;
+    let mut link = CableLink::new(cfg);
+    link.enable_fault_injection(FaultConfig::with_rate(0xFA17, 2e-3));
+    let mut gen = cable::trace::WorkloadGen::new(cable::trace::by_name("dealII").unwrap(), 0);
+    let mut rng = SplitMix64::new(27);
+    // DIFF transfers per direction: fills from the returned transfers,
+    // write-backs from the evictions of dirty lines.
+    let (mut fill_diffs, mut writeback_diffs) = (0u64, 0u64);
+    for _ in 0..20_480 {
+        let a = gen.next_access();
+        if rng.next_bounded(4) == 0 {
+            let before = link.stats().diff_transfers;
+            link.evict_remote(a.addr);
+            writeback_diffs += link.stats().diff_transfers - before;
+            continue;
+        }
+        let memory = gen.content(a.addr);
+        let t = if a.is_write {
+            let t = link.request_exclusive(a.addr, memory);
+            link.remote_store(a.addr, gen.store_data(a.addr));
+            t
+        } else {
+            link.request(a.addr, memory)
+        };
+        fill_diffs += u64::from(t.kind() == TransferKind::Diff);
+    }
+    let stats = *link.stats();
+    let faults = *link.fault_stats().expect("fault mode on");
+    // Each receiver branch ran: a raw fallback, a reference resolved from
+    // the eviction buffer, and DIFFs decoded in both directions.
+    assert!(faults.fallback_raw >= 1, "{faults:?}");
+    assert!(faults.evict_buffer_hits >= 1, "{faults:?}");
+    assert!(fill_diffs >= 1 && writeback_diffs >= 1, "{stats:?}");
+    let expect = LinkStats {
+        fills: 7_626,
+        remote_hits: 7_679,
+        writebacks: 1_781,
+        home_hits: 952,
+        raw_transfers: 1_005,
+        unseeded_transfers: 7_112,
+        diff_transfers: 1_290,
+        refs_sent: 1_397,
+        uncompressed_bits: 4_816_384,
+        payload_bits: 9_936_745,
+        wire_bits: 10_365_056,
+        wire_bits_packed: 10_186_286,
+        data_array_reads: 91_466,
+        compression_ops: 24_080,
+        bit_toggles: 4_835_718,
+        flits: 647_816,
+    };
+    let expect_faults = FaultStats {
+        frames_sent: 21_850,
+        injected_frames: 12_820,
+        injected_bit_flips: 18_981,
+        injected_truncations: 931,
+        dropped_notices: 683,
+        delayed_notices: 293,
+        detected: 12_822,
+        recovered: 12_822,
+        nacks: 12_822,
+        fallback_raw: 1_436,
+        retransmitted_bits: 6_539_440,
+        escalations: 0,
+        reliable_frames: 0,
+        evict_buffer_hits: 74,
+        resyncs: 0,
+        resync_repairs: 0,
+    };
+    assert_eq!((fill_diffs, writeback_diffs), (1_105, 90));
+    assert_eq!(stats, expect);
+    assert_eq!(faults, expect_faults);
+}
