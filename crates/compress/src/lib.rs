@@ -105,9 +105,10 @@ impl Encoded {
     }
 }
 
-/// Broad classification of a [`DecodeError`], used by the fault-recovery
-/// protocol to pick a retry strategy (retransmit the same frame vs. fall
-/// back to a raw transfer).
+/// Broad classification of a [`DecodeError`]: what was wrong with the
+/// bits themselves. Missing or stale references and a decoded line that
+/// fails its end-to-end check are the receiver's to classify, not the
+/// decoder's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeErrorKind {
@@ -118,11 +119,6 @@ pub enum DecodeErrorKind {
     Malformed,
     /// A frame-level CRC over the wire bits failed.
     BadFrameCrc,
-    /// The decoded line failed its end-to-end CRC (reference divergence or
-    /// an undetected wire error surfacing after decode).
-    BadLineCrc,
-    /// A reference named by the payload is missing or stale at the receiver.
-    BadReference,
 }
 
 /// Error returned when a payload cannot be decoded.

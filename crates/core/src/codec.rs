@@ -38,20 +38,6 @@ fn crc32_bits(bytes: &[u8], len_bits: usize) -> u32 {
     crc.finish()
 }
 
-/// A parsed incoming payload.
-#[derive(Clone, Debug)]
-pub enum ParsedPayload {
-    /// Uncompressed 64-byte line.
-    Raw(LineData),
-    /// Compressed: packed wire LineIDs of the references plus the DIFF.
-    Compressed {
-        /// Packed RemoteLIDs (empty for the unseeded fallback).
-        ref_lids: Vec<u64>,
-        /// The variable-length DIFF bitstream.
-        diff: Encoded,
-    },
-}
-
 /// The head of a payload, read in place by [`PayloadCodec::read_head`]:
 /// the reader is left at the start of the raw line or the DIFF.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,37 +162,22 @@ impl PayloadCodec {
         Ok(PayloadHead::Compressed { lids, count })
     }
 
-    /// Parses a payload produced by the encode methods.
+    /// Reads the 512 raw line bits that follow a [`PayloadHead::Raw`] head.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] if the payload is truncated.
-    pub fn parse(&self, bytes: &[u8], len_bits: usize) -> Result<ParsedPayload, DecodeError> {
-        let truncated = |what: &str| DecodeError::with_kind(DecodeErrorKind::Truncated, what);
-        let mut r = BitReader::try_new(bytes, len_bits)
-            .ok_or_else(|| truncated("payload length exceeds delivered bytes"))?;
-        match self.read_head(&mut r)? {
-            PayloadHead::Raw => {
-                let mut raw = [0u8; LINE_BYTES];
-                // MSB-first stream order is big-endian byte order within
-                // each 64-bit chunk.
-                for chunk in raw.chunks_exact_mut(8) {
-                    let v = r
-                        .read_bits(64)
-                        .ok_or_else(|| truncated("truncated raw line"))?;
-                    chunk.copy_from_slice(&v.to_be_bytes());
-                }
-                Ok(ParsedPayload::Raw(LineData::from_bytes(raw)))
-            }
-            PayloadHead::Compressed { lids, count } => {
-                let mut diff = BitWriter::new();
-                diff.append_from_reader(&mut r);
-                Ok(ParsedPayload::Compressed {
-                    ref_lids: lids[..count].to_vec(),
-                    diff: Encoded::new(diff),
-                })
-            }
+    /// Returns [`DecodeErrorKind::Truncated`] if fewer than 512 bits remain.
+    pub fn read_raw(&self, r: &mut BitReader<'_>) -> Result<LineData, DecodeError> {
+        let mut raw = [0u8; LINE_BYTES];
+        // MSB-first stream order is big-endian byte order within each
+        // 64-bit chunk.
+        for chunk in raw.chunks_exact_mut(8) {
+            let v = r.read_bits(64).ok_or_else(|| {
+                DecodeError::with_kind(DecodeErrorKind::Truncated, "truncated raw line")
+            })?;
+            chunk.copy_from_slice(&v.to_be_bytes());
         }
+        Ok(LineData::from_bytes(raw))
     }
 
     /// Wraps an already-framed payload (from [`PayloadCodec::encode_compressed`]
@@ -228,9 +199,10 @@ impl PayloadCodec {
         w
     }
 
-    /// Verifies and unwraps a guarded frame, returning the parsed payload
-    /// and the sender's end-to-end line CRC (to be checked against the
-    /// decoded line).
+    /// Verifies a guarded frame and hands back, in place, a reader over its
+    /// payload bits (to be read with [`PayloadCodec::read_head`]) and the
+    /// sender's end-to-end line CRC (to be checked against the decoded
+    /// line).
     ///
     /// Never panics on arbitrary input: any truncation, length overrun, or
     /// corruption surfaces as a typed [`DecodeError`].
@@ -239,14 +211,12 @@ impl PayloadCodec {
     ///
     /// [`DecodeErrorKind::Truncated`] if the frame is shorter than its
     /// mandatory fields or claims more bits than `bytes` holds;
-    /// [`DecodeErrorKind::BadFrameCrc`] if the frame checksum fails; any
-    /// [`PayloadCodec::parse`] error for a malformed (but checksum-valid)
-    /// payload.
-    pub fn parse_guarded(
+    /// [`DecodeErrorKind::BadFrameCrc`] if the frame checksum fails.
+    pub fn parse_guarded<'a>(
         &self,
-        bytes: &[u8],
+        bytes: &'a [u8],
         len_bits: usize,
-    ) -> Result<(ParsedPayload, u32), DecodeError> {
+    ) -> Result<(BitReader<'a>, u32), DecodeError> {
         if len_bits <= GUARD_BITS {
             return Err(DecodeError::with_kind(
                 DecodeErrorKind::Truncated,
@@ -273,8 +243,7 @@ impl PayloadCodec {
                 "frame CRC mismatch",
             ));
         }
-        let parsed = self.parse(bytes, payload_bits)?;
-        Ok((parsed, line_crc))
+        Ok((BitReader::new(bytes, payload_bits), line_crc))
     }
 
     /// Wire cost in bits of a payload on this link: flit-quantized
@@ -324,16 +293,36 @@ mod tests {
         Encoded::new(w)
     }
 
+    /// Reads a compressed payload's head and the DIFF that ends it.
+    fn read_compressed(c: &PayloadCodec, mut r: BitReader<'_>) -> (Vec<u64>, Encoded) {
+        let PayloadHead::Compressed { lids, count } = c.read_head(&mut r).unwrap() else {
+            panic!("compressed payload read as raw");
+        };
+        let mut diff = BitWriter::new();
+        diff.append_from_reader(&mut r);
+        (lids[..count].to_vec(), Encoded::new(diff))
+    }
+
     #[test]
     fn raw_round_trip() {
         let c = codec();
         let line = LineData::splat_word(0xabcd_ef01);
         let w = c.encode_raw(&line);
         assert_eq!(w.len_bits(), 513);
-        match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-            ParsedPayload::Raw(back) => assert_eq!(back, line),
-            other => panic!("expected raw, got {other:?}"),
-        }
+        let mut r = w.reader();
+        assert_eq!(c.read_head(&mut r), Ok(PayloadHead::Raw));
+        assert_eq!(c.read_raw(&mut r), Ok(line));
+        assert_eq!(r.remaining_bits(), 0);
+    }
+
+    #[test]
+    fn truncated_raw_line_is_error() {
+        let c = codec();
+        let w = c.encode_raw(&LineData::splat_word(1));
+        let mut r = BitReader::new(w.as_slice(), w.len_bits() - 1);
+        assert_eq!(c.read_head(&mut r), Ok(PayloadHead::Raw));
+        let err = c.read_raw(&mut r).unwrap_err();
+        assert_eq!(err.kind(), DecodeErrorKind::Truncated);
     }
 
     #[test]
@@ -343,14 +332,7 @@ mod tests {
         let lids = [3u64, 0x1ffff, 42];
         let w = c.encode_compressed(&lids, &diff);
         assert_eq!(w.len_bits(), 1 + 2 + 3 * 17 + 5);
-        match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-            ParsedPayload::Compressed { ref_lids, diff: d } => {
-                assert_eq!(ref_lids, lids);
-                assert_eq!(d.len_bits(), 5);
-                assert_eq!(d, diff);
-            }
-            other => panic!("expected compressed, got {other:?}"),
-        }
+        assert_eq!(read_compressed(&c, w.reader()), (lids.to_vec(), diff));
     }
 
     #[test]
@@ -359,13 +341,7 @@ mod tests {
         let diff = diff_of_bits(&[true; 30]);
         let w = c.encode_compressed(&[], &diff);
         assert_eq!(w.len_bits(), 33);
-        match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-            ParsedPayload::Compressed { ref_lids, diff: d } => {
-                assert!(ref_lids.is_empty());
-                assert_eq!(d.len_bits(), 30);
-            }
-            other => panic!("expected compressed, got {other:?}"),
-        }
+        assert_eq!(read_compressed(&c, w.reader()), (vec![], diff));
     }
 
     #[test]
@@ -390,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_error() {
-        assert!(codec().parse(&[], 0).is_err());
+        assert!(codec().read_head(&mut BitReader::new(&[], 0)).is_err());
     }
 
     #[test]
@@ -399,7 +375,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bit(true);
         w.write_bits(2, 2); // claims 2 refs, provides none
-        assert!(c.parse(w.as_slice(), w.len_bits()).is_err());
+        assert!(c.read_head(&mut w.reader()).is_err());
     }
 
     #[test]
@@ -416,14 +392,13 @@ mod tests {
         let line = LineData::splat_word(0x0bad_cafe);
         let framed = c.encode_guarded(&c.encode_raw(&line), &line);
         assert_eq!(framed.len_bits(), 513 + GUARD_BITS);
-        let (parsed, line_crc) = c
+        let (mut r, line_crc) = c
             .parse_guarded(framed.as_slice(), framed.len_bits())
             .unwrap();
         assert_eq!(line_crc, crc32(line.as_bytes()));
-        match parsed {
-            ParsedPayload::Raw(back) => assert_eq!(back, line),
-            other => panic!("expected raw, got {other:?}"),
-        }
+        assert_eq!(r.remaining_bits(), 513);
+        assert_eq!(c.read_head(&mut r), Ok(PayloadHead::Raw));
+        assert_eq!(c.read_raw(&mut r), Ok(line));
     }
 
     #[test]
@@ -431,20 +406,17 @@ mod tests {
         let c = codec();
         let err = c.parse_guarded(&[0u8; 8], GUARD_BITS).unwrap_err();
         assert_eq!(err.kind(), cable_compress::DecodeErrorKind::Truncated);
+        // A length claim beyond the delivered bytes must error, not panic.
         let err = c.parse_guarded(&[0u8; 2], 200).unwrap_err();
         assert_eq!(err.kind(), cable_compress::DecodeErrorKind::Truncated);
     }
 
-    #[test]
-    fn parse_is_fallible_on_oversized_length_claim() {
-        // A length claim beyond the delivered bytes must error, not panic.
-        let err = codec().parse(&[0x00], 600).unwrap_err();
-        assert_eq!(err.kind(), cable_compress::DecodeErrorKind::Truncated);
-    }
-
     proptest! {
+        /// `read_head` returns the head the encoder wrote and leaves the
+        /// reader exactly at the DIFF (or the raw line), which round-trips
+        /// bit for bit.
         #[test]
-        fn prop_compressed_round_trip(
+        fn prop_read_head_stops_at_the_payload_body(
             lids in proptest::collection::vec(0u64..(1 << 17), 0..4),
             bits in proptest::collection::vec(any::<bool>(), 0..600),
         ) {
@@ -455,34 +427,13 @@ mod tests {
                 w.len_bits(),
                 c.compressed_header_bits(lids.len()) + bits.len()
             );
-            match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-                ParsedPayload::Compressed { ref_lids, diff: d } => {
-                    prop_assert_eq!(ref_lids, lids);
-                    prop_assert_eq!(d.len_bits(), bits.len());
-                }
-                _ => prop_assert!(false, "expected compressed"),
-            }
-        }
-
-        /// `read_head` returns the head the encoder wrote and leaves the
-        /// reader exactly at the DIFF (or the raw line).
-        #[test]
-        fn prop_read_head_stops_at_the_payload_body(
-            lids in proptest::collection::vec(0u64..(1 << 17), 0..4),
-            bits in proptest::collection::vec(any::<bool>(), 0..200),
-        ) {
-            let c = codec();
-            let w = c.encode_compressed(&lids, &diff_of_bits(&bits));
-            let mut r = w.reader();
-            let PayloadHead::Compressed { lids: got, count } = c.read_head(&mut r).unwrap() else {
-                panic!("compressed payload read as raw");
-            };
-            prop_assert_eq!(&got[..count], &lids[..]);
-            prop_assert_eq!(r.remaining_bits(), bits.len());
-            let raw = c.encode_raw(&LineData::splat_word(bits.len() as u32));
+            prop_assert_eq!(read_compressed(&c, w.reader()), (lids, diff));
+            let line = LineData::splat_word(bits.len() as u32);
+            let raw = c.encode_raw(&line);
             let mut r = raw.reader();
             prop_assert_eq!(c.read_head(&mut r), Ok(PayloadHead::Raw));
             prop_assert_eq!(r.remaining_bits(), LINE_BYTES * 8);
+            prop_assert_eq!(c.read_raw(&mut r), Ok(line));
         }
 
         /// Any single-bit corruption of a guarded frame is detected: the
@@ -535,13 +486,9 @@ mod tests {
             if tail > 0 {
                 *bytes.last_mut().unwrap() |= 0xff >> tail;
             }
-            let (parsed, line_crc) = c.parse_guarded(&bytes, framed.len_bits()).unwrap();
+            let (payload, line_crc) = c.parse_guarded(&bytes, framed.len_bits()).unwrap();
             prop_assert_eq!(line_crc, crc32(line.as_bytes()));
-            let ParsedPayload::Compressed { ref_lids, diff } = parsed else {
-                panic!("compressed payload parsed as raw");
-            };
-            prop_assert_eq!(ref_lids, lids);
-            prop_assert_eq!(diff, diff_of_bits(&bits));
+            prop_assert_eq!(read_compressed(&c, payload), (lids, diff_of_bits(&bits)));
         }
 
         /// Truncating a guarded frame anywhere is detected.
@@ -559,8 +506,8 @@ mod tests {
 
         /// A seeded LBE or CPACK diff of an adversarial line survives the
         /// full fault-mode framing (payload header + line CRC + frame CRC):
-        /// it parses back, decodes to the exact line, and the line CRC
-        /// covers the decoded bytes.
+        /// it decodes in place to the exact line, the DIFF ends the
+        /// payload, and the line CRC covers the decoded bytes.
         #[test]
         fn prop_seeded_diff_survives_guarded_frame(
             (refs, line) in crate::test_lines::family_case(),
@@ -572,27 +519,46 @@ mod tests {
                 let diff = engine.compress_seeded(&refs, &line);
                 let framed = c.encode_compressed(&[0, 1, 2], &diff);
                 let guarded = c.encode_guarded(&framed, &line);
-                let (parsed, line_crc) = c
+                let (mut r, line_crc) = c
                     .parse_guarded(guarded.as_slice(), guarded.len_bits())
                     .expect("self-produced frame verifies");
-                let ParsedPayload::Compressed { ref_lids, diff } = parsed else {
-                    panic!("{}: compressed payload parsed as raw", engine.name());
-                };
-                prop_assert_eq!(ref_lids, vec![0, 1, 2]);
-                prop_assert_eq!(engine.decompress_seeded(&refs, &diff).unwrap(), line);
+                let head = c.read_head(&mut r).unwrap();
+                prop_assert_eq!(head, PayloadHead::Compressed { lids: [0, 1, 2], count: 3 });
+                prop_assert_eq!(engine.decompress_seeded_from(&refs, &mut r).unwrap(), line);
+                prop_assert_eq!(r.remaining_bits(), 0, "{}: the DIFF ends the payload", engine.name());
                 prop_assert_eq!(line_crc, crc32(line.as_bytes()));
             }
         }
 
-        /// Random byte soup never panics the parser — it errors or parses.
+        /// Random byte soup never panics the receive-side chain: the frame
+        /// check, then the head and the raw line or the DIFF read in place,
+        /// each erring or decoding. The payload is read both behind the
+        /// frame check and directly, so arbitrary heads reach the decoders.
         #[test]
         fn prop_byte_soup_never_panics(
             soup in proptest::collection::vec(any::<u8>(), 0..96),
             len_bits in 0usize..800,
+            refs in proptest::collection::vec(any::<u32>(), 3),
         ) {
+            use cable_compress::{Cpack, Lbe, SeededCompressor};
             let c = codec();
-            let _ = c.parse(&soup, len_bits);
-            let _ = c.parse_guarded(&soup, len_bits);
+            let refs = refs.iter().map(|&w| LineData::splat_word(w)).collect::<Vec<_>>();
+            let receive = |mut r: BitReader<'_>| match c.read_head(&mut r) {
+                Ok(PayloadHead::Raw) => {
+                    let _ = c.read_raw(&mut r);
+                }
+                Ok(PayloadHead::Compressed { count, .. }) => {
+                    let _ = Lbe::seeded().decompress_seeded_from(&refs[..count], &mut r.clone());
+                    let _ = Cpack::seeded().decompress_seeded_from(&refs[..count], &mut r);
+                }
+                Err(_) => {}
+            };
+            if let Ok((payload, _)) = c.parse_guarded(&soup, len_bits) {
+                receive(payload);
+            }
+            if let Some(r) = BitReader::try_new(&soup, len_bits) {
+                receive(r);
+            }
         }
 
         #[test]
