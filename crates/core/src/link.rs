@@ -839,7 +839,7 @@ impl CableLink {
                 // Sending in the shared state re-shares the home copy (its
                 // data is authoritative even after an absorbed write-back),
                 // which is what makes the signature insert below legal.
-                self.home.set_state(addr, CoherenceState::Shared);
+                self.home.set_state_by_id(lid, CoherenceState::Shared);
             }
             (lid, self.home.read_by_id(lid).expect("valid"))
         } else {
@@ -896,7 +896,8 @@ impl CableLink {
                 let sigs = self.insert_signatures(&old);
                 self.remote_table.remove_all(sigs.as_slice(), packed);
             }
-            self.remote.set_state(addr, CoherenceState::Modified);
+            self.remote
+                .set_state_by_id(remote_lid, CoherenceState::Modified);
         }
         // The home-side half travels as a notice; on a faulty channel it can
         // be lost or arrive late, leaving the home free to emit stale
@@ -906,7 +907,8 @@ impl CableLink {
             self.fault = Some(fs);
         } else if let Some(home_lid) = self.home.lookup(addr) {
             self.remove_home_signatures(home_lid);
-            self.home.set_state(addr, CoherenceState::Modified);
+            self.home
+                .set_state_by_id(home_lid, CoherenceState::Modified);
         }
     }
 
@@ -1043,7 +1045,8 @@ impl CableLink {
             Notice::Upgrade { addr } => {
                 if let Some(home_lid) = self.home.lookup(addr) {
                     self.remove_home_signatures(home_lid);
-                    self.home.set_state(addr, CoherenceState::Modified);
+                    self.home
+                        .set_state_by_id(home_lid, CoherenceState::Modified);
                 }
             }
         }

@@ -5,6 +5,8 @@
 //! serialize them without callbacks. Category strings are `&'static str`
 //! to keep event construction allocation-free.
 
+use crate::json;
+
 /// One structured occurrence inside the CABLE stack.
 ///
 /// Variants mirror the things the paper's evaluation reasons about:
@@ -212,8 +214,14 @@ impl Event {
     /// The Chrome-trace track (thread name) this event renders on.
     #[must_use]
     pub fn track(&self) -> &'static str {
+        TRACKS[self.track_index()]
+    }
+
+    /// The event's position in [`TRACKS`] (per-track ring selection).
+    #[must_use]
+    pub fn track_index(&self) -> usize {
         match self {
-            Event::Encode { .. } | Event::Search { .. } | Event::DiffSize { .. } => "encode",
+            Event::Encode { .. } | Event::Search { .. } | Event::DiffSize { .. } => 0,
             Event::Nack { .. }
             | Event::FallbackRaw
             | Event::Escalation
@@ -222,27 +230,86 @@ impl Event {
             | Event::NoticeDropped
             | Event::NoticeDelayed
             | Event::Resync { .. }
-            | Event::EvictBufferHit => "fault",
-            Event::SchedWake { .. } => "sched",
-            Event::LinkBusy { .. } => "link",
-            Event::DramBusy { .. } => "dram",
-            Event::MeshHop { .. } => "mesh",
-            Event::Phase { .. } | Event::Marker { .. } => "marker",
+            | Event::EvictBufferHit => 1,
+            Event::SchedWake { .. } => 2,
+            Event::LinkBusy { .. } => 3,
+            Event::DramBusy { .. } => 4,
+            Event::MeshHop { .. } => 5,
+            Event::Phase { .. } | Event::Marker { .. } => 6,
         }
     }
 
-    /// The event's position in [`TRACKS`] (per-track ring selection).
-    #[must_use]
-    pub fn track_index(&self) -> usize {
-        let track = self.track();
-        TRACKS
-            .iter()
-            .position(|t| *t == track)
-            .expect("every track name appears in TRACKS")
+    /// Appends the event's arguments to `out` as a JSON object body (no
+    /// surrounding braces; nothing for an event without arguments), built
+    /// from static keys and integer values only.
+    pub fn write_args(&self, out: &mut Vec<u8>) {
+        let mut m = Members { out, first: true };
+        match *self {
+            Event::Encode {
+                kind,
+                direction,
+                payload_bits,
+                wire_bits,
+                refs,
+            } => {
+                m.str("kind", kind);
+                m.str("direction", direction);
+                m.int("payload_bits", payload_bits.into());
+                m.int("wire_bits", wire_bits.into());
+                m.int("refs", refs.into());
+            }
+            Event::Search {
+                candidates,
+                data_reads,
+                selected,
+            } => {
+                m.int("candidates", candidates.into());
+                m.int("data_reads", data_reads.into());
+                m.int("selected", selected.into());
+            }
+            Event::DiffSize { bits } => m.int("bits", bits.into()),
+            Event::Nack { class } => m.str("class", class),
+            Event::FallbackRaw
+            | Event::Escalation
+            | Event::NoticeDropped
+            | Event::NoticeDelayed
+            | Event::EvictBufferHit => {}
+            Event::Retransmit { wire_bits } => m.int("wire_bits", wire_bits),
+            Event::FaultInjected {
+                bit_flips,
+                truncated,
+            } => {
+                m.int("bit_flips", bit_flips.into());
+                m.bool("truncated", truncated);
+            }
+            Event::Resync { repairs } => m.int("repairs", repairs),
+            Event::SchedWake { actor } => m.int("actor", actor.into()),
+            Event::LinkBusy { start_ps, dur_ps } | Event::DramBusy { start_ps, dur_ps } => {
+                m.int("start_ps", start_ps);
+                m.int("dur_ps", dur_ps);
+            }
+            Event::MeshHop {
+                hop,
+                depth,
+                start_ps,
+                dur_ps,
+            } => {
+                m.int("hop", hop.into());
+                m.int("depth", depth.into());
+                m.int("start_ps", start_ps);
+                m.int("dur_ps", dur_ps);
+            }
+            Event::Phase { name } => m.str("phase", name),
+            Event::Marker { name, value } => {
+                m.str("name", name);
+                m.int("value", value);
+            }
+        }
     }
 
-    /// The event's arguments as a JSON object body (no surrounding
-    /// braces), built from static keys and integer values only.
+    /// The `format!` rendering of [`Event::write_args`], kept as its
+    /// oracle.
+    #[cfg(test)]
     #[must_use]
     pub fn args_json(&self) -> String {
         match *self {
@@ -293,6 +360,43 @@ impl Event {
     }
 }
 
+/// Appends comma-separated `"key":value` members to a byte buffer. Keys
+/// and string values are static identifiers that need no escaping.
+struct Members<'a> {
+    out: &'a mut Vec<u8>,
+    first: bool,
+}
+
+impl Members<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+    }
+
+    fn int(&mut self, key: &str, v: u64) {
+        self.key(key);
+        json::write_u64(self.out, v);
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out
+            .extend_from_slice(if v { b"true" } else { b"false" });
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        self.out.push(b'"');
+        self.out.extend_from_slice(v.as_bytes());
+        self.out.push(b'"');
+    }
+}
+
 /// An [`Event`] stamped with simulated time and a dense sequence number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -306,8 +410,83 @@ pub struct TraceEvent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every [`Event`] variant, its fields drawn from `v` (truncated to
+    /// each field's width) and `names`.
+    pub(crate) fn every_variant(v: [u64; 4], names: [&'static str; 2]) -> Vec<Event> {
+        let [a, b, c, d] = v;
+        vec![
+            Event::Encode {
+                kind: names[0],
+                direction: names[1],
+                payload_bits: a as u32,
+                wire_bits: b as u32,
+                refs: c as u8,
+            },
+            Event::Search {
+                candidates: a as u32,
+                data_reads: b as u32,
+                selected: c as u8,
+            },
+            Event::DiffSize { bits: a as u32 },
+            Event::Nack { class: names[0] },
+            Event::FallbackRaw,
+            Event::Escalation,
+            Event::Retransmit { wire_bits: a },
+            Event::FaultInjected {
+                bit_flips: a as u32,
+                truncated: b % 2 == 1,
+            },
+            Event::NoticeDropped,
+            Event::NoticeDelayed,
+            Event::Resync { repairs: a },
+            Event::EvictBufferHit,
+            Event::SchedWake { actor: a as u32 },
+            Event::LinkBusy {
+                start_ps: a,
+                dur_ps: b,
+            },
+            Event::DramBusy {
+                start_ps: a,
+                dur_ps: b,
+            },
+            Event::MeshHop {
+                hop: a as u32,
+                depth: b as u32,
+                start_ps: c,
+                dur_ps: d,
+            },
+            Event::Phase { name: names[1] },
+            Event::Marker {
+                name: names[0],
+                value: d,
+            },
+        ]
+    }
+
+    /// The string match `track` was before it became an index into
+    /// [`TRACKS`].
+    fn track_name_oracle(event: &Event) -> &'static str {
+        match event {
+            Event::Encode { .. } | Event::Search { .. } | Event::DiffSize { .. } => "encode",
+            Event::Nack { .. }
+            | Event::FallbackRaw
+            | Event::Escalation
+            | Event::Retransmit { .. }
+            | Event::FaultInjected { .. }
+            | Event::NoticeDropped
+            | Event::NoticeDelayed
+            | Event::Resync { .. }
+            | Event::EvictBufferHit => "fault",
+            Event::SchedWake { .. } => "sched",
+            Event::LinkBusy { .. } => "link",
+            Event::DramBusy { .. } => "dram",
+            Event::MeshHop { .. } => "mesh",
+            Event::Phase { .. } | Event::Marker { .. } => "marker",
+        }
+    }
 
     #[test]
     fn names_and_tracks_are_stable() {
@@ -382,6 +561,21 @@ mod tests {
             5
         );
         assert_eq!(Event::Phase { name: "p" }.track_index(), 6);
+        let events = every_variant([1, 2, 3, 4], ["a", "b"]);
+        assert_eq!(events.len(), 18, "one event per variant");
+        let mut names: Vec<&str> = events.iter().map(Event::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 18, "no variant listed twice");
+        for event in &events {
+            let want = track_name_oracle(event);
+            assert_eq!(
+                TRACKS.iter().position(|t| *t == want),
+                Some(event.track_index()),
+                "{event:?}"
+            );
+            assert_eq!(event.track(), want);
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! [`chrome_trace`]) are thin wrappers driving the same sinks over an
 //! in-memory buffer — byte-identical by construction, kept for tests and
 //! small traces.
+//!
+//! Neither sink goes through `fmt` per event. Each builds a line in one
+//! reused buffer from static text, [`Event::write_args`] and the integer
+//! writer in [`json`], then hands the finished line to its writer in one
+//! `write_all`.
 
 use crate::event::{Event, TraceEvent, TRACKS};
 use crate::registry::{MetricValue, Snapshot};
@@ -41,12 +46,18 @@ use std::io::{self, Write};
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
+    /// The line being built, reused from line to line; each finished line
+    /// goes to `w` in one `write_all`.
+    line: Vec<u8>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps `w`; nothing is written until the first `write_*` call.
     pub fn new(w: W) -> Self {
-        JsonlSink { w }
+        JsonlSink {
+            w,
+            line: Vec::with_capacity(256),
+        }
     }
 
     /// Creates a streaming sink: writes the `"streaming":true` meta
@@ -57,11 +68,22 @@ impl<W: Write> JsonlSink<W> {
     /// Propagates the writer's I/O error.
     pub fn streaming(w: W) -> io::Result<Self> {
         let mut sink = JsonlSink::new(w);
-        writeln!(
-            sink.w,
-            "{{\"type\":\"meta\",\"version\":1,\"streaming\":true}}"
-        )?;
+        sink.start("{\"type\":\"meta\",\"version\":1,\"streaming\":true");
+        sink.end_line()?;
         Ok(sink)
+    }
+
+    /// Empties the line buffer and starts a line with `head`.
+    fn start(&mut self, head: &str) -> &mut Vec<u8> {
+        self.line.clear();
+        put(&mut self.line, head);
+        &mut self.line
+    }
+
+    /// Closes the line's object and hands the line to the writer.
+    fn end_line(&mut self) -> io::Result<()> {
+        put(&mut self.line, "}\n");
+        self.w.write_all(&self.line)
     }
 
     /// Writes the classic meta line with known totals.
@@ -70,9 +92,10 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn write_meta(&mut self, events: u64, dropped: u64) -> io::Result<()> {
-        writeln!(
-            self.w,
-            "{{\"type\":\"meta\",\"version\":1,\"events\":{events},\"dropped_events\":{dropped}}}"
+        self.write_totals(
+            "{\"type\":\"meta\",\"version\":1,\"events\":",
+            events,
+            dropped,
         )
     }
 
@@ -82,31 +105,38 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn write_metric(&mut self, metric: &MetricValue) -> io::Result<()> {
+        let (kind, id) = match metric {
+            MetricValue::Counter { id, .. } => ("counter", id),
+            MetricValue::Gauge { id, .. } => ("gauge", id),
+            MetricValue::Histogram { id, .. } => ("histogram", id),
+        };
+        let line = self.start("{\"type\":\"");
+        put(line, kind);
+        put(line, "\",\"id\":\"");
+        put(line, &json::escape(id));
         match metric {
-            MetricValue::Counter { id, value } => writeln!(
-                self.w,
-                "{{\"type\":\"counter\",\"id\":\"{}\",\"value\":{value}}}",
-                json::escape(id)
-            ),
-            MetricValue::Gauge { id, value } => writeln!(
-                self.w,
-                "{{\"type\":\"gauge\",\"id\":\"{}\",\"value\":{value}}}",
-                json::escape(id)
-            ),
+            MetricValue::Counter { value, .. } | MetricValue::Gauge { value, .. } => {
+                put(line, "\",\"value\":");
+                json::write_u64(line, *value);
+            }
             MetricValue::Histogram {
-                id,
                 edges,
                 buckets,
                 count,
                 sum,
-            } => writeln!(
-                self.w,
-                "{{\"type\":\"histogram\",\"id\":\"{}\",\"edges\":{},\"buckets\":{},\"count\":{count},\"sum\":{sum}}}",
-                json::escape(id),
-                json::int_array(edges),
-                json::int_array(buckets)
-            ),
+                ..
+            } => {
+                put(line, "\",\"edges\":");
+                json::write_int_array(line, edges);
+                put(line, ",\"buckets\":");
+                json::write_int_array(line, buckets);
+                put(line, ",\"count\":");
+                json::write_u64(line, *count);
+                put(line, ",\"sum\":");
+                json::write_u64(line, *sum);
+            }
         }
+        self.end_line()
     }
 
     /// Writes the trailing summary line of a streaming trace.
@@ -115,10 +145,16 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn write_summary(&mut self, events: u64, dropped: u64) -> io::Result<()> {
-        writeln!(
-            self.w,
-            "{{\"type\":\"summary\",\"events\":{events},\"dropped_events\":{dropped}}}"
-        )
+        self.write_totals("{\"type\":\"summary\",\"events\":", events, dropped)
+    }
+
+    /// A meta or summary line: `head`, the event total, the drop total.
+    fn write_totals(&mut self, head: &str, events: u64, dropped: u64) -> io::Result<()> {
+        let line = self.start(head);
+        json::write_u64(line, events);
+        put(line, ",\"dropped_events\":");
+        json::write_u64(line, dropped);
+        self.end_line()
     }
 
     /// Consumes the sink, returning the underlying writer.
@@ -129,16 +165,16 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
-        let args = te.event.args_json();
-        let sep = if args.is_empty() { "" } else { "," };
-        writeln!(
-            self.w,
-            "{{\"type\":\"event\",\"name\":\"{}\",\"track\":\"{}\",\"now_ps\":{},\"seq\":{}{sep}{args}}}",
-            te.event.name(),
-            te.event.track(),
-            te.now_ps,
-            te.seq
-        )
+        let line = self.start("{\"type\":\"event\",\"name\":\"");
+        put(line, te.event.name());
+        put(line, "\",\"track\":\"");
+        put(line, te.event.track());
+        put(line, "\",\"now_ps\":");
+        json::write_u64(line, te.now_ps);
+        put(line, ",\"seq\":");
+        json::write_u64(line, te.seq);
+        push_args(line, &te.event);
+        self.end_line()
     }
 
     fn finish(&mut self, snapshot: &Snapshot, events_total: u64, dropped: u64) -> io::Result<()> {
@@ -147,6 +183,43 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
         }
         self.write_summary(events_total, dropped)?;
         self.w.flush()
+    }
+}
+
+/// Appends `s` to a line buffer.
+fn put(line: &mut Vec<u8>, s: &str) {
+    line.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `,` and the event's arguments, or nothing for an event without
+/// arguments. Both sinks place the arguments after a `seq` member.
+fn push_args(line: &mut Vec<u8>, event: &Event) {
+    line.push(b',');
+    let start = line.len();
+    event.write_args(line);
+    if line.len() == start {
+        line.pop();
+    }
+}
+
+/// Appends picoseconds as Chrome-trace microseconds (`ps / 1e6`): the
+/// whole part, then the six-digit fraction without its trailing zeros.
+/// Integer math, so the output is deterministic and exact.
+fn write_ps_as_us(line: &mut Vec<u8>, ps: u64) {
+    json::write_u64(line, ps / 1_000_000);
+    let mut frac = ps % 1_000_000;
+    if frac != 0 {
+        let mut digits = *b".000000";
+        for d in digits[1..].iter_mut().rev() {
+            *d = b'0' + (frac % 10) as u8;
+            frac /= 10;
+        }
+        let end = digits
+            .iter()
+            .rposition(|&d| d != b'0')
+            .expect("a nonzero digit")
+            + 1;
+        line.extend_from_slice(&digits[..end]);
     }
 }
 
@@ -162,6 +235,8 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 #[derive(Debug)]
 pub struct ChromeTraceSink<W: Write> {
     w: W,
+    /// The element being built, reused as in [`JsonlSink`].
+    line: Vec<u8>,
 }
 
 impl<W: Write> ChromeTraceSink<W> {
@@ -171,7 +246,10 @@ impl<W: Write> ChromeTraceSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn new(w: W) -> io::Result<Self> {
-        let mut sink = ChromeTraceSink { w };
+        let mut sink = ChromeTraceSink {
+            w,
+            line: Vec::with_capacity(256),
+        };
         write!(sink.w, "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
         for (tid, track) in TRACKS.iter().enumerate() {
             write!(
@@ -203,36 +281,41 @@ impl<W: Write> ChromeTraceSink<W> {
 
 impl<W: Write + Send> EventSink for ChromeTraceSink<W> {
     fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
-        let args = te.event.args_json();
-        let args = if args.is_empty() {
-            format!("\"seq\":{}", te.seq)
-        } else {
-            format!("\"seq\":{},{args}", te.seq)
-        };
-        let tid = te.event.track_index() + 1;
-        match te.event {
+        let busy = match te.event {
             Event::LinkBusy { start_ps, dur_ps }
             | Event::DramBusy { start_ps, dur_ps }
             | Event::MeshHop {
                 start_ps, dur_ps, ..
-            } => {
-                write!(
-                    self.w,
-                    ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-                    te.event.name(),
-                    ps_to_us(start_ps),
-                    ps_to_us(dur_ps)
-                )
+            } => Some((start_ps, dur_ps)),
+            _ => None,
+        };
+        let line = &mut self.line;
+        line.clear();
+        put(
+            line,
+            if busy.is_some() {
+                ",{\"ph\":\"X\",\"pid\":1,\"tid\":"
+            } else {
+                ",{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
+            },
+        );
+        json::write_u64(line, te.event.track_index() as u64 + 1);
+        put(line, ",\"name\":\"");
+        put(line, te.event.name());
+        put(line, "\",\"ts\":");
+        match busy {
+            Some((start_ps, dur_ps)) => {
+                write_ps_as_us(line, start_ps);
+                put(line, ",\"dur\":");
+                write_ps_as_us(line, dur_ps);
             }
-            _ => {
-                write!(
-                    self.w,
-                    ",{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"args\":{{{args}}}}}",
-                    te.event.name(),
-                    ps_to_us(te.now_ps)
-                )
-            }
+            None => write_ps_as_us(line, te.now_ps),
         }
+        put(line, ",\"args\":{\"seq\":");
+        json::write_u64(line, te.seq);
+        push_args(line, &te.event);
+        put(line, "}}");
+        self.w.write_all(line)
     }
 
     fn finish(
@@ -264,19 +347,6 @@ pub fn jsonl(tel: &Telemetry) -> String {
     String::from_utf8(sink.into_inner()).expect("exporter writes UTF-8")
 }
 
-/// Formats picoseconds as Chrome-trace microseconds (`ps / 1e6`) using
-/// integer math so the output is deterministic and exact.
-fn ps_to_us(ps: u64) -> String {
-    let whole = ps / 1_000_000;
-    let frac = ps % 1_000_000;
-    if frac == 0 {
-        format!("{whole}")
-    } else {
-        let digits = format!("{frac:06}");
-        format!("{whole}.{}", digits.trim_end_matches('0'))
-    }
-}
-
 /// Exports the trace as a Chrome `trace_event` JSON object, viewable in
 /// `about://tracing` or <https://ui.perfetto.dev>. A thin wrapper over
 /// [`ChromeTraceSink`] writing to memory.
@@ -293,6 +363,7 @@ pub fn chrome_trace(tel: &Telemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::every_variant;
     use crate::Event;
 
     fn sample() -> Telemetry {
@@ -352,13 +423,20 @@ mod tests {
         json::parse(&chrome_trace(&off)).expect("disabled trace");
     }
 
+    fn us(ps: u64) -> String {
+        let mut out = Vec::new();
+        write_ps_as_us(&mut out, ps);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn ps_to_us_is_exact_integer_math() {
-        assert_eq!(ps_to_us(0), "0");
-        assert_eq!(ps_to_us(1_000_000), "1");
-        assert_eq!(ps_to_us(1_500_000), "1.5");
-        assert_eq!(ps_to_us(1_000_001), "1.000001");
-        assert_eq!(ps_to_us(123), "0.000123");
+        assert_eq!(us(0), "0");
+        assert_eq!(us(1_000_000), "1");
+        assert_eq!(us(1_500_000), "1.5");
+        assert_eq!(us(1_000_001), "1.000001");
+        assert_eq!(us(123), "0.000123");
+        assert_eq!(us(u64::MAX), "18446744073709.551615");
     }
 
     #[test]
@@ -424,5 +502,179 @@ mod tests {
         assert!(text.starts_with("{\"type\":\"meta\",\"version\":1,\"streaming\":true}"));
         assert!(text.ends_with("{\"type\":\"summary\",\"events\":3,\"dropped_events\":0}\n"));
         assert!(text.contains("\"type\":\"counter\",\"id\":\"encode.diff\",\"value\":3"));
+    }
+
+    /// The `format!` writers the byte writers replaced, kept as their
+    /// oracle.
+    mod oracle {
+        use super::*;
+
+        fn ps_to_us(ps: u64) -> String {
+            let whole = ps / 1_000_000;
+            let frac = ps % 1_000_000;
+            if frac == 0 {
+                format!("{whole}")
+            } else {
+                let digits = format!("{frac:06}");
+                format!("{whole}.{}", digits.trim_end_matches('0'))
+            }
+        }
+
+        pub fn jsonl_line(te: &TraceEvent) -> String {
+            let args = te.event.args_json();
+            let sep = if args.is_empty() { "" } else { "," };
+            format!(
+                "{{\"type\":\"event\",\"name\":\"{}\",\"track\":\"{}\",\"now_ps\":{},\"seq\":{}{sep}{args}}}\n",
+                te.event.name(),
+                te.event.track(),
+                te.now_ps,
+                te.seq
+            )
+        }
+
+        pub fn chrome_line(te: &TraceEvent) -> String {
+            let args = te.event.args_json();
+            let args = if args.is_empty() {
+                format!("\"seq\":{}", te.seq)
+            } else {
+                format!("\"seq\":{},{args}", te.seq)
+            };
+            let tid = te.event.track_index() + 1;
+            match te.event {
+                Event::LinkBusy { start_ps, dur_ps }
+                | Event::DramBusy { start_ps, dur_ps }
+                | Event::MeshHop {
+                    start_ps, dur_ps, ..
+                } => format!(
+                    ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
+                    te.event.name(),
+                    ps_to_us(start_ps),
+                    ps_to_us(dur_ps)
+                ),
+                _ => format!(
+                    ",{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"args\":{{{args}}}}}",
+                    te.event.name(),
+                    ps_to_us(te.now_ps)
+                ),
+            }
+        }
+
+        pub fn metric_line(metric: &MetricValue) -> String {
+            match metric {
+                MetricValue::Counter { id, value } => format!(
+                    "{{\"type\":\"counter\",\"id\":\"{}\",\"value\":{value}}}\n",
+                    json::escape(id)
+                ),
+                MetricValue::Gauge { id, value } => format!(
+                    "{{\"type\":\"gauge\",\"id\":\"{}\",\"value\":{value}}}\n",
+                    json::escape(id)
+                ),
+                MetricValue::Histogram {
+                    id,
+                    edges,
+                    buckets,
+                    count,
+                    sum,
+                } => {
+                    let ints = |v: &[u64]| {
+                        let v: Vec<String> = v.iter().map(u64::to_string).collect();
+                        format!("[{}]", v.join(","))
+                    };
+                    format!(
+                        "{{\"type\":\"histogram\",\"id\":\"{}\",\"edges\":{},\"buckets\":{},\"count\":{count},\"sum\":{sum}}}\n",
+                        json::escape(id),
+                        ints(edges),
+                        ints(buckets)
+                    )
+                }
+            }
+        }
+    }
+
+    /// A field value: the digit-count edges, the type limits, or anything.
+    fn field() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(9u64),
+            Just(10u64),
+            Just(99u64),
+            Just(100u64),
+            Just(999_999u64),
+            Just(1_000_000u64),
+            Just(1_000_001u64),
+            Just(u64::from(u8::MAX)),
+            Just(u64::from(u32::MAX)),
+            Just(u64::MAX),
+            0u64..1_000_000_000,
+            any::<u64>(),
+        ]
+    }
+
+    const NAMES: [&str; 4] = ["diff", "writeback", "measure", ""];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn byte_writers_match_the_format_oracle(
+            v in (field(), field(), field(), field()),
+            now_ps in field(),
+            seq in field(),
+            pick in (0usize..4, 0usize..4),
+        ) {
+            let names = [NAMES[pick.0], NAMES[pick.1]];
+            let events = every_variant([v.0, v.1, v.2, v.3], names);
+            for event in events {
+                let te = TraceEvent { now_ps, seq, event };
+                let mut args = Vec::new();
+                event.write_args(&mut args);
+                prop_assert_eq!(String::from_utf8(args).unwrap(), event.args_json());
+
+                let mut jsonl = JsonlSink::new(Vec::new());
+                jsonl.write_event(&te).unwrap();
+                jsonl.write_event(&te).unwrap();
+                let line = oracle::jsonl_line(&te);
+                prop_assert_eq!(String::from_utf8(jsonl.into_inner()).unwrap(), line.repeat(2));
+
+                let mut chrome = ChromeTraceSink::new(Vec::new()).unwrap();
+                let header = chrome.w.len();
+                chrome.write_event(&te).unwrap();
+                let text = String::from_utf8(chrome.into_inner()).unwrap();
+                prop_assert_eq!(&text[header..], oracle::chrome_line(&te));
+            }
+
+            let edges = [v.0, v.1, v.2];
+            let metrics = [
+                MetricValue::Counter { id: "encode.diff", value: v.0 },
+                MetricValue::Gauge { id: "clock", value: v.1 },
+                MetricValue::Histogram {
+                    id: "lat.cable-lbe.measure.total",
+                    edges: edges[..pick.0].to_vec(),
+                    buckets: [v.3, v.2, v.1, v.0][..=pick.0].to_vec(),
+                    count: seq,
+                    sum: now_ps,
+                },
+            ];
+            let mut sink = JsonlSink::new(Vec::new());
+            sink.write_meta(v.0, v.1).unwrap();
+            for m in &metrics {
+                sink.write_metric(m).unwrap();
+            }
+            sink.write_summary(v.2, v.3).unwrap();
+            let mut want = format!(
+                "{{\"type\":\"meta\",\"version\":1,\"events\":{},\"dropped_events\":{}}}\n",
+                v.0, v.1
+            );
+            for m in &metrics {
+                want.push_str(&oracle::metric_line(m));
+            }
+            want.push_str(&format!(
+                "{{\"type\":\"summary\",\"events\":{},\"dropped_events\":{}}}\n",
+                v.2, v.3
+            ));
+            prop_assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
+        }
     }
 }

@@ -16,7 +16,6 @@
 //! accept/reject lists and random JSON-like text.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 /// A parsed JSON value. Strings and object keys borrow from the input
 /// text unless they carry an escape.
@@ -398,17 +397,53 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Writes `values` as a JSON array of integers.
-pub(crate) fn int_array(values: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
+/// The two-digit decimal strings `"00"` to `"99"`, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal: the one integer writer of the exporters. It
+/// emits two digits per division, right to left, into a stack buffer.
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push(']');
-    out
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Appends `values` as a JSON array of integers.
+pub(crate) fn write_int_array(out: &mut Vec<u8>, values: &[u64]) {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_u64(out, v);
+    }
+    out.push(b']');
+}
+
+/// `values` as a JSON array of integers.
+pub(crate) fn int_array(values: &[u64]) -> String {
+    let mut out = Vec::new();
+    write_int_array(&mut out, values);
+    String::from_utf8(out).expect("digits and punctuation are ASCII")
 }
 
 #[cfg(test)]
@@ -749,7 +784,35 @@ pub(crate) mod tests {
         assert!(parse(&nest(MAX_JSON_DEPTH + 1)).is_err());
     }
 
+    #[test]
+    fn integer_writer_matches_display_at_every_digit_count() {
+        let mut edges = vec![0, u64::MAX];
+        for p in 1..20 {
+            let ten = 10u64.pow(p);
+            edges.extend([ten - 1, ten, ten + 1]);
+        }
+        for v in edges {
+            let mut out = Vec::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes(), "{v}");
+        }
+        assert_eq!(int_array(&[]), "[]");
+        assert_eq!(
+            int_array(&[0, 10, u64::MAX]),
+            format!("[0,10,{}]", u64::MAX)
+        );
+    }
+
     proptest! {
+        #[test]
+        fn integer_writer_matches_display(v in any::<u64>(), small in 0u64..1000) {
+            for v in [v, small, v >> (v % 64)] {
+                let mut out = vec![b'x'];
+                write_u64(&mut out, v);
+                prop_assert_eq!(&out[1..], v.to_string().as_bytes());
+            }
+        }
+
         #[test]
         fn parse_returns_on_arbitrary_bytes(text in arbitrary_text()) {
             let _ = parse(&text);

@@ -73,7 +73,7 @@ pub use report::{
     diff_reports, DiffRow, HistogramReport, HopReport, Report, ReportDiff, RowPresence, SloSpec,
     DEFAULT_HOP_TOP,
 };
-pub use sink::{EventSink, SharedBuf};
+pub use sink::EventSink;
 pub use tracer::{Tracer, TracerConfig, NUM_TRACKS};
 
 use std::fmt;

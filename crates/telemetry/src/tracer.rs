@@ -12,7 +12,9 @@
 //! In streaming mode the tracer owns an [`EventSink`] and *drains*
 //! instead of dropping: when the buffered total crosses the configured
 //! threshold (or any ring would evict), every buffered event is written
-//! to the sink in sequence order and the rings empty. A run of any
+//! to the sink in sequence order and the rings empty. Each ring is in
+//! sequence order already, so both the drain and [`Tracer::events`] merge
+//! the ring fronts instead of collecting and sorting. A run of any
 //! length then holds O(ring) memory while the sink sees every event.
 
 use crate::event::{Event, TraceEvent, TRACKS};
@@ -84,22 +86,71 @@ impl Shared {
         let Some(sink) = self.sink.as_mut() else {
             return 0;
         };
-        let mut batch: Vec<TraceEvent> = self.rings.iter().flatten().copied().collect();
-        batch.sort_unstable_by_key(|te| te.seq);
-        for ring in &mut self.rings {
-            ring.clear();
-        }
-        self.buffered = 0;
-        self.drained += batch.len() as u64;
         if self.sink_error.is_none() {
-            for te in &batch {
+            for te in merged(&self.rings) {
                 if let Err(e) = sink.write_event(te) {
                     self.sink_error = Some(e);
                     break;
                 }
             }
         }
-        batch.len()
+        for ring in &mut self.rings {
+            ring.clear();
+        }
+        let n = std::mem::take(&mut self.buffered);
+        self.drained += n as u64;
+        n
+    }
+}
+
+/// The events of every ring, oldest first. Each ring is already in `seq`
+/// order, so this merges the ring fronts rather than sorting.
+fn merged(rings: &[VecDeque<TraceEvent>]) -> Merge<'_> {
+    Merge {
+        rings,
+        next: [0; NUM_TRACKS],
+        heads: std::array::from_fn(|t| head_seq(&rings[t], 0)),
+        left: rings.iter().map(VecDeque::len).sum(),
+    }
+}
+
+/// The `seq` of `ring[i]`, or `u64::MAX` past the ring's end.
+fn head_seq(ring: &VecDeque<TraceEvent>, i: usize) -> u64 {
+    ring.get(i).map_or(u64::MAX, |te| te.seq)
+}
+
+/// The merge state of [`merged`]: per ring, the index of its next event
+/// and that event's `seq` (`u64::MAX` once the ring is spent).
+struct Merge<'a> {
+    rings: &'a [VecDeque<TraceEvent>],
+    next: [usize; NUM_TRACKS],
+    heads: [u64; NUM_TRACKS],
+    left: usize,
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = &'a TraceEvent;
+
+    fn next(&mut self) -> Option<&'a TraceEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut t = 0;
+        for (i, &head) in self.heads.iter().enumerate().skip(1) {
+            if head < self.heads[t] {
+                t = i;
+            }
+        }
+        let ring = &self.rings[t];
+        let te = &ring[self.next[t]];
+        self.next[t] += 1;
+        self.heads[t] = head_seq(ring, self.next[t]);
+        Some(te)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -187,9 +238,7 @@ impl Tracer {
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
         let s = self.shared.lock().expect("tracer poisoned");
-        let mut out: Vec<TraceEvent> = s.rings.iter().flatten().copied().collect();
-        out.sort_unstable_by_key(|te| te.seq);
-        out
+        merged(&s.rings).copied().collect()
     }
 
     /// Events evicted unwritten so far (ring-only mode; streaming
@@ -273,7 +322,9 @@ impl std::fmt::Debug for Tracer {
 mod tests {
     use super::*;
     use crate::export::JsonlSink;
-    use crate::sink::SharedBuf;
+    use crate::sink::tests::SharedBuf;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn ring_keeps_the_newest_window() {
@@ -431,5 +482,106 @@ mod tests {
         t.push(99, Event::FallbackRaw);
         assert_eq!(t.events()[0].seq, t.dropped() + t.drained());
         assert_eq!(t.recorded(), 12);
+    }
+
+    /// A sink that keeps the events it is handed.
+    #[derive(Clone, Default)]
+    struct Seen(Arc<Mutex<Vec<TraceEvent>>>);
+
+    impl EventSink for Seen {
+        fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
+            self.0.lock().unwrap().push(*te);
+            Ok(())
+        }
+
+        fn finish(&mut self, _: &Snapshot, _: u64, _: u64) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An event on track `track`, tagged with `i`.
+    fn on_track(track: usize, i: u64) -> Event {
+        let event = match track {
+            0 => Event::DiffSize { bits: i as u32 },
+            1 => Event::Resync { repairs: i },
+            2 => Event::SchedWake { actor: i as u32 },
+            3 => Event::LinkBusy {
+                start_ps: i,
+                dur_ps: 1,
+            },
+            4 => Event::DramBusy {
+                start_ps: i,
+                dur_ps: 1,
+            },
+            5 => Event::MeshHop {
+                hop: 0,
+                depth: 0,
+                start_ps: i,
+                dur_ps: 1,
+            },
+            _ => Event::Marker {
+                name: "m",
+                value: i,
+            },
+        };
+        assert_eq!(event.track_index(), track);
+        event
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn merge_drain_streams_every_event_in_seq_order(
+            caps in proptest::collection::vec(1usize..9, NUM_TRACKS),
+            threshold in 0usize..24,
+            mix in proptest::collection::vec(0usize..NUM_TRACKS, 0..300),
+        ) {
+            let mut cfg = TracerConfig::with_capacity(1);
+            for (cap, c) in cfg.track_capacities.iter_mut().zip(&caps) {
+                *cap = Some(*c);
+            }
+            let ring_only = Tracer::new(cfg);
+            cfg.drain_threshold = (threshold > 0).then_some(threshold);
+            let seen = Seen::default();
+            let streamed = Tracer::with_sink(cfg, Box::new(seen.clone()));
+            let big = Tracer::new(TracerConfig::with_capacity(mix.len().max(1)));
+            for (i, &track) in mix.iter().enumerate() {
+                let event = on_track(track, i as u64);
+                for t in [&streamed, &ring_only, &big] {
+                    t.push(i as u64 * 10, event);
+                }
+                let buffered = streamed.events();
+                if let Some(first) = buffered.first() {
+                    prop_assert_eq!(first.seq, streamed.dropped() + streamed.drained());
+                }
+                let mut so_far = seen.0.lock().unwrap().clone();
+                so_far.extend(buffered);
+                prop_assert_eq!(so_far, big.events());
+            }
+            streamed.finish(&Snapshot::default()).unwrap();
+            let got = seen.0.lock().unwrap().clone();
+            prop_assert!(got.windows(2).all(|w| w[0].seq < w[1].seq));
+            prop_assert_eq!(streamed.dropped(), 0);
+            prop_assert_eq!(streamed.drained(), mix.len() as u64);
+            let all = big.events();
+            prop_assert_eq!(&got, &all);
+
+            // Ring-only, each track keeps its newest `cap` events.
+            let mut left = [0usize; NUM_TRACKS];
+            for &t in &mix {
+                left[t] += 1;
+            }
+            let kept: Vec<TraceEvent> = all
+                .into_iter()
+                .filter(|te| {
+                    let t = te.event.track_index();
+                    left[t] -= 1;
+                    left[t] < caps[t]
+                })
+                .collect();
+            prop_assert_eq!(ring_only.dropped(), (mix.len() - kept.len()) as u64);
+            prop_assert_eq!(ring_only.events(), kept);
+        }
     }
 }
