@@ -329,3 +329,118 @@ fn golden_small_cache_fault_mode_stats() {
     assert_eq!(stats, expect);
     assert_eq!(faults, expect_faults);
 }
+
+/// Fig. 13's measurement, pinned: a 4-chip `NumaSim` (round-robin page
+/// interleave, one CABLE or CPACK pipeline per coherence link pair) after
+/// 20,000 accesses of mcf and of gcc. Every `LinkStats` field of
+/// `combined_stats()` and the `access_split()` are pinned, so a change to
+/// the NUMA loop that moves what the coherence links carry fails here.
+#[test]
+fn golden_numa_combined_stats() {
+    use cable::core::{BaselineKind, LinkStats};
+    use cable::sim::{NumaSim, Scheme};
+
+    let cpack = Scheme::Baseline(BaselineKind::Cpack);
+    let cable_lbe = Scheme::Cable(EngineKind::Lbe);
+    let expect = [
+        (
+            "mcf",
+            cpack,
+            (5_190, 14_810),
+            LinkStats {
+                fills: 7_138,
+                remote_hits: 7_672,
+                writebacks: 27,
+                home_hits: 1,
+                raw_transfers: 0,
+                unseeded_transfers: 7_165,
+                diff_transfers: 0,
+                refs_sent: 0,
+                uncompressed_bits: 3_668_480,
+                payload_bits: 849_940,
+                wire_bits: 870_960,
+                wire_bits_packed: 899_270,
+                data_array_reads: 0,
+                compression_ops: 14_330,
+                bit_toggles: 367_254,
+                flits: 54_435,
+            },
+        ),
+        (
+            "mcf",
+            cable_lbe,
+            (5_190, 14_810),
+            LinkStats {
+                fills: 7_138,
+                remote_hits: 7_672,
+                writebacks: 27,
+                home_hits: 1,
+                raw_transfers: 0,
+                unseeded_transfers: 5_300,
+                diff_transfers: 1_865,
+                refs_sent: 1_952,
+                uncompressed_bits: 3_668_480,
+                payload_bits: 478_858,
+                wire_bits: 528_400,
+                wire_bits_packed: 562_286,
+                data_array_reads: 6_113,
+                compression_ops: 10_941,
+                bit_toggles: 238_114,
+                flits: 33_025,
+            },
+        ),
+        (
+            "gcc",
+            cpack,
+            (4_563, 15_437),
+            LinkStats {
+                fills: 5_091,
+                remote_hits: 10_346,
+                writebacks: 3,
+                home_hits: 0,
+                raw_transfers: 2,
+                unseeded_transfers: 5_092,
+                diff_transfers: 0,
+                refs_sent: 0,
+                uncompressed_bits: 2_608_128,
+                payload_bits: 1_383_328,
+                wire_bits: 1_414_112,
+                wire_bits_packed: 1_429_148,
+                data_array_reads: 0,
+                compression_ops: 10_188,
+                bit_toggles: 691_816,
+                flits: 88_382,
+            },
+        ),
+        (
+            "gcc",
+            cable_lbe,
+            (4_563, 15_437),
+            LinkStats {
+                fills: 5_091,
+                remote_hits: 10_346,
+                writebacks: 3,
+                home_hits: 0,
+                raw_transfers: 233,
+                unseeded_transfers: 3_839,
+                diff_transfers: 1_022,
+                refs_sent: 1_038,
+                uncompressed_bits: 2_608_128,
+                payload_bits: 1_269_425,
+                wire_bits: 1_311_984,
+                wire_bits_packed: 1_324_548,
+                data_array_reads: 5_142,
+                compression_ops: 7_398,
+                bit_toggles: 658_074,
+                flits: 81_999,
+            },
+        ),
+    ];
+    for (name, scheme, split, stats) in expect {
+        let mut sim = NumaSim::new(cable::trace::by_name(name).unwrap(), scheme, 4);
+        sim.run(20_000);
+        let label = scheme.label();
+        assert_eq!(sim.access_split(), split, "{name} {label} access split");
+        assert_eq!(sim.combined_stats(), stats, "{name} {label} link stats");
+    }
+}
