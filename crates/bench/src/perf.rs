@@ -529,7 +529,7 @@ fn latency_fabric_table(scheme: Scheme, cfg: &SystemConfig) -> LatTable {
     let tel = Telemetry::enabled();
     sim.set_telemetry(tel.clone());
     sim.run(instrs);
-    let rep = Report::from_telemetry(&tel);
+    let rep = Report::from_jsonl(&tel.export_jsonl()).expect("latency trace parses");
     let mut table: LatTable = rep
         .histograms
         .iter()

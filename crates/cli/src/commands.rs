@@ -1038,7 +1038,7 @@ mod tests {
             tel.record(cable_telemetry::Event::Phase { name: "measure" });
             tel.set_now_ps(100);
             tel.record(cable_telemetry::Event::Nack { class: "transient" });
-            Report::from_telemetry(&tel)
+            Report::from_jsonl(&tel.export_jsonl()).expect("trace parses")
         };
         let mut b = a.clone();
         b.phases[0].nacks = 40; // 1 -> 40: far past any sane threshold

@@ -505,6 +505,47 @@ impl LinkStats {
             self.uncompressed_bits as f64 / self.wire_bits as f64
         }
     }
+
+    /// Folds `other` into `self`, field by field — the reduction the
+    /// multi-link views (a NUMA study, a fabric's coherence pipelines)
+    /// use. `other` is destructured exhaustively, so a new field does not
+    /// compile until it is summed here.
+    pub fn accumulate(&mut self, other: &LinkStats) {
+        let LinkStats {
+            fills,
+            remote_hits,
+            writebacks,
+            home_hits,
+            raw_transfers,
+            unseeded_transfers,
+            diff_transfers,
+            refs_sent,
+            uncompressed_bits,
+            payload_bits,
+            wire_bits,
+            wire_bits_packed,
+            data_array_reads,
+            compression_ops,
+            bit_toggles,
+            flits,
+        } = *other;
+        self.fills += fills;
+        self.remote_hits += remote_hits;
+        self.writebacks += writebacks;
+        self.home_hits += home_hits;
+        self.raw_transfers += raw_transfers;
+        self.unseeded_transfers += unseeded_transfers;
+        self.diff_transfers += diff_transfers;
+        self.refs_sent += refs_sent;
+        self.uncompressed_bits += uncompressed_bits;
+        self.payload_bits += payload_bits;
+        self.wire_bits += wire_bits;
+        self.wire_bits_packed += wire_bits_packed;
+        self.data_array_reads += data_array_reads;
+        self.compression_ops += compression_ops;
+        self.bit_toggles += bit_toggles;
+        self.flits += flits;
+    }
 }
 
 /// Charges one payload's flits to the toggle counters of a link

@@ -77,9 +77,9 @@ impl DegradeLevel {
 ///
 /// All windows are counted in *link operations* (fills, write-backs,
 /// remote hits — anything that calls `note_op`), never in simulated time:
-/// the ladder must make identical decisions in the event-driven and
-/// linear schedulers and in the untimed NUMA study, and operation counts
-/// are the only clock all three share exactly.
+/// the ladder must make identical decisions under the event-driven and
+/// the linear scheduler, at every link bandwidth, and operation counts
+/// are the only clock they share exactly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DegradePolicy {
     /// Sample window length in link operations.
@@ -401,12 +401,6 @@ impl OnOffController {
         } else {
             policy.resync_interval_ops
         };
-    }
-
-    /// Whether a degradation policy is armed.
-    #[must_use]
-    pub fn degradation_armed(&self) -> bool {
-        self.policy.is_some()
     }
 
     /// The current rung of the degradation ladder.

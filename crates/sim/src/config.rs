@@ -64,7 +64,7 @@ pub struct SystemConfig {
     /// *overrides* `fault` on those pipelines: each remote `(requester,
     /// home)` pipeline is armed with a schedule decorrelated per hop and
     /// per direction from this master seed, so `cable report --hops` can
-    /// localize a lossy wire. Chip-local pipelines and NUMA-pair links are unaffected.
+    /// localize a lossy wire. Chip-local pipelines are unaffected.
     pub mesh_fault: Option<FaultConfig>,
     /// Restricts `mesh_fault` to the single mesh wire with this
     /// triangular pair index (`None` = every wire) — the

@@ -28,13 +28,13 @@
 //!
 //! No functional decision ever reads `now_ps`, so a chip's caches and
 //! pipelines see the same access stream at every link bandwidth. While the
-//! functional half runs, pipeline events stamp at the chip's
-//! contention-free `fn_clock`; `FabricSim::step_chip` resyncs it to the
-//! true clock after each replay.
+//! functional half runs, pipeline events stamp at the chip's clock plus
+//! the access's compute gap: the time the access issues.
 
 use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
 use crate::config::{CompressionLatency, SystemConfig};
 use crate::hier::fill_l2_l1;
+use crate::numa::home_node;
 use crate::resources::{DramModel, SharedLink};
 use crate::sched::Scheduler;
 use crate::thread::{CompressedLink, Scheme};
@@ -195,10 +195,6 @@ struct ChipNode {
     retired: u64,
     /// Memory accesses simulated (one per step).
     accesses: u64,
-    /// Stamp clock for functional-phase telemetry: synced to `now_ps`
-    /// after every step's timing replay, advanced contention-free by the
-    /// functional phase in between.
-    fn_clock: u64,
     /// `links[home]`: the compression pipeline toward `home`;
     /// `links[self]` is the local memory path.
     links: Vec<CompressedLink>,
@@ -213,12 +209,12 @@ impl ChipNode {
     /// Runs the functional half of one step: generator, private L1/L2,
     /// compression pipeline(s). Touches no shared timing state; returns
     /// the [`StepTrace`] for replay. `tel` stamps pipeline events at the
-    /// chip's contention-free stamp clock.
+    /// access's issue time, `now_ps` plus the compute gap; only the replay
+    /// advances `now_ps`.
     fn step_functional(
         &mut self,
         nodes: usize,
         config: &SystemConfig,
-        latency: CompressionLatency,
         tel: &Telemetry,
     ) -> StepTrace {
         let c = config;
@@ -226,8 +222,7 @@ impl ChipNode {
         self.retired += u64::from(access.compute_gap) + 1;
         self.accesses += 1;
         let gap_ps = c.cycles_to_ps(u64::from(access.compute_gap));
-        self.fn_clock += gap_ps;
-        tel.set_now_ps(self.fn_clock);
+        tel.set_now_ps(self.now_ps + gap_ps);
 
         // Private L1/L2.
         let mut wait_ps = c.cycles_to_ps(c.l1_latency_cy);
@@ -236,7 +231,6 @@ impl ChipNode {
                 let data = self.gen.store_data(access.addr);
                 self.l1.write(access.addr, data);
             }
-            self.fn_clock += wait_ps;
             return StepTrace {
                 gap_ps,
                 wait_ps,
@@ -248,7 +242,6 @@ impl ChipNode {
         wait_ps += c.cycles_to_ps(c.l2_latency_cy);
         if self.l2.access(access.addr).is_some() {
             let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-            self.fn_clock += wait_ps;
             return StepTrace {
                 gap_ps,
                 wait_ps,
@@ -259,7 +252,7 @@ impl ChipNode {
         }
 
         // LLC level: local or remote home.
-        let home = (access.addr.page_number() % nodes as u64) as usize;
+        let home = home_node(access.addr, nodes);
         let memory = self.gen.content(access.addr);
         wait_ps += c.cycles_to_ps(c.llc_latency_cy);
 
@@ -284,7 +277,6 @@ impl ChipNode {
         let miss_resync = self.note_pipeline_op(home);
         if t.kind() == TransferKind::RemoteHit {
             let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-            self.fn_clock += wait_ps;
             return StepTrace {
                 gap_ps,
                 wait_ps,
@@ -302,10 +294,6 @@ impl ChipNode {
             retry_bits,
         });
         let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-        // Contention-free stamp advance: the fixed latencies, without the
-        // DRAM/wire queueing only the replay knows.
-        self.fn_clock +=
-            wait_ps + c.cycles_to_ps(c.l4_latency_cy) + c.cycles_to_ps(latency.total_cycles());
         StepTrace {
             gap_ps,
             wait_ps,
@@ -341,7 +329,7 @@ impl ChipNode {
         let Some(victim) = fill_l2_l1(&mut self.l1, &mut self.l2, addr, line, store) else {
             return (None, None);
         };
-        let home = (victim.addr.page_number() % nodes as u64) as usize;
+        let home = home_node(victim.addr, nodes);
         let pipeline = &mut self.links[home];
         // Resident at the home: silent upgrade, the link compresses the
         // eventual write-back on home-side eviction.
@@ -488,7 +476,6 @@ impl FabricSim {
                     now_ps: 0,
                     retired: 0,
                     accesses: 0,
-                    fn_clock: 0,
                     links,
                     controllers,
                 }
@@ -567,12 +554,6 @@ impl FabricSim {
         wire_pair_index(self.nodes, a, b)
     }
 
-    /// The home chip of an address (round-robin page allocation).
-    #[must_use]
-    pub fn home_node(&self, addr: cable_common::Address) -> usize {
-        (addr.page_number() % self.nodes as u64) as usize
-    }
-
     /// Runs until every chip retires `instructions_per_chip`.
     ///
     /// Time advances event-driven: a min-heap keyed on `(now_ps, chip)`
@@ -618,14 +599,10 @@ impl FabricSim {
         }
     }
 
-    /// One fused step: functional half, then its timing replay, then the
-    /// stamp clock resynced to the true clock.
+    /// One fused step: functional half, then its timing replay.
     fn step_chip(&mut self, idx: usize) {
-        let trace =
-            self.chips[idx].step_functional(self.nodes, &self.config, self.latency, &self.tel);
+        let trace = self.chips[idx].step_functional(self.nodes, &self.config, &self.tel);
         self.apply_step_timing(idx, &trace);
-        let chip = &mut self.chips[idx];
-        chip.fn_clock = chip.now_ps;
     }
 
     /// Replays one [`StepTrace`] against the shared timing resources, in
@@ -735,16 +712,7 @@ impl FabricSim {
                 if home == i {
                     continue;
                 }
-                let s = p.stats();
-                total.fills += s.fills;
-                total.remote_hits += s.remote_hits;
-                total.writebacks += s.writebacks;
-                total.uncompressed_bits += s.uncompressed_bits;
-                total.wire_bits += s.wire_bits;
-                total.payload_bits += s.payload_bits;
-                total.raw_transfers += s.raw_transfers;
-                total.unseeded_transfers += s.unseeded_transfers;
-                total.diff_transfers += s.diff_transfers;
+                total.accumulate(p.stats());
             }
         }
         total
@@ -952,6 +920,34 @@ mod tests {
         let s = f.coherence_stats();
         assert!(s.fills > 100, "page interleave must create PTP traffic");
         assert!(s.compression_ratio() > 1.0);
+    }
+
+    #[test]
+    fn coherence_stats_sum_every_field_of_the_coherence_pipelines() {
+        let mut f = FabricSim::new(
+            by_name("mcf").unwrap(),
+            Scheme::Cable(EngineKind::Lbe),
+            4,
+            19.2e9,
+        );
+        f.run(10_000);
+        let mut expect = LinkStats::default();
+        for s in f.pipeline_stats() {
+            expect.accumulate(&s);
+        }
+        let s = f.coherence_stats();
+        assert_eq!(s, expect);
+        // Nonzero on this run, so the equality above checks each of them.
+        for (name, v) in [
+            ("refs_sent", s.refs_sent),
+            ("wire_bits_packed", s.wire_bits_packed),
+            ("data_array_reads", s.data_array_reads),
+            ("compression_ops", s.compression_ops),
+            ("bit_toggles", s.bit_toggles),
+            ("flits", s.flits),
+        ] {
+            assert!(v > 0, "{name} must reach the coherence total");
+        }
     }
 
     #[test]

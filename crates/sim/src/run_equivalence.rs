@@ -1,7 +1,7 @@
 //! Event-driven `run` ⇔ seed `run_linear` determinism.
 //!
-//! The production `run` of [`FabricSim`] and [`NumaSim`] must be
-//! *bit-identical* to the seed straight-line oracle `run_linear` —
+//! The production `run` of [`FabricSim`] must be *bit-identical* to the
+//! seed straight-line oracle `run_linear` —
 //! results, per-pipeline `LinkStats`, shared-resource busy time, DRAM
 //! access counts, fault-mode frames, and degradation ladders. These
 //! property tests compare the two over randomized topologies, schemes,
@@ -159,75 +159,6 @@ proptest! {
             ..small_config()
         };
         run_fabric_case(&cfg, rng.next_u64(), 3_000);
-    }
-
-    #[test]
-    fn prop_numa_run_matches_linear(seed in any::<u64>()) {
-        let mut rng = SplitMix64::new(seed);
-        let profile = profile_for(rng.next_u64());
-        let scheme = scheme_for(rng.next_u64());
-        let nodes = 2 + (rng.next_bounded(7) as usize); // 2..=8
-        let accesses = 6_000;
-
-        let (oracle_stats, oracle_split, oracle_now) = {
-            let mut sim = NumaSim::new(profile, scheme, nodes);
-            sim.run_linear(accesses);
-            (sim.combined_stats(), sim.access_split(), sim.now_ps())
-        };
-        let event = {
-            let mut sim = NumaSim::new(profile, scheme, nodes);
-            sim.run(accesses);
-            (sim.combined_stats(), sim.access_split(), sim.now_ps())
-        };
-        assert_eq!(
-            (oracle_stats, oracle_split, oracle_now),
-            event,
-            "{}/{scheme:?}/{nodes}n: event core vs seed loop",
-            profile.name
-        );
-    }
-
-    #[test]
-    fn prop_numa_run_matches_linear_with_degradation(seed in any::<u64>()) {
-        // NUMA controllers sample per-link op counts; fault schedules and
-        // ladder state must agree between run and run_linear.
-        let mut rng = SplitMix64::new(seed);
-        let profile = profile_for(rng.next_u64());
-        let nodes = 2 + (rng.next_bounded(4) as usize); // 2..=5
-        let cfg = SystemConfig {
-            fault: Some(FaultConfig::with_rate(rng.next_u64(), 5e-3)),
-            degrade: Some(DegradePolicy {
-                window_ops: 64,
-                resync_interval_ops: 256,
-                ..DegradePolicy::paper_defaults()
-            }),
-            ..SystemConfig::paper_defaults()
-        };
-        let scheme = Scheme::Cable(EngineKind::Lbe);
-        let accesses = 6_000;
-
-        let build = || NumaSim::with_config(profile, scheme, nodes, &cfg);
-        let digest = |sim: &NumaSim| {
-            (
-                sim.combined_stats(),
-                sim.access_split(),
-                sim.now_ps(),
-                sim.fault_stats().map(|fs| format!("{fs:?}")),
-                sim.degradation_stats().map(|d| format!("{d:?}")),
-                sim.degrade_levels(),
-            )
-        };
-        let oracle = {
-            let mut sim = build();
-            sim.run_linear(accesses);
-            digest(&sim)
-        };
-        let event = {
-            let mut sim = build();
-            sim.run(accesses);
-            digest(&sim)
-        };
-        assert_eq!(oracle, event, "{}/{nodes}n: event core vs seed loop", profile.name);
     }
 }
 

@@ -8,8 +8,7 @@ use cable_common::{Address, LineData};
 use cable_compress::EngineKind;
 use cable_core::FaultConfig;
 use cable_sim::{
-    CompressedLink, DegradeLevel, DegradePolicy, FabricSim, NumaSim, OnOffController, Scheme,
-    SystemConfig,
+    CompressedLink, DegradeLevel, DegradePolicy, FabricSim, OnOffController, Scheme, SystemConfig,
 };
 use cable_trace::by_name;
 use proptest::prelude::*;
@@ -205,44 +204,4 @@ fn fabric_resync_cost_reaches_the_wires() {
     assert_eq!(deg.demotions, 0);
     // ...but the charged wires diverge the timing fingerprints.
     assert_ne!(base_fp, deg_fp, "resync traffic must cost wire time");
-}
-
-#[test]
-fn numa_links_arm_faults_and_degrade() {
-    // The NUMA pair path ran fault-blind before `with_config`; now it
-    // arms decorrelated per-link schedules and the same ladder.
-    let cfg = SystemConfig {
-        fault: Some(FaultConfig::with_rate(0xD06, 1e-2)),
-        degrade: Some(quick_policy()),
-        ..SystemConfig::paper_defaults()
-    };
-    let mut sim = NumaSim::with_config(
-        by_name("mcf").unwrap(),
-        Scheme::Cable(EngineKind::Lbe),
-        4,
-        &cfg,
-    );
-    sim.run(30_000);
-    let fs = sim.fault_stats().expect("fault mode armed");
-    assert!(fs.injected_frames > 0, "schedules must fire");
-    assert_eq!(fs.recovered, fs.detected);
-    let deg = sim.degradation_stats().expect("controllers armed");
-    assert!(deg.windows > 0);
-    assert!(deg.demotions > 0, "1e-2 NACK density must demote");
-    assert!(deg.scheduled_resyncs > 0);
-    // Reliable-mode frames prove the LinkOff rung actually engaged the
-    // escalated delivery path end to end.
-    assert!(fs.reliable_frames > 0);
-}
-
-#[test]
-fn numa_without_config_stays_fault_blind() {
-    let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
-    sim.run(5_000);
-    assert!(sim.fault_stats().is_none());
-    assert!(sim.degradation_stats().is_none());
-    assert!(sim
-        .degrade_levels()
-        .iter()
-        .all(|&l| l == DegradeLevel::Compressed));
 }

@@ -1,4 +1,4 @@
-//! Latency-attribution invariants (ISSUE 10).
+//! Latency-attribution invariants.
 //!
 //! Every simulated access is stamped with an end-to-end latency
 //! decomposed into stage spans (hierarchy, codec, queue, wire, retry,
@@ -6,14 +6,13 @@
 //! mode, the per-stage histogram sums add up to the `total` histogram
 //! sum with no rounding slop, and every stage histogram carries exactly
 //! one sample per recorded access. The same invariant must hold on the
-//! timed fabric (including its per-hop spans and resync repair samples)
-//! and the functional NUMA study.
+//! timed fabric, including its per-hop spans and resync repair samples.
 
 use std::collections::BTreeMap;
 
 use cable_compress::EngineKind;
 use cable_core::{BaselineKind, FaultConfig};
-use cable_sim::{run_single_telemetry, FabricSim, NumaSim, Scheme, SystemConfig};
+use cable_sim::{run_single_telemetry, FabricSim, Scheme, SystemConfig};
 use cable_telemetry::{
     parse_latency_metric, LatencyStage, MetricValue, Telemetry, LATENCY_SPAN_STAGES,
 };
@@ -164,17 +163,4 @@ fn fabric_decomposition_is_exact_under_faults_and_resyncs() {
         hop_count <= total,
         "hop samples ({hop_count}) cannot exceed fabric-wide samples ({total})"
     );
-}
-
-#[test]
-fn numa_study_records_one_sample_per_remote_access() {
-    let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
-    let tel = Telemetry::enabled();
-    sim.set_telemetry(tel.clone());
-    sim.run(20_000);
-    assert_eq!(assert_exact_decomposition(&tel, "numa"), 1);
-    let (_, remote) = sim.access_split();
-    let totals = stage_totals(&tel);
-    let total = totals.values().next().unwrap()[&LatencyStage::Total];
-    assert_eq!(total.0, remote, "one latency sample per remote access");
 }

@@ -1,7 +1,7 @@
 //! Busy-time accounting of the two shared resources the event
 //! scheduler is built on: the FCFS off-chip link and the DRAM model.
 //! The heap-versus-linear-scan equivalence tests live next to their
-//! oracles: `src/run_equivalence.rs` for the fabric and NUMA loops,
+//! oracles: `src/run_equivalence.rs` for the fabric loop,
 //! `src/throughput.rs` for the group loop (`run_group`).
 
 use cable_sim::{DramModel, SharedLink, SystemConfig};

@@ -1,28 +1,27 @@
 //! The `cable report` analysis layer.
 //!
 //! Consumes a JSONL trace (classic or streaming layout — the consumer is
-//! order-agnostic) or a live [`Telemetry`] handle, and aggregates it into
-//! the per-phase view the paper's evaluation reasons about: link /
-//! DRAM / mesh-hop utilization timelines, the encode-kind mix, NACK and
-//! retransmission rates, and histogram percentiles (p50/p90/p99/p999) —
+//! order-agnostic; a live handle is read through its own JSONL export)
+//! and aggregates it into the per-phase view the paper's evaluation
+//! reasons about: link / DRAM / mesh-hop utilization timelines, the
+//! encode-kind mix, NACK and retransmission rates, and histogram
+//! percentiles (p50/p90/p99/p999) —
 //! including the per-stage access-latency tables and the machine-checkable
 //! SLO gates ([`SloSpec`]) built on them. Renders as human-readable
 //! tables ([`Report::render_text`]) and as a machine-readable JSON
 //! artifact ([`Report::to_json`], integer-only so two runs byte-match).
 //!
-//! Phases come from [`Event::Phase`] boundary events: the timeline
+//! Phases come from [`crate::Event::Phase`] boundary events: the timeline
 //! between consecutive phase events is one phase; events before the
 //! first boundary form a synthetic `(pre)` phase, and a trace with no
 //! boundaries gets a single `(all)` phase.
 
-use crate::event::{Event, LaneKind};
+use crate::event::LaneKind;
 use crate::hop::parse_hop_metric;
 use crate::json::{self, Value};
 use crate::latency::{
     parse_latency_metric, LatencyStage, LATENCY_ALL_STAGES, LATENCY_METRIC_PREFIX,
 };
-use crate::registry::MetricValue;
-use crate::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -130,7 +129,7 @@ pub struct HistogramReport {
 
 /// Per-hop (mesh wire) breakdown of one trace: where on the mesh the
 /// bits, the queueing, and the faults actually landed. Built from the
-/// hop-stamped [`Event::MeshHop`] slices plus the hop-keyed registry
+/// hop-stamped [`crate::Event::MeshHop`] slices plus the hop-keyed registry
 /// metrics (`mesh.hop.{N}.*`), so counts survive even when the event
 /// ring dropped slices.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -237,81 +236,6 @@ struct HistData {
 }
 
 impl Report {
-    /// Builds a report from a live handle's buffered events and metrics
-    /// snapshot. (Events already drained to a streaming sink are not
-    /// buffered — analyze the written trace with [`Report::from_jsonl`]
-    /// for full coverage.)
-    #[must_use]
-    pub fn from_telemetry(tel: &Telemetry) -> Self {
-        let mut samples = Vec::new();
-        for te in tel.events() {
-            let sample = match te.event {
-                Event::Encode { kind, .. } => Sample::Encode(match kind {
-                    "raw" => EncodeKind::Raw,
-                    "unseeded" => EncodeKind::Unseeded,
-                    "diff" => EncodeKind::Diff,
-                    _ => EncodeKind::RemoteHit,
-                }),
-                Event::Nack { .. } => Sample::Nack,
-                Event::Retransmit { .. } => Sample::Retransmit,
-                Event::FallbackRaw => Sample::FallbackRaw,
-                Event::Escalation => Sample::Escalation,
-                Event::LinkBusy { start_ps, dur_ps } => Sample::Busy {
-                    lane: LaneKind::Link,
-                    hop: None,
-                    start_ps,
-                    dur_ps,
-                },
-                Event::DramBusy { start_ps, dur_ps } => Sample::Busy {
-                    lane: LaneKind::Dram,
-                    hop: None,
-                    start_ps,
-                    dur_ps,
-                },
-                Event::MeshHop {
-                    hop,
-                    depth,
-                    start_ps,
-                    dur_ps,
-                } => Sample::Busy {
-                    lane: LaneKind::Mesh,
-                    hop: Some((u64::from(hop), u64::from(depth))),
-                    start_ps,
-                    dur_ps,
-                },
-                Event::Phase { name } => Sample::PhaseMark(name.to_string()),
-                _ => Sample::Other,
-            };
-            samples.push(Stamped {
-                now_ps: te.now_ps,
-                sample,
-            });
-        }
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
-        for metric in tel.snapshot().metrics {
-            match metric {
-                MetricValue::Counter { id, value } => counters.push((id.to_string(), value)),
-                MetricValue::Gauge { id, value } => gauges.push((id.to_string(), value)),
-                MetricValue::Histogram {
-                    id,
-                    edges,
-                    buckets,
-                    count,
-                    sum,
-                } => hists.push(HistData {
-                    id: id.to_string(),
-                    edges,
-                    buckets,
-                    count,
-                    sum,
-                }),
-            }
-        }
-        aggregate(samples, counters, gauges, hists, tel.dropped_events())
-    }
-
     /// Parses and aggregates a JSONL trace (classic or streaming
     /// layout).
     ///
@@ -1621,6 +1545,8 @@ fn percentile(h: &HistData, q_permille: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
+    use crate::Telemetry;
     use proptest::prelude::*;
 
     /// Pieces of `stage.pXX<=N_ps` specs, plus a few that break them.
@@ -1644,6 +1570,11 @@ mod tests {
         "18446744073709551616",
         "\u{e9}",
     ];
+
+    /// The report of `tel`'s trace, read back through its JSONL export.
+    fn report(tel: &Telemetry) -> Report {
+        Report::from_jsonl(&tel.export_jsonl()).expect("trace parses")
+    }
 
     fn sample_tel() -> Telemetry {
         let tel = Telemetry::enabled();
@@ -1709,16 +1640,8 @@ mod tests {
     }
 
     #[test]
-    fn live_and_parsed_reports_agree() {
-        let tel = sample_tel();
-        let live = Report::from_telemetry(&tel);
-        let parsed = Report::from_jsonl(&crate::export::jsonl(&tel)).expect("trace parses");
-        assert_eq!(live, parsed);
-    }
-
-    #[test]
     fn report_aggregates_the_sample_trace() {
-        let r = Report::from_telemetry(&sample_tel());
+        let r = report(&sample_tel());
         assert_eq!((r.span_start_ps, r.span_end_ps), (0, 2_500));
         assert_eq!(r.events, 5);
         assert_eq!(r.phases.len(), 1);
@@ -1741,13 +1664,13 @@ mod tests {
 
     #[test]
     fn report_json_is_valid_and_deterministic() {
-        let r = Report::from_telemetry(&sample_tel());
+        let r = report(&sample_tel());
         let a = r.to_json();
         json::parse(&a).expect("report JSON parses");
         assert!(a.starts_with("{\"type\":\"cable_report\",\"version\":1"));
         assert!(a.contains("\"nacks_per_1k_encodes\":500"));
         assert!(a.contains("\"p99\":100"));
-        let b = Report::from_telemetry(&sample_tel()).to_json();
+        let b = report(&sample_tel()).to_json();
         assert_eq!(a, b, "same trace must serialize identically");
     }
 
@@ -1782,7 +1705,7 @@ mod tests {
         tel.record(Event::FallbackRaw);
         tel.set_now_ps(20);
         tel.record(Event::Escalation);
-        let r = Report::from_telemetry(&tel);
+        let r = report(&tel);
         assert_eq!(r.phases.len(), 1);
         assert_eq!(r.phases[0].name, "(all)");
         assert_eq!(r.phases[0].fallback_raw, 1);
@@ -1798,7 +1721,7 @@ mod tests {
         tel.record(Event::Phase { name: "measure" });
         tel.set_now_ps(200);
         tel.record(Event::Nack { class: "reference" });
-        let r = Report::from_telemetry(&tel);
+        let r = report(&tel);
         assert_eq!(r.phases.len(), 2);
         assert_eq!(r.phases[0].name, "(pre)");
         assert_eq!(r.phases[0].nacks, 1);
@@ -1808,7 +1731,7 @@ mod tests {
 
     #[test]
     fn render_text_mentions_every_phase_and_histogram() {
-        let r = Report::from_telemetry(&sample_tel());
+        let r = report(&sample_tel());
         let text = r.render_text();
         assert!(text.contains("measure"));
         assert!(text.contains("lat"));
@@ -1818,7 +1741,7 @@ mod tests {
 
     #[test]
     fn report_json_round_trips_through_the_parser() {
-        let r = Report::from_telemetry(&sample_tel());
+        let r = report(&sample_tel());
         let parsed = Report::from_report_json(&r.to_json()).expect("artifact parses");
         assert_eq!(r, parsed, "to_json -> from_report_json must be lossless");
         assert!(Report::from_report_json("{\"type\":\"other\"}")
@@ -1829,7 +1752,7 @@ mod tests {
 
     #[test]
     fn identical_reports_diff_clean() {
-        let r = Report::from_telemetry(&sample_tel());
+        let r = report(&sample_tel());
         let diff = diff_reports(&r, &r, 0);
         assert!(!diff.rows.is_empty());
         assert!(diff.breaches().is_empty(), "no drift between equal runs");
@@ -1838,7 +1761,7 @@ mod tests {
 
     #[test]
     fn drifted_fields_breach_the_threshold() {
-        let a = Report::from_telemetry(&sample_tel());
+        let a = report(&sample_tel());
         let mut b = a.clone();
         b.phases[0].nacks *= 3; // 2000 permille drift
         b.phases[0].encodes.raw += 1; // raw: 1 -> 2, 1000 permille drift
@@ -1907,7 +1830,7 @@ mod tests {
 
     #[test]
     fn hop_breakdown_merges_events_and_counters() {
-        let r = Report::from_telemetry(&mesh_tel());
+        let r = report(&mesh_tel());
         assert_eq!((r.span_start_ps, r.span_end_ps), (0, 1000));
         assert_eq!(r.hops.len(), 2);
         let h0 = &r.hops[0];
@@ -1926,16 +1849,8 @@ mod tests {
     }
 
     #[test]
-    fn live_and_parsed_hop_reports_agree() {
-        let tel = mesh_tel();
-        let live = Report::from_telemetry(&tel);
-        let parsed = Report::from_jsonl(&crate::export::jsonl(&tel)).expect("trace parses");
-        assert_eq!(live, parsed);
-    }
-
-    #[test]
     fn hop_table_renders_and_ranks_wires() {
-        let r = Report::from_telemetry(&mesh_tel());
+        let r = report(&mesh_tel());
         let text = r.render_hops(2);
         assert!(text.contains("heatmap"), "{text}");
         assert!(text.contains("hop 2 (1300 permille)"), "{text}");
@@ -1946,14 +1861,12 @@ mod tests {
         // The full text report embeds the same table.
         assert!(r.render_text().contains("hottest wires:"));
         // Meshless traces render no hop section.
-        assert!(Report::from_telemetry(&sample_tel())
-            .render_hops(3)
-            .is_empty());
+        assert!(report(&sample_tel()).render_hops(3).is_empty());
     }
 
     #[test]
     fn hop_reports_round_trip_through_json() {
-        let r = Report::from_telemetry(&mesh_tel());
+        let r = report(&mesh_tel());
         json::parse(&r.to_json()).expect("report JSON parses");
         let parsed = Report::from_report_json(&r.to_json()).expect("artifact parses");
         assert_eq!(r, parsed, "hops must survive to_json -> from_report_json");
@@ -1962,7 +1875,7 @@ mod tests {
 
     #[test]
     fn diff_reports_include_per_hop_rows() {
-        let a = Report::from_telemetry(&mesh_tel());
+        let a = report(&mesh_tel());
         let mut b = a.clone();
         b.hops[1].faults *= 10; // 2 -> 20, 9000 permille drift
         let diff = diff_reports(&a, &b, 1000);
@@ -2049,7 +1962,7 @@ mod tests {
 
     #[test]
     fn diff_renders_one_sided_rows_as_added_or_removed() {
-        let a = Report::from_telemetry(&mesh_tel());
+        let a = report(&mesh_tel());
         let mut b = a.clone();
         // Candidate drops hop 0 entirely and grows a counter the
         // baseline never registered (at zero, so value elision would
@@ -2101,7 +2014,7 @@ mod tests {
 
     #[test]
     fn latency_tables_render_per_stage_rows() {
-        let r = Report::from_telemetry(&latency_tel());
+        let r = report(&latency_tel());
         let text = r.render_text();
         assert!(
             text.contains("latency percentiles (ps) \u{2014} CABLE+LBE / measure:"),
@@ -2138,7 +2051,7 @@ mod tests {
         assert!(SloSpec::parse("total.p99<=abc").is_err());
         assert!(SloSpec::parse("total.p99").is_err());
 
-        let r = Report::from_telemetry(&latency_tel());
+        let r = report(&latency_tel());
         let generous = SloSpec::parse("total.p99<=100_000_000_ps").unwrap();
         assert!(generous.check(&r).expect("stage matched").is_empty());
         let tight = SloSpec::parse("total.p99<=1_000_ps").unwrap();
