@@ -9,45 +9,22 @@
 //!
 //! `CABLE_QUICK=1` shrinks the study.
 
-use cable_bench::figs::is_quick;
-use cable_bench::runner::parallel_map;
+use cable_bench::figs::scaled;
+use cable_bench::runner::{measure, parallel_map, StudyConfig};
 use cable_bench::{geomean, print_table, save_json, FigureResult};
-use cable_core::{CableConfig, CableLink, Link};
+use cable_core::{CableConfig, CableLink};
 use cable_trace::{WorkloadGen, WorkloadProfile};
-
-fn scaled(n: u64) -> u64 {
-    if is_quick() {
-        (n / 10).max(1_000)
-    } else {
-        n
-    }
-}
 
 fn run_with(profile: &'static WorkloadProfile, customize: impl Fn(&mut CableConfig)) -> f64 {
     let mut cfg = CableConfig::memory_link_default();
     customize(&mut cfg);
+    let study = StudyConfig {
+        warmup_accesses: scaled(40_000),
+        accesses: scaled(80_000),
+        ..StudyConfig::paper_defaults()
+    };
     let mut link = CableLink::new(cfg);
-    let mut gen = WorkloadGen::new(profile, 0);
-    let warmup = scaled(40_000);
-    let measure = scaled(80_000);
-    for phase in 0..2u32 {
-        let n = if phase == 0 { warmup } else { measure };
-        if phase == 1 {
-            link.reset_stats();
-        }
-        for _ in 0..n {
-            let a = gen.next_access();
-            let m = gen.content(a.addr);
-            if a.is_write {
-                link.request_exclusive(a.addr, m);
-                let d = gen.store_data(a.addr);
-                link.remote_store(a.addr, d);
-            } else {
-                link.request(a.addr, m);
-            }
-        }
-    }
-    link.stats().compression_ratio()
+    measure(&mut link, &mut [WorkloadGen::new(profile, 0)], &study).compression_ratio()
 }
 
 type Knob = Box<dyn Fn(&mut CableConfig) + Sync>;

@@ -7,9 +7,11 @@
 //! Set `CABLE_QUICK=1` to shrink every study by ~10x (smoke-test mode).
 
 use crate::report::{geomean, FigureResult};
-use crate::runner::{compression_study, mix_study, multi4_study, parallel_map, StudyConfig};
+use crate::runner::{
+    compression_study, measure, mix_study, multi4_study, parallel_map, StudyConfig,
+};
 use cable_compress::{EngineKind, IdealDictionary};
-use cable_core::{BaselineKind, Link, LinkStats};
+use cable_core::{BaselineKind, LinkStats};
 use cable_sim::{NumaSim, Scheme};
 use cable_trace::{WorkloadGen, WorkloadProfile, ALL_WORKLOADS};
 
@@ -19,7 +21,9 @@ pub fn is_quick() -> bool {
     std::env::var("CABLE_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn scaled(n: u64) -> u64 {
+/// `n`, or a tenth of it (at least 1,000) under `CABLE_QUICK`.
+#[must_use]
+pub fn scaled(n: u64) -> u64 {
     if is_quick() {
         (n / 10).max(1_000)
     } else {
@@ -479,31 +483,7 @@ fn run_cable_with(
     );
     customize(&mut cfg);
     let mut link = cable_core::CableLink::new(cfg);
-    let mut gen = WorkloadGen::new(profile, 0);
-    for _ in 0..study.warmup_accesses {
-        let a = gen.next_access();
-        let m = gen.content(a.addr);
-        if a.is_write {
-            link.request_exclusive(a.addr, m);
-            let d = gen.store_data(a.addr);
-            link.remote_store(a.addr, d);
-        } else {
-            link.request(a.addr, m);
-        }
-    }
-    link.reset_stats();
-    for _ in 0..study.accesses {
-        let a = gen.next_access();
-        let m = gen.content(a.addr);
-        if a.is_write {
-            link.request_exclusive(a.addr, m);
-            let d = gen.store_data(a.addr);
-            link.remote_store(a.addr, d);
-        } else {
-            link.request(a.addr, m);
-        }
-    }
-    link.stats().compression_ratio()
+    measure(&mut link, &mut [WorkloadGen::new(profile, 0)], study).compression_ratio()
 }
 
 // ---------------------------------------------------------------- Fig. 23

@@ -9,8 +9,8 @@ use cable_core::area::{home_side_area, paper_offchip_config, remote_side_area, S
 use cable_core::BaselineKind;
 use cable_energy::{EnergyModel, EnergyParams, TABLE_II_ROWS};
 use cable_sim::{
-    run_group, run_group_arena, run_single_warmed, DoneTracker, DramModel, OnOffController,
-    Scheduler, Scheme, SharedLink, SimArena, SystemConfig, ThreadSim,
+    run_group, run_group_arena, run_group_controlled, run_single_warmed, DramModel,
+    OnOffController, Scheme, SharedLink, SimArena, SystemConfig, ThreadSim,
 };
 use cable_trace::{WorkloadProfile, ALL_WORKLOADS};
 
@@ -281,13 +281,14 @@ pub fn adaptive_throughput() -> FigureResult<'static> {
         .iter()
         .map(|n| cable_trace::by_name(n).expect("known benchmark"))
         .collect();
+    let (lbe, warm) = (Scheme::Cable(EngineKind::Lbe), scaled(20_000));
     let results: Vec<Vec<f64>> = parallel_map(workloads.clone(), |p| {
         // One arena per workload: the plain run warms the group, the
         // controlled run restores the snapshot instead of re-warming.
         let mut arena = SimArena::new();
-        let plain = run_group_ctl(p, instrs, &cfg, false, &mut arena);
-        let controlled = run_group_ctl(p, instrs, &cfg, true, &mut arena);
-        vec![controlled / plain - 1.0]
+        let plain = run_group_arena(&mut arena, p, lbe, 2048, warm, instrs, &cfg);
+        let controlled = run_group_controlled(&mut arena, p, lbe, 2048, warm, instrs, &cfg);
+        vec![controlled.system_ips() / plain.system_ips() - 1.0]
     });
     let mut rows: Vec<(String, Vec<f64>)> = workloads
         .iter()
@@ -302,69 +303,6 @@ pub fn adaptive_throughput() -> FigureResult<'static> {
         columns: vec!["delta %".into()],
         rows,
     }
-}
-
-/// One group-of-eight run at 2048 threads, optionally with per-thread
-/// §VI-D controllers; returns system IPS. The warmed group comes out of
-/// `arena` (warm-up paid once per workload) and the loop runs on the
-/// event-driven [`Scheduler`]: every thread keeps running until all reach
-/// the target, so each popped thread is pushed back and only the
-/// [`DoneTracker`] decides termination — the same schedule the seed
-/// `min_by_key` scan produced.
-fn run_group_ctl(
-    profile: &'static WorkloadProfile,
-    instrs: u64,
-    config: &SystemConfig,
-    controlled: bool,
-    arena: &mut SimArena,
-) -> f64 {
-    use cable_sim::throughput::{GROUP_SIZE, TOTAL_LINK_BYTES_PER_SEC};
-    let threads = 2048usize;
-    let groups = (threads / GROUP_SIZE) as f64;
-    let mut wire = SharedLink::new(TOTAL_LINK_BYTES_PER_SEC / groups, config.link_setup_ps);
-    let mut dram_cfg = *config;
-    dram_cfg.dram_bus_bytes_per_sec = 16.0 * config.dram_bus_bytes_per_sec / groups;
-    let mut dram = DramModel::from_config(&dram_cfg);
-    let per_thread_share = TOTAL_LINK_BYTES_PER_SEC / groups / GROUP_SIZE as f64;
-    let mut group: Vec<(ThreadSim, OnOffController)> = arena
-        .warmed_group(
-            profile,
-            Scheme::Cable(EngineKind::Lbe),
-            scaled(20_000),
-            config,
-        )
-        .into_iter()
-        .map(|t| (t, OnOffController::new(per_thread_share)))
-        .collect();
-    let mut sched = Scheduler::with_capacity(GROUP_SIZE);
-    let mut done = DoneTracker::new(GROUP_SIZE);
-    for (i, (t, _)) in group.iter().enumerate() {
-        if t.retired() >= instrs {
-            done.mark_done();
-        }
-        sched.push(t.now_ps(), i);
-    }
-    while !done.all_done() {
-        let (_, idx) = sched.pop().expect("undone threads remain scheduled");
-        let (t, ctl) = &mut group[idx];
-        let before = t.retired();
-        t.step(&mut wire, &mut dram);
-        if controlled {
-            let now = t.now_ps();
-            ctl.observe(now, t.link_mut());
-        }
-        if before < instrs && t.retired() >= instrs {
-            done.mark_done();
-        }
-        sched.push(t.now_ps(), idx);
-    }
-    let total: u64 = group.iter().map(|(t, _)| t.retired()).sum();
-    let elapsed = group
-        .iter()
-        .map(|(t, _)| t.now_ps())
-        .max()
-        .expect("non-empty");
-    (total as f64 / (elapsed as f64 * 1e-12)) * groups
 }
 
 /// Single-threaded CABLE run with the §VI-D controller; returns measured

@@ -11,7 +11,7 @@
 
 use crate::figs::is_quick;
 use crate::report::FigureResult;
-use crate::runner::{default_schemes, drive, StudyConfig};
+use crate::runner::{default_schemes, drive, measure, StudyConfig};
 use cable_compress::EngineKind;
 use cable_core::{BaselineKind, FaultConfig};
 use cable_sim::{FabricSim, Scheme, SystemConfig};
@@ -80,9 +80,11 @@ pub const FAULT_BENCH_WORKLOADS: &[&str] = &["dealII", "mcf"];
 /// [`FAULT_BENCH_WORKLOADS`] entry: one fault-free row
 /// (`<workload>/off`, no guard bits — the reliable operating point), one
 /// CRC-guarded but lossless row, then [`FAULT_BENCH_RATES`]. Reports the
-/// achieved compression ratio and the recovery counters; the quick suite
-/// asserts `detected >= injected_frames` and `recovered == detected` on
-/// every row. Honors `CABLE_QUICK`.
+/// achieved compression ratio and the recovery counters. Every detected
+/// failure sends one NACK and is always delivered in the end, so the
+/// `detected` and `recovered` columns both read `FaultStats::nacks`; the
+/// quick suite asserts `detected >= injected_frames` on every row. Honors
+/// `CABLE_QUICK`.
 ///
 /// # Panics
 ///
@@ -115,18 +117,15 @@ pub fn run_fault_bench() -> FigureResult<'static> {
             if let Some(fault_cfg) = fault {
                 link.enable_fault_injection(fault_cfg);
             }
-            let mut gen = WorkloadGen::new(profile, 0);
-            drive(&mut link, &mut gen, cfg.warmup_accesses);
-            link.reset_stats();
-            drive(&mut link, &mut gen, cfg.accesses);
+            let stats = measure(&mut *link, &mut [WorkloadGen::new(profile, 0)], &cfg);
             let fs = link.fault_stats().copied().unwrap_or_default();
             (
                 label,
                 vec![
-                    link.stats().compression_ratio(),
+                    stats.compression_ratio(),
                     fs.injected_frames as f64,
-                    fs.detected as f64,
-                    fs.recovered as f64,
+                    fs.nacks as f64,
+                    fs.nacks as f64,
                     fs.fallback_raw as f64,
                     fs.retransmitted_bits as f64,
                     fs.escalations as f64,
@@ -460,11 +459,11 @@ pub fn run_telemetry_bench() -> FigureResult<'static> {
         .map(|scheme| {
             let tel = Telemetry::enabled();
             let mut link = cfg.build_link(scheme);
-            let mut gen = WorkloadGen::new(profile, 0);
-            drive(&mut link, &mut gen, cfg.warmup_accesses);
+            let gens = &mut [WorkloadGen::new(profile, 0)];
+            drive(&mut *link, gens, cfg.warmup_accesses);
             link.reset_stats();
             link.set_telemetry(tel.clone());
-            drive(&mut link, &mut gen, cfg.accesses);
+            drive(&mut *link, gens, cfg.accesses);
             let snap = tel.snapshot();
             let encode_transfers = snap.counter("link.encode.raw").unwrap_or(0)
                 + snap.counter("link.encode.unseeded").unwrap_or(0)

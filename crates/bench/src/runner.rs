@@ -1,7 +1,7 @@
 //! Study runners: trace replay through compressed links.
 
 use cable_compress::EngineKind;
-use cable_core::{BaselineKind, BatchAccess, LinkStats, Transfer};
+use cable_core::{BaselineKind, BatchAccess, Link, LinkStats, Transfer};
 use cable_sim::{CompressedLink, Scheme};
 use cable_trace::{MixSpec, WorkloadGen, WorkloadProfile};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,7 +52,10 @@ impl StudyConfig {
         }
     }
 
-    pub(crate) fn build_link(&self, scheme: Scheme) -> CompressedLink {
+    /// Builds `scheme`'s link at this configuration's cache geometry and
+    /// link width.
+    #[must_use]
+    pub fn build_link(&self, scheme: Scheme) -> CompressedLink {
         self.build_link_scaled(scheme, 1)
     }
 
@@ -82,19 +85,25 @@ pub fn default_schemes() -> Vec<Scheme> {
     ]
 }
 
-/// Accesses pushed through [`cable_core::Link::request_batch`] per call in
-/// [`drive`]. Large enough to amortize per-call dispatch, small enough that
-/// the staging buffers stay cache-resident.
+/// Accesses pushed through [`Link::request_batch`] per call in [`drive`].
+/// Large enough to amortize per-access dispatch, small enough that the
+/// staging buffers stay cache-resident.
 const DRIVE_BATCH: usize = 64;
 
-pub(crate) fn drive(link: &mut CompressedLink, gen: &mut WorkloadGen, accesses: u64) {
+/// Replays `accesses` accesses through `link`, taking them round-robin
+/// from `gens` starting at `gens[0]` on every call: a read is a
+/// [`Link::request`], a write a [`Link::request_exclusive`] followed by a
+/// [`Link::remote_store`] of the generator's store data.
+pub fn drive(link: &mut dyn Link, gens: &mut [WorkloadGen], accesses: u64) {
     let mut batch: Vec<BatchAccess> = Vec::with_capacity(DRIVE_BATCH);
     let mut xfers: Vec<Transfer> = Vec::with_capacity(DRIVE_BATCH);
+    let mut turn = (0..gens.len()).cycle();
     let mut left = accesses;
     while left > 0 {
         let n = left.min(DRIVE_BATCH as u64);
         batch.clear();
         for _ in 0..n {
+            let gen = &mut gens[turn.next().expect("at least one generator")];
             let access = gen.next_access();
             let memory = gen.content(access.addr);
             batch.push(if access.is_write {
@@ -109,6 +118,15 @@ pub(crate) fn drive(link: &mut CompressedLink, gen: &mut WorkloadGen, accesses: 
     }
 }
 
+/// One study's measurement: [`drive`]s `cfg.warmup_accesses`, resets the
+/// link's statistics, drives `cfg.accesses` and returns what they cost.
+pub fn measure(link: &mut dyn Link, gens: &mut [WorkloadGen], cfg: &StudyConfig) -> LinkStats {
+    drive(link, gens, cfg.warmup_accesses);
+    link.reset_stats();
+    drive(link, gens, cfg.accesses);
+    *link.stats()
+}
+
 /// Replays one benchmark through one scheme's link; returns measured
 /// (post-warm-up) statistics.
 #[must_use]
@@ -118,11 +136,7 @@ pub fn compression_study(
     cfg: &StudyConfig,
 ) -> LinkStats {
     let mut link = cfg.build_link(scheme);
-    let mut gen = WorkloadGen::new(profile, 0);
-    drive(&mut link, &mut gen, cfg.warmup_accesses);
-    link.reset_stats();
-    drive(&mut link, &mut gen, cfg.accesses);
-    *link.stats()
+    measure(&mut *link, &mut [WorkloadGen::new(profile, 0)], cfg)
 }
 
 /// SPECrate-style cooperative multiprogram (Fig. 15): `copies` instances
@@ -138,10 +152,19 @@ pub fn multi4_study(
     let mut gens: Vec<WorkloadGen> = (0..copies)
         .map(|i| WorkloadGen::new(profile, i as u64))
         .collect();
-    run_interleaved(&mut link, &mut gens, cfg.warmup_accesses);
-    link.reset_stats();
-    run_interleaved(&mut link, &mut gens, cfg.accesses);
-    *link.stats()
+    measure(&mut *link, &mut gens, cfg)
+}
+
+/// The generators of a Fig. 16 mix, one per member in mix order, each in
+/// its own address space.
+fn mix_gens(mix: &MixSpec) -> Vec<WorkloadGen> {
+    mix.members
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            WorkloadGen::new(cable_trace::by_name(name).expect("known member"), i as u64)
+        })
+        .collect()
 }
 
 /// Destructive multiprogram mix (Fig. 16): four different benchmarks
@@ -150,15 +173,8 @@ pub fn multi4_study(
 #[must_use]
 pub fn mix_study(mix: &MixSpec, scheme: Scheme, cfg: &StudyConfig) -> Vec<(String, LinkStats)> {
     let mut link = cfg.build_link_scaled(scheme, mix.members.len() as u64);
-    let mut gens: Vec<WorkloadGen> = mix
-        .members
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            WorkloadGen::new(cable_trace::by_name(name).expect("known member"), i as u64)
-        })
-        .collect();
-    run_interleaved(&mut link, &mut gens, cfg.warmup_accesses);
+    let mut gens = mix_gens(mix);
+    drive(&mut *link, &mut gens, cfg.warmup_accesses);
     link.reset_stats();
 
     // Measure each member separately: snapshot the shared link stats
@@ -168,8 +184,8 @@ pub fn mix_study(mix: &MixSpec, scheme: Scheme, cfg: &StudyConfig) -> Vec<(Strin
     for _ in 0..turns {
         for (i, gen) in gens.iter_mut().enumerate() {
             let before = *link.stats();
-            drive_one(&mut link, gen);
-            per_member[i] = add_delta(per_member[i], link.stats(), &before);
+            drive(&mut *link, std::slice::from_mut(gen), 1);
+            per_member[i].accumulate(&link.stats().since(&before));
         }
     }
     mix.members
@@ -177,45 +193,6 @@ pub fn mix_study(mix: &MixSpec, scheme: Scheme, cfg: &StudyConfig) -> Vec<(Strin
         .zip(per_member)
         .map(|(name, stats)| ((*name).to_string(), stats))
         .collect()
-}
-
-fn run_interleaved(link: &mut CompressedLink, gens: &mut [WorkloadGen], total: u64) {
-    let n = gens.len() as u64;
-    for i in 0..total {
-        let gen = &mut gens[(i % n) as usize];
-        drive_one(link, gen);
-    }
-}
-
-fn drive_one(link: &mut CompressedLink, gen: &mut WorkloadGen) {
-    let access = gen.next_access();
-    let memory = gen.content(access.addr);
-    if access.is_write {
-        link.request_exclusive(access.addr, memory);
-        let data = gen.store_data(access.addr);
-        link.remote_store(access.addr, data);
-    } else {
-        link.request(access.addr, memory);
-    }
-}
-
-fn add_delta(mut acc: LinkStats, after: &LinkStats, before: &LinkStats) -> LinkStats {
-    acc.fills += after.fills - before.fills;
-    acc.remote_hits += after.remote_hits - before.remote_hits;
-    acc.writebacks += after.writebacks - before.writebacks;
-    acc.uncompressed_bits += after.uncompressed_bits - before.uncompressed_bits;
-    acc.payload_bits += after.payload_bits - before.payload_bits;
-    acc.wire_bits += after.wire_bits - before.wire_bits;
-    acc.wire_bits_packed += after.wire_bits_packed - before.wire_bits_packed;
-    acc.raw_transfers += after.raw_transfers - before.raw_transfers;
-    acc.unseeded_transfers += after.unseeded_transfers - before.unseeded_transfers;
-    acc.diff_transfers += after.diff_transfers - before.diff_transfers;
-    acc.refs_sent += after.refs_sent - before.refs_sent;
-    acc.data_array_reads += after.data_array_reads - before.data_array_reads;
-    acc.compression_ops += after.compression_ops - before.compression_ops;
-    acc.bit_toggles += after.bit_toggles - before.bit_toggles;
-    acc.flits += after.flits - before.flits;
-    acc
 }
 
 /// Worker count for [`parallel_map`]: the machine's available parallelism.
@@ -329,6 +306,34 @@ mod tests {
         for (name, stats) in rows {
             assert!(stats.fills > 0, "{name} produced no fills");
         }
+    }
+
+    #[test]
+    fn mix_members_sum_to_the_shared_link_measurement() {
+        // Every field of the per-member reduction, `home_hits` included,
+        // must add up to what the shared link counts over the same
+        // accesses. Small caches make the remote evict, so fills hit the
+        // home and lines are written back.
+        let cfg = StudyConfig {
+            home_bytes: 256 << 10,
+            remote_bytes: 32 << 10,
+            ..StudyConfig::quick()
+        };
+        let mix = cable_trace::mix_table()[0];
+        let scheme = Scheme::Cable(EngineKind::Lbe);
+        let members = mix.members.len() as u64;
+        let mut sum = LinkStats::default();
+        for (_, stats) in mix_study(&mix, scheme, &cfg) {
+            sum.accumulate(&stats);
+        }
+        let whole = StudyConfig {
+            accesses: cfg.accesses / members * members,
+            ..cfg
+        };
+        let mut link = cfg.build_link_scaled(scheme, members);
+        let shared = measure(&mut *link, &mut mix_gens(&mix), &whole);
+        assert!(shared.home_hits > 0 && shared.writebacks > 0, "{shared:?}");
+        assert_eq!(sum, shared);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Subcommand parsing and execution.
 
-use cable_cache::CacheGeometry;
+use cable_bench::runner::{compression_study, default_schemes, StudyConfig};
 use cable_compress::EngineKind;
 use cable_core::area::{
     crc_guard_bits, home_side_area, paper_offchip_config, remote_side_area, CRC_ENGINE_ROWS,
     SEARCH_LOGIC_ROWS,
 };
-use cable_core::{BaselineKind, FaultConfig};
-use cable_sim::{
-    run_group, run_single_telemetry, CompressedLink, DegradePolicy, Scheme, SystemConfig,
-};
+use cable_core::{BaselineKind, BatchAccess, FaultConfig};
+use cable_sim::{run_group, run_single_telemetry, DegradePolicy, Scheme, SystemConfig};
 use cable_telemetry::json::{self, validate_jsonl};
 use cable_telemetry::{diff_reports, JsonlSink, Report, SloSpec, Telemetry, TracerConfig};
 use cable_trace::record::{record_synthetic, TraceReader, TraceRecord};
@@ -259,26 +257,6 @@ fn profile(name: &str) -> Result<&'static cable_trace::WorkloadProfile, String> 
         .ok_or_else(|| format!("unknown workload `{name}` (see `cable workloads`)"))
 }
 
-fn schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Baseline(BaselineKind::Bdi),
-        Scheme::Baseline(BaselineKind::Cpack),
-        Scheme::Baseline(BaselineKind::Cpack128),
-        Scheme::Baseline(BaselineKind::Lbe256),
-        Scheme::Baseline(BaselineKind::Gzip),
-        Scheme::Cable(EngineKind::Lbe),
-    ]
-}
-
-fn build_link(scheme: Scheme) -> CompressedLink {
-    CompressedLink::build(
-        scheme,
-        CacheGeometry::new(4 << 20, 16),
-        CacheGeometry::new(1 << 20, 8),
-        16,
-    )
-}
-
 fn workloads() {
     println!(
         "{:12} {:>9} {:>8} {:>7}  traits",
@@ -309,20 +287,6 @@ fn workloads() {
     }
 }
 
-fn drive(link: &mut CompressedLink, gen: &mut WorkloadGen, n: u64) {
-    for _ in 0..n {
-        let a = gen.next_access();
-        let m = gen.content(a.addr);
-        if a.is_write {
-            link.request_exclusive(a.addr, m);
-            let d = gen.store_data(a.addr);
-            link.remote_store(a.addr, d);
-        } else {
-            link.request(a.addr, m);
-        }
-    }
-}
-
 fn bench(name: &str, accesses: u64) -> Result<(), String> {
     let p = profile(name)?;
     println!("{name}: {accesses} measured accesses (plus half that as warm-up)\n");
@@ -330,13 +294,13 @@ fn bench(name: &str, accesses: u64) -> Result<(), String> {
         "{:12} {:>7} {:>8} {:>9} {:>7} {:>7}",
         "scheme", "ratio", "diffs", "unseeded", "raw", "wb"
     );
-    for scheme in schemes() {
-        let mut link = build_link(scheme);
-        let mut gen = WorkloadGen::new(p, 0);
-        drive(&mut link, &mut gen, accesses / 2);
-        link.reset_stats();
-        drive(&mut link, &mut gen, accesses);
-        let s = link.stats();
+    let cfg = StudyConfig {
+        warmup_accesses: accesses / 2,
+        accesses,
+        ..StudyConfig::paper_defaults()
+    };
+    for scheme in default_schemes() {
+        let s = compression_study(p, scheme, &cfg);
         println!(
             "{:12} {:>6.2}x {:>8} {:>9} {:>7} {:>7}",
             scheme.label(),
@@ -365,22 +329,24 @@ fn record(name: &str, n: u64, path: &str) -> Result<(), String> {
 fn replay(path: &str) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     println!("{:12} {:>7} {:>8} {:>7}", "scheme", "ratio", "fills", "wb");
-    for scheme in schemes() {
-        let reader = TraceReader::new(bytes.clone()).map_err(|e| e.to_string())?;
-        let mut link = build_link(scheme);
-        for r in reader {
+    let accesses = TraceReader::new(bytes)
+        .map_err(|e| e.to_string())?
+        .map(|r| {
             let TraceRecord {
                 addr,
                 is_write,
                 data,
             } = r.map_err(|e| e.to_string())?;
-            if is_write {
-                link.request_exclusive(addr, data);
-                link.remote_store(addr, data);
+            Ok(if is_write {
+                BatchAccess::write(addr, data, data)
             } else {
-                link.request(addr, data);
-            }
-        }
+                BatchAccess::read(addr, data)
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    for scheme in default_schemes() {
+        let mut link = StudyConfig::paper_defaults().build_link(scheme);
+        link.request_batch(&accesses, &mut Vec::with_capacity(accesses.len()));
         let s = link.stats();
         println!(
             "{:12} {:>6.2}x {:>8} {:>7}",
@@ -513,8 +479,8 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
         );
         if let Some(fs) = f.fault_stats() {
             println!(
-                "{:12} faults: {} injected, {} detected, {} recovered, {} NACKs, {} reliable frames",
-                "", fs.injected_frames, fs.detected, fs.recovered, fs.nacks, fs.reliable_frames
+                "{:12} faults: {} injected, {} NACKs, {} reliable frames",
+                "", fs.injected_frames, fs.nacks, fs.reliable_frames
             );
         }
         if cfg.mesh_fault.is_some() {

@@ -114,11 +114,11 @@ impl FaultConfig {
 
 /// Counters for injected faults and the protocol's responses.
 ///
-/// The key invariants the quick suite asserts: `detected >=
-/// injected_frames` (every effectively corrupted frame fails its CRC; stale
-/// references add detections of their own) and `recovered == detected`
-/// (every detected failure is repaired by retransmission or, past the retry
-/// budget, by the reliable escalation path — no delivery is ever wrong).
+/// The key invariant the quick suite asserts: `nacks >= injected_frames`
+/// (every effectively corrupted frame fails its CRC; stale references add
+/// detections of their own). Every NACKed failure is repaired by
+/// retransmission or, past the retry budget, by the reliable escalation
+/// path — no delivery is ever wrong.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Frames pushed through the channel, including retransmissions.
@@ -133,11 +133,10 @@ pub struct FaultStats {
     pub dropped_notices: u64,
     /// Notices delayed by the channel.
     pub delayed_notices: u64,
-    /// Decode failures detected at the receiver (CRC, parse, stale refs).
-    pub detected: u64,
-    /// Detected failures subsequently repaired (retransmit or escalation).
-    pub recovered: u64,
-    /// NACK control messages sent back to the transmitter.
+    /// Decode failures detected at the receiver (CRC, parse, stale refs),
+    /// each answered by one NACK control message to the transmitter. The
+    /// protocol always delivers in the end (retransmit, raw fallback or
+    /// reliable escalation), so every NACKed failure is also repaired.
     pub nacks: u64,
     /// Transfers that degraded to a raw retransmission.
     pub fallback_raw: u64,
@@ -169,8 +168,6 @@ impl FaultStats {
         self.injected_truncations += other.injected_truncations;
         self.dropped_notices += other.dropped_notices;
         self.delayed_notices += other.delayed_notices;
-        self.detected += other.detected;
-        self.recovered += other.recovered;
         self.nacks += other.nacks;
         self.fallback_raw += other.fallback_raw;
         self.retransmitted_bits += other.retransmitted_bits;

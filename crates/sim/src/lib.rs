@@ -13,8 +13,6 @@
 //!   the Fig. 14 throughput studies;
 //! - [`numa`]: multi-chip coherence-link compression (Fig. 13);
 //! - [`adaptive`]: the §VI-D on/off compression controller;
-//! - [`sched`]: the event-driven [`Scheduler`]/[`DoneTracker`] core shared
-//!   by every multi-actor timing loop;
 //! - [`arena`]: the [`SimArena`] warm-state cache that amortises group
 //!   warm-up across sweep points.
 //!
@@ -43,10 +41,10 @@ pub mod numa;
 pub mod resources;
 #[cfg(test)]
 mod run_equivalence;
+mod sched;
+pub mod single;
 // The adversarial line families are shared with cable-compress's oracle
 // tests; test-only items do not cross crates, so the file is included.
-pub mod sched;
-pub mod single;
 #[cfg(test)]
 #[path = "../../compress/src/test_lines.rs"]
 mod test_lines;
@@ -59,9 +57,9 @@ pub use config::{CompressionLatency, SystemConfig};
 pub use fabric::{wire_pair_index, FabricResult, FabricSim, HopStats};
 pub use numa::NumaSim;
 pub use resources::{DramModel, SharedLink};
-pub use sched::{DoneTracker, Scheduler};
 pub use single::{run_single, run_single_telemetry, run_single_warmed, SingleResult};
 pub use thread::{CompressedLink, Scheme, ThreadSim};
 pub use throughput::{
-    run_group, run_group_arena, run_group_telemetry, speedup, ThroughputResult, GROUP_SIZE,
+    run_group, run_group_arena, run_group_controlled, run_group_telemetry, speedup,
+    ThroughputResult, GROUP_SIZE,
 };

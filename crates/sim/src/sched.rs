@@ -5,8 +5,9 @@
 //! second O(N) "is everyone done" scan. [`Scheduler`] replaces both: a
 //! binary min-heap keyed on `(now_ps, actor_index)` makes each pick
 //! O(log N), and [`DoneTracker`] counts retirements so the completion
-//! check is O(1). `run_group_warmed`, `FabricSim::run` and the bench
-//! crate's controller sweep all share this core.
+//! check is O(1). The group loop behind every `throughput` entry point
+//! (the §VI-D controlled run included) and `FabricSim::run` share this
+//! core.
 //!
 //! # Tie-breaking
 //!
@@ -50,18 +51,6 @@ impl Scheduler {
     pub fn pop(&mut self) -> Option<(u64, usize)> {
         self.heap.pop().map(|Reverse(pair)| pair)
     }
-
-    /// Number of scheduled actors.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no actors are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Counts finished actors so "are we done" is O(1) instead of a per-step
@@ -90,12 +79,6 @@ impl DoneTracker {
     #[must_use]
     pub fn all_done(&self) -> bool {
         self.done >= self.total
-    }
-
-    /// Actors finished so far.
-    #[must_use]
-    pub fn done(&self) -> usize {
-        self.done
     }
 }
 
@@ -138,7 +121,7 @@ mod tests {
         s.push(35, a); // actor 0 advanced past actor 1
         assert_eq!(s.pop(), Some((20, 1)));
         assert_eq!(s.pop(), Some((35, 0)));
-        assert!(s.is_empty());
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
@@ -148,7 +131,6 @@ mod tests {
         d.mark_done();
         d.mark_done();
         assert!(!d.all_done());
-        assert_eq!(d.done(), 2);
         d.mark_done();
         assert!(d.all_done());
     }
@@ -156,7 +138,7 @@ mod tests {
     #[test]
     fn zero_actors_start_done() {
         assert!(DoneTracker::new(0).all_done());
-        assert!(Scheduler::with_capacity(0).is_empty());
-        assert_eq!(Scheduler::default().len(), 0);
+        assert_eq!(Scheduler::with_capacity(0).pop(), None);
+        assert_eq!(Scheduler::default().pop(), None);
     }
 }

@@ -775,7 +775,6 @@ mod tests {
         assert!(reliable.link().fault_stats().is_none());
         let fstats = faulty.link().fault_stats().expect("fault mode armed");
         assert!(fstats.injected_frames > 0, "no faults injected");
-        assert_eq!(fstats.recovered, fstats.detected);
         assert!(fstats.retransmitted_bits > 0);
         assert!(
             faulty.link().stats().wire_bits > reliable.link().stats().wire_bits,

@@ -10,14 +10,17 @@
 //! `total / (threads / 8)` of the link (and the proportional DRAM share),
 //! then scale: system throughput = group throughput × group count.
 //!
-//! The group loop is event-driven: a [`Scheduler`] min-heap picks the
-//! earliest thread in O(log N) and a [`DoneTracker`] makes the completion
-//! check O(1), replacing the seed's two O(N) scans per step. The seed
-//! linear-scan loop survives as the test-only `run_group_warmed_linear`,
-//! the reference implementation this module's equivalence tests compare
-//! against. [`run_group_arena`] additionally reuses warmed groups across
-//! sweep points via a [`SimArena`].
+//! Every group run goes through one event-driven loop: a `Scheduler`
+//! min-heap picks the earliest thread in O(log N) and a `DoneTracker` makes
+//! the completion check O(1), replacing the seed's two O(N) scans per step.
+//! The seed linear-scan loop survives as the test-only
+//! `run_group_warmed_linear`, the reference implementation this module's
+//! equivalence tests compare against. [`run_group_arena`] additionally
+//! reuses warmed groups across sweep points via a [`SimArena`], and
+//! [`run_group_controlled`] is the same run with the §VI-D on/off
+//! controller observing every thread's link.
 
+use crate::adaptive::OnOffController;
 use crate::arena::SimArena;
 use crate::config::SystemConfig;
 use crate::resources::{DramModel, SharedLink};
@@ -57,25 +60,27 @@ impl ThroughputResult {
     }
 }
 
-/// Builds the group-share wire and DRAM for a `threads`-thread system.
+/// Builds the group-share wire and DRAM for a `threads`-thread system;
+/// the third value is the wire's bandwidth in bytes per second.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is not a positive multiple of [`GROUP_SIZE`].
-fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramModel) {
+fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramModel, f64) {
     assert!(
         threads >= GROUP_SIZE && threads.is_multiple_of(GROUP_SIZE),
         "thread count must be a positive multiple of {GROUP_SIZE}"
     );
     let groups = (threads / GROUP_SIZE) as f64;
-    let wire = SharedLink::new(TOTAL_LINK_BYTES_PER_SEC / groups, config.link_setup_ps);
+    let wire_bytes_per_sec = TOTAL_LINK_BYTES_PER_SEC / groups;
+    let wire = SharedLink::new(wire_bytes_per_sec, config.link_setup_ps);
     // DRAM behind the buffers: "4 MCs per chip/buffer" across 4 channels
     // (Table IV) gives DRAM 204.8 GB/s aggregate — 2.7x the link, so the
     // off-chip link is the system bottleneck, as in the paper.
     let mut dram_cfg = *config;
     dram_cfg.dram_bus_bytes_per_sec = 16.0 * config.dram_bus_bytes_per_sec / groups;
     let dram = DramModel::from_config(&dram_cfg);
-    (wire, dram)
+    (wire, dram, wire_bytes_per_sec)
 }
 
 pub(crate) fn build_warmed_group(
@@ -110,9 +115,12 @@ fn summarize(threads: usize, group: &[ThreadSim]) -> ThroughputResult {
 /// Event-driven group loop: advance the earliest thread until every thread
 /// reaches its target ("kept running until all have finished ... to
 /// sustain loads" — finished threads keep running, so every pop is pushed
-/// back; only the done-count decides termination).
+/// back; only the done-count decides termination). `ctls[i]`, when
+/// present, observes thread `i`'s link after each of its steps (the §VI-D
+/// controller); callers without controllers pass an empty slice.
 pub(crate) fn run_group_core(
     group: &mut [ThreadSim],
+    ctls: &mut [OnOffController],
     wire: &mut SharedLink,
     dram: &mut DramModel,
     instructions_per_thread: u64,
@@ -135,6 +143,9 @@ pub(crate) fn run_group_core(
         }
         let before = t.retired();
         t.step(wire, dram);
+        if let Some(c) = ctls.get_mut(idx) {
+            c.observe(t.now_ps(), t.link_mut());
+        }
         if before < instructions_per_thread && t.retired() >= instructions_per_thread {
             done.mark_done();
         }
@@ -179,9 +190,15 @@ pub fn run_group_warmed(
     instructions_per_thread: u64,
     config: &SystemConfig,
 ) -> ThroughputResult {
-    let (mut wire, mut dram) = group_resources(threads, config);
+    let (mut wire, mut dram, _) = group_resources(threads, config);
     let mut group = build_warmed_group(profile, scheme, warm_accesses, config);
-    run_group_core(&mut group, &mut wire, &mut dram, instructions_per_thread);
+    run_group_core(
+        &mut group,
+        &mut [],
+        &mut wire,
+        &mut dram,
+        instructions_per_thread,
+    );
     summarize(threads, &group)
 }
 
@@ -198,9 +215,42 @@ pub fn run_group_arena(
     instructions_per_thread: u64,
     config: &SystemConfig,
 ) -> ThroughputResult {
-    let (mut wire, mut dram) = group_resources(threads, config);
+    let (mut wire, mut dram, _) = group_resources(threads, config);
     let group = arena.restore(profile, scheme, warm_accesses, config);
-    run_group_core(group, &mut wire, &mut dram, instructions_per_thread);
+    run_group_core(
+        group,
+        &mut [],
+        &mut wire,
+        &mut dram,
+        instructions_per_thread,
+    );
+    summarize(threads, group)
+}
+
+/// [`run_group_arena`] with the paper's §VI-D [`OnOffController`] (1 ms
+/// period, 80%/90% thresholds) observing every thread's link, each sized
+/// to one thread's share of the group's wire.
+#[must_use]
+pub fn run_group_controlled(
+    arena: &mut SimArena,
+    profile: &'static WorkloadProfile,
+    scheme: Scheme,
+    threads: usize,
+    warm_accesses: u64,
+    instructions_per_thread: u64,
+    config: &SystemConfig,
+) -> ThroughputResult {
+    let (mut wire, mut dram, wire_bytes_per_sec) = group_resources(threads, config);
+    let share = wire_bytes_per_sec / GROUP_SIZE as f64;
+    let mut ctls = vec![OnOffController::new(share); GROUP_SIZE];
+    let group = arena.restore(profile, scheme, warm_accesses, config);
+    run_group_core(
+        group,
+        &mut ctls,
+        &mut wire,
+        &mut dram,
+        instructions_per_thread,
+    );
     summarize(threads, group)
 }
 
@@ -219,7 +269,7 @@ pub fn run_group_telemetry(
     config: &SystemConfig,
     tel: &Telemetry,
 ) -> ThroughputResult {
-    let (mut wire, mut dram) = group_resources(threads, config);
+    let (mut wire, mut dram, _) = group_resources(threads, config);
     let mut group = build_warmed_group(profile, scheme, warm_accesses, config);
     for t in &mut group {
         t.set_telemetry(tel.clone());
@@ -228,7 +278,13 @@ pub fn run_group_telemetry(
     dram.set_telemetry(tel.clone());
     let t0 = group.iter().map(ThreadSim::now_ps).min().unwrap_or(0);
     tel.record_at(t0, Event::Phase { name: "measure" });
-    run_group_core(&mut group, &mut wire, &mut dram, instructions_per_thread);
+    run_group_core(
+        &mut group,
+        &mut [],
+        &mut wire,
+        &mut dram,
+        instructions_per_thread,
+    );
     summarize(threads, &group)
 }
 
@@ -244,7 +300,7 @@ fn run_group_warmed_linear(
     instructions_per_thread: u64,
     config: &SystemConfig,
 ) -> ThroughputResult {
-    let (mut wire, mut dram) = group_resources(threads, config);
+    let (mut wire, mut dram, _) = group_resources(threads, config);
     let mut group = build_warmed_group(profile, scheme, warm_accesses, config);
 
     loop {
@@ -443,6 +499,50 @@ mod tests {
             arena.stats(),
             (14, 6),
             "one warm-up per (scheme, warm) key, every other call restored"
+        );
+    }
+
+    #[test]
+    fn group_loop_runs_the_controllers() {
+        // The paper controllers never close a 1 ms window in the figure
+        // runs, so a dropped hook would not move `adaptive_throughput`;
+        // 10 µs windows on a lightly loaded group must switch compression
+        // off.
+        let cfg = SystemConfig::paper_defaults();
+        let p = by_name("povray").unwrap();
+        let (mut wire, mut dram, wire_bytes_per_sec) = group_resources(256, &cfg);
+        let mut group = build_warmed_group(p, Scheme::Cable(EngineKind::Lbe), 2_000, &cfg);
+        let share = wire_bytes_per_sec / GROUP_SIZE as f64;
+        let mut ctls =
+            vec![OnOffController::with_thresholds(share, 10_000_000, 0.8, 0.9); GROUP_SIZE];
+        run_group_core(&mut group, &mut ctls, &mut wire, &mut dram, 20_000);
+        let toggles: u64 = ctls.iter().map(OnOffController::toggles).sum();
+        let r = summarize(256, &group);
+        assert!(toggles > 0, "no controller switched in {} ps", r.elapsed_ps);
+    }
+
+    #[test]
+    fn paper_controllers_leave_the_quick_saturated_group_unchanged() {
+        // At 2048 threads the quick budget (2,000 instructions) ends before
+        // the first 1 ms sample window, so the controlled run is the plain
+        // run: the zero rows of `adaptive_throughput.json`.
+        let cfg = SystemConfig::paper_defaults();
+        let p = by_name("mcf").unwrap();
+        let lbe = Scheme::Cable(EngineKind::Lbe);
+        let mut arena = SimArena::new();
+        let plain = run_group_arena(&mut arena, p, lbe, 2048, 2_000, 2_000, &cfg);
+        let controlled = run_group_controlled(&mut arena, p, lbe, 2048, 2_000, 2_000, &cfg);
+        assert_eq!(
+            (plain.threads, plain.group_instructions, plain.elapsed_ps),
+            (
+                controlled.threads,
+                controlled.group_instructions,
+                controlled.elapsed_ps
+            )
+        );
+        assert!(
+            controlled.elapsed_ps < crate::adaptive::SAMPLE_PERIOD_PS,
+            "{controlled:?}"
         );
     }
 

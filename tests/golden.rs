@@ -314,8 +314,6 @@ fn golden_small_cache_fault_mode_stats() {
         injected_truncations: 931,
         dropped_notices: 683,
         delayed_notices: 293,
-        detected: 12_822,
-        recovered: 12_822,
         nacks: 12_822,
         fallback_raw: 1_436,
         retransmitted_bits: 6_539_440,
