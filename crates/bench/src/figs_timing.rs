@@ -1,7 +1,7 @@
 //! Timing, throughput, energy and table computations (Figs. 14/17/18,
 //! Tables II–V, the adaptive-control study).
 
-use crate::figs::is_quick;
+use crate::figs::scaled;
 use crate::report::{geomean, mean, FigureResult};
 use crate::runner::parallel_map;
 use cable_compress::EngineKind;
@@ -13,14 +13,6 @@ use cable_sim::{
     OnOffController, Scheme, SharedLink, SimArena, SystemConfig, ThreadSim,
 };
 use cable_trace::{WorkloadProfile, ALL_WORKLOADS};
-
-fn scaled(n: u64) -> u64 {
-    if is_quick() {
-        (n / 10).max(2_000)
-    } else {
-        n
-    }
-}
 
 // ---------------------------------------------------------------- Fig. 14
 

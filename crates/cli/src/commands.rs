@@ -84,7 +84,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         }
         Some("record") => {
             let name = args.get(1).ok_or("record needs a workload name")?;
-            let n = parse_or(args.get(2).map(some_str), 0)?;
+            let n = parse_or(args.get(2), 0)?;
             if n == 0 {
                 return Err("record needs an access count".into());
             }
@@ -174,7 +174,24 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             trace(name, instructions, prefix, stream)
         }
         Some("report") => {
-            let (rest, threshold) = split_flag_value(&args[1..], "--threshold")?;
+            let (mut threshold, mut top, mut slo) = (None, None, None);
+            let (mut diff, mut hops) = (false, false);
+            let mut paths: Vec<&str> = Vec::new();
+            let mut it = args[1..].iter();
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--threshold" => {
+                        threshold = Some(it.next().ok_or("--threshold needs a value")?)
+                    }
+                    "--top" => top = Some(it.next().ok_or("--top needs a value")?),
+                    "--slo" => slo = Some(it.next().ok_or("--slo needs a value")?),
+                    "--diff" => diff = true,
+                    "--hops" => hops = true,
+                    // Other flags are ignored.
+                    flag if flag.starts_with("--") => {}
+                    path => paths.push(path),
+                }
+            }
             let threshold = threshold
                 .map(|s| {
                     s.parse::<u64>()
@@ -182,8 +199,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
                 })
                 .transpose()?
                 .unwrap_or(DIFF_THRESHOLD_PERMILLE);
-            let rest_owned: Vec<String> = rest.iter().map(|s| (*s).clone()).collect();
-            let (rest, top) = split_flag_value(&rest_owned, "--top")?;
             let top = top
                 .map(|s| {
                     s.parse::<usize>()
@@ -193,56 +208,19 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
                 })
                 .transpose()?
                 .unwrap_or(cable_telemetry::DEFAULT_HOP_TOP);
-            let rest_owned: Vec<String> = rest.iter().map(|s| (*s).clone()).collect();
-            let (rest, slo) = split_flag_value(&rest_owned, "--slo")?;
             let slo = slo.map(|s| SloSpec::parse(s)).transpose()?;
-            let hops = rest.iter().any(|a| *a == "--hops");
-            if rest.iter().any(|a| *a == "--diff") {
-                let rest: Vec<&&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-                let a = rest
-                    .first()
-                    .ok_or("report --diff needs two report.json files")?;
-                let b = rest
-                    .get(1)
-                    .ok_or("report --diff needs two report.json files")?;
+            if diff {
+                let [a, b, ..] = paths[..] else {
+                    return Err("report --diff needs two report.json files".into());
+                };
                 report_diff(a, b, threshold, slo.as_ref())
             } else {
-                let rest: Vec<&&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
-                let trace_path = rest.first().ok_or("report needs a trace.jsonl file")?;
-                report(
-                    trace_path,
-                    rest.get(1).map(|s| s.as_str()),
-                    hops,
-                    top,
-                    slo.as_ref(),
-                )
+                let trace_path = paths.first().ok_or("report needs a trace.jsonl file")?;
+                report(trace_path, paths.get(1).copied(), hops, top, slo.as_ref())
             }
         }
         Some(other) => Err(format!("unknown command `{other}`")),
     }
-}
-
-fn some_str(s: &String) -> &String {
-    s
-}
-
-/// Splits a `--flag value` pair out of an argument list, returning the
-/// remaining positional arguments and the flag's value (if present).
-fn split_flag_value<'a>(
-    args: &'a [String],
-    flag: &str,
-) -> Result<(Vec<&'a String>, Option<&'a String>), String> {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            value = Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?);
-        } else {
-            rest.push(a);
-        }
-    }
-    Ok((rest, value))
 }
 
 fn parse_or(arg: Option<&String>, default: u64) -> Result<u64, String> {
@@ -1106,6 +1084,21 @@ mod tests {
         std::fs::remove_file(jsonl_path).ok();
         std::fs::remove_file(out_path).ok();
         std::fs::remove_file(format!("{prefix}.trace.json")).ok();
+    }
+
+    #[test]
+    fn report_flags_need_values() {
+        for flag in ["--threshold", "--top", "--slo"] {
+            let err = run(&["report", "t.jsonl", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+        assert_eq!(
+            run(&["report", "t.jsonl", "--top", "0"]).unwrap_err(),
+            "`0` is not a top-K count (>= 1)"
+        );
+        assert!(run(&["report", "--diff", "a.json", "--threshold"])
+            .unwrap_err()
+            .contains("--threshold needs a value"));
     }
 
     #[test]

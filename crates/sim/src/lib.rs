@@ -60,6 +60,6 @@ pub use resources::{DramModel, SharedLink};
 pub use single::{run_single, run_single_telemetry, run_single_warmed, SingleResult};
 pub use thread::{CompressedLink, Scheme, ThreadSim};
 pub use throughput::{
-    run_group, run_group_arena, run_group_controlled, run_group_telemetry, speedup,
-    ThroughputResult, GROUP_SIZE,
+    run_group, run_group_arena, run_group_controlled, run_group_telemetry, ThroughputResult,
+    GROUP_SIZE,
 };

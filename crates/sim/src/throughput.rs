@@ -318,33 +318,32 @@ fn run_group_warmed_linear(
     summarize(threads, &group)
 }
 
-/// Throughput speedup of `scheme` over the uncompressed system at the same
-/// thread count (one Fig. 14 bar).
-#[must_use]
-pub fn speedup(
-    profile: &'static WorkloadProfile,
-    scheme: Scheme,
-    threads: usize,
-    instructions_per_thread: u64,
-    config: &SystemConfig,
-) -> f64 {
-    let base = run_group(
-        profile,
-        Scheme::Uncompressed,
-        threads,
-        instructions_per_thread,
-        config,
-    );
-    let comp = run_group(profile, scheme, threads, instructions_per_thread, config);
-    comp.system_ips() / base.system_ips()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cable_compress::EngineKind;
     use cable_core::BaselineKind;
     use cable_trace::{by_name, ALL_WORKLOADS};
+
+    /// Throughput speedup of `scheme` over the uncompressed system at the
+    /// same thread count (one Fig. 14 bar).
+    fn speedup(
+        profile: &'static WorkloadProfile,
+        scheme: Scheme,
+        threads: usize,
+        instructions_per_thread: u64,
+        config: &SystemConfig,
+    ) -> f64 {
+        let base = run_group(
+            profile,
+            Scheme::Uncompressed,
+            threads,
+            instructions_per_thread,
+            config,
+        );
+        let comp = run_group(profile, scheme, threads, instructions_per_thread, config);
+        comp.system_ips() / base.system_ips()
+    }
 
     fn all_schemes() -> Vec<Scheme> {
         let mut schemes = vec![Scheme::Uncompressed];

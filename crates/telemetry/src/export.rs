@@ -26,7 +26,7 @@ use std::io::{self, Write};
 
 /// An incremental JSONL writer over any [`io::Write`].
 ///
-/// Line shapes (identical to the classic [`jsonl`] exporter):
+/// Line shapes (identical to [`crate::Telemetry::export_jsonl`]):
 ///
 /// ```text
 /// {"type":"meta","version":1,"events":N,"dropped_events":N}
@@ -41,7 +41,7 @@ use std::io::{self, Write};
 /// A streaming trace opens with the `"streaming":true` meta line (event
 /// and drop totals are unknown up front), interleaves event lines as the
 /// tracer drains, and closes with the metric lines plus a `summary` line
-/// carrying the final totals. Consumers ([`crate::report`]) are
+/// carrying the final totals. Consumers ([`crate::Report::from_jsonl`]) are
 /// order-agnostic, so both layouts parse identically.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
@@ -349,7 +349,7 @@ pub fn jsonl(tel: &Telemetry) -> String {
 
 /// Exports the trace as a Chrome `trace_event` JSON object, viewable in
 /// `about://tracing` or <https://ui.perfetto.dev>. A thin wrapper over
-/// [`ChromeTraceSink`] writing to memory.
+/// the streaming Chrome-trace sink writing to memory.
 #[must_use]
 pub fn chrome_trace(tel: &Telemetry) -> String {
     let mut sink = ChromeTraceSink::new(Vec::new()).expect("in-memory writes cannot fail");

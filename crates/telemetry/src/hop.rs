@@ -2,12 +2,9 @@
 //!
 //! Registry metric ids are `&'static str` so handles can be resolved once
 //! and shared lock-free; hop-scoped ids (`mesh.hop.{N}.{suffix}`) are only
-//! known at runtime, so this module interns them. The intern table is
-//! bounded by the number of distinct `(hop, suffix)` pairs ever requested —
-//! a handful per mesh wire — so leaking the backing strings is fine.
+//! known at runtime, so they are interned.
 
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use crate::registry::intern_id;
 
 /// Common prefix of every hop-scoped metric id.
 pub const HOP_METRIC_PREFIX: &str = "mesh.hop.";
@@ -23,18 +20,7 @@ pub const HOP_DEPTH_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32];
 /// id can be used for registry resolution exactly like a literal.
 #[must_use]
 pub fn hop_metric_id(hop: u32, suffix: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let key = format!("{HOP_METRIC_PREFIX}{hop}.{suffix}");
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("hop metric id cache poisoned");
-    if let Some(&id) = cache.get(&key) {
-        return id;
-    }
-    let id: &'static str = Box::leak(key.clone().into_boxed_str());
-    cache.insert(key, id);
-    id
+    intern_id(format!("{HOP_METRIC_PREFIX}{hop}.{suffix}"))
 }
 
 /// Inverse of [`hop_metric_id`]: splits `mesh.hop.{N}.{suffix}` into

@@ -10,12 +10,10 @@
 //! Ids follow `lat.{scheme}.{phase}.{stage}`, with an optional `h{N}`
 //! segment before the stage for hop-keyed wire spans
 //! (`lat.{scheme}.{phase}.h{N}.{stage}`). Scheme labels are only known at
-//! runtime, so ids are interned exactly like hop ids ([`crate::hop`]).
+//! runtime, so ids are interned exactly like hop ids.
 
-use crate::registry::Histogram;
+use crate::registry::{intern_id, Histogram};
 use crate::Telemetry;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Common prefix of every latency metric id.
 pub const LATENCY_METRIC_PREFIX: &str = "lat.";
@@ -121,25 +119,11 @@ fn sanitize(segment: &str) -> String {
     segment.replace('.', "-")
 }
 
-fn intern(key: String) -> &'static str {
-    static CACHE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("latency metric id cache poisoned");
-    if let Some(&id) = cache.get(&key) {
-        return id;
-    }
-    let id: &'static str = Box::leak(key.clone().into_boxed_str());
-    cache.insert(key, id);
-    id
-}
-
 /// Interns and returns the `'static` metric id
 /// `lat.{scheme}.{phase}.{stage}`.
 #[must_use]
 pub fn latency_metric_id(scheme: &str, phase: &str, stage: LatencyStage) -> &'static str {
-    intern(format!(
+    intern_id(format!(
         "{LATENCY_METRIC_PREFIX}{}.{}.{}",
         sanitize(scheme),
         sanitize(phase),
@@ -156,7 +140,7 @@ pub fn latency_hop_metric_id(
     hop: u32,
     stage: LatencyStage,
 ) -> &'static str {
-    intern(format!(
+    intern_id(format!(
         "{LATENCY_METRIC_PREFIX}{}.{}.h{hop}.{}",
         sanitize(scheme),
         sanitize(phase),
@@ -177,7 +161,7 @@ pub struct LatencyKey<'a> {
     pub stage: LatencyStage,
 }
 
-/// Inverse of [`latency_metric_id`] / [`latency_hop_metric_id`]; `None`
+/// Inverse of `latency_metric_id` / [`latency_hop_metric_id`]; `None`
 /// when `id` is not a latency metric.
 #[must_use]
 pub fn parse_latency_metric(id: &str) -> Option<LatencyKey<'_>> {

@@ -5,15 +5,17 @@
 //! keep its own ad-hoc counter struct with no way to collect, correlate,
 //! or export them. This crate is the shared instrumentation substrate:
 //!
-//! - [`registry`] — a typed metrics registry: [`Counter`]s, [`Gauge`]s and
+//! - a typed metrics registry: [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s keyed by `&'static str` ids. Handles are
 //!   resolved once and then cost one atomic op per update, cheap enough
 //!   for the allocation-free encode hot path;
-//! - [`tracer`] — a bounded ring buffer of structured [`Event`]s stamped
+//! - a tracer: a bounded ring buffer of structured [`Event`]s stamped
 //!   with *simulated* time (`now_ps`), never wallclock, so traces are
 //!   deterministic across runs;
-//! - [`export`] — a metrics snapshot + trace as JSONL, and a Chrome
-//!   `trace_event` JSON viewable in `about://tracing` / Perfetto;
+//! - exporters: a metrics snapshot + trace as JSONL ([`JsonlSink`]), and
+//!   a Chrome `trace_event` JSON viewable in `about://tracing` / Perfetto
+//!   ([`chrome_trace`]);
+//! - [`Report`] — the `cable report` analysis of a JSONL trace;
 //! - [`json`] — the workspace's one JSON parser, which `cable report`,
 //!   the CLI's export self-checks and the figure loader all read through.
 //!
@@ -50,36 +52,36 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod export;
-pub mod hop;
+mod event;
+mod export;
+mod hop;
 pub mod json;
-pub mod latency;
-pub mod registry;
-pub mod report;
-pub mod sink;
-pub mod tracer;
+mod latency;
+mod registry;
+mod report;
+mod sink;
+mod tracer;
 
-pub use event::{Event, LaneKind, TraceEvent, TRACKS};
-pub use export::{chrome_trace, jsonl, ChromeTraceSink, JsonlSink};
-pub use hop::{hop_metric_id, parse_hop_metric, HOP_DEPTH_EDGES, HOP_METRIC_PREFIX};
+pub use event::Event;
+pub use export::{chrome_trace, JsonlSink};
+pub use hop::{hop_metric_id, HOP_DEPTH_EDGES};
 pub use latency::{
-    latency_hop_metric_id, latency_metric_id, parse_latency_metric, LatencyKey, LatencyRecorder,
-    LatencyStage, StageSpans, LATENCY_ALL_STAGES, LATENCY_EDGES, LATENCY_METRIC_PREFIX,
-    LATENCY_SPAN_STAGES,
+    latency_hop_metric_id, parse_latency_metric, LatencyRecorder, LatencyStage, StageSpans,
+    LATENCY_EDGES, LATENCY_METRIC_PREFIX, LATENCY_SPAN_STAGES,
 };
-pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
-pub use report::{
-    diff_reports, DiffRow, HistogramReport, HopReport, Report, ReportDiff, RowPresence, SloSpec,
-    DEFAULT_HOP_TOP,
-};
-pub use sink::EventSink;
-pub use tracer::{Tracer, TracerConfig, NUM_TRACKS};
+pub use registry::{Counter, Gauge, Histogram, MetricValue};
+pub use report::{diff_reports, HistogramReport, Report, SloSpec, DEFAULT_HOP_TOP};
+pub use tracer::TracerConfig;
 
+use event::TraceEvent;
+use export::jsonl;
+use registry::{Registry, Snapshot};
+use sink::EventSink;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tracer::Tracer;
 
 /// Shared state behind an enabled [`Telemetry`] handle.
 struct Inner {
@@ -127,8 +129,8 @@ impl Telemetry {
     }
 
     /// An enabled handle in streaming mode: the tracer owns `sink` and
-    /// drains buffered events into it instead of dropping them (see
-    /// [`Tracer::with_sink`]). Call [`Self::finish_stream`] at the end
+    /// drains buffered events into it instead of dropping them. Call
+    /// [`Self::finish_stream`] at the end
     /// of the run to flush the tail, write the metrics snapshot, and
     /// surface any I/O error.
     #[must_use]
@@ -267,8 +269,8 @@ impl Telemetry {
         }
     }
 
-    /// Exports the metrics snapshot plus trace as JSONL (see
-    /// [`export::jsonl`]).
+    /// Exports the metrics snapshot plus trace as JSONL (the classic
+    /// layout of [`JsonlSink`]).
     #[must_use]
     pub fn export_jsonl(&self) -> String {
         jsonl(self)

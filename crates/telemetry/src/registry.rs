@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonically increasing counter handle. No-op when resolved from a
 /// disabled `Telemetry`.
@@ -113,7 +113,7 @@ impl Histogram {
     }
 }
 
-/// One metric's value in a [`Snapshot`].
+/// One metric's value in a registry snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     /// A counter's cumulative value.
@@ -195,6 +195,25 @@ impl Snapshot {
             _ => None,
         })
     }
+}
+
+/// Interns a metric id built at runtime (hop- and latency-keyed ids) and
+/// returns it as `'static`, so it resolves like a literal. Repeated calls
+/// with the same key return the same pointer. The table holds one leaked
+/// string per distinct id ever requested, a handful per mesh wire and
+/// per `(scheme, phase)`.
+pub(crate) fn intern_id(key: String) -> &'static str {
+    static CACHE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .expect("metric id cache poisoned");
+    if let Some(&id) = cache.get(&key) {
+        return id;
+    }
+    let id: &'static str = Box::leak(key.clone().into_boxed_str());
+    cache.insert(key, id);
+    id
 }
 
 /// The metric store behind one enabled `Telemetry` handle.

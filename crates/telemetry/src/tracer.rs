@@ -34,7 +34,7 @@ pub struct TracerConfig {
     /// track's oldest event (or trigger a drain in streaming mode).
     pub capacity: usize,
     /// Per-track capacity overrides, indexed by position in
-    /// [`TRACKS`]. `None` falls back to `capacity`.
+    /// `TRACKS`. `None` falls back to `capacity`.
     pub track_capacities: [Option<usize>; NUM_TRACKS],
     /// Streaming mode: drain every buffered event to the sink once the
     /// buffered total reaches this count (bounded flush chunks). `None`
@@ -262,12 +262,6 @@ impl Tracer {
         self.shared.lock().expect("tracer poisoned").seq
     }
 
-    /// Forces a drain of every buffered event to the sink; returns how
-    /// many were written. No-op (returns 0) without a sink.
-    pub fn drain(&self) -> usize {
-        self.shared.lock().expect("tracer poisoned").drain()
-    }
-
     /// Drains the remaining events, hands `snapshot` to the sink's
     /// [`EventSink::finish`], and releases the sink. Returns
     /// `(events_total, dropped)` as reported to the sink. Subsequent
@@ -295,12 +289,6 @@ impl Tracer {
     #[must_use]
     pub fn len(&self) -> usize {
         self.shared.lock().expect("tracer poisoned").buffered
-    }
-
-    /// Whether no events are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -349,7 +337,7 @@ mod tests {
     #[test]
     fn empty_tracer_reports_empty() {
         let t = Tracer::new(TracerConfig::default());
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.drained(), 0);
         assert!(t.events().is_empty());
@@ -478,7 +466,7 @@ mod tests {
         );
         // Explicit drain empties the rings; the next push continues the
         // dense sequence.
-        t.drain();
+        t.shared.lock().unwrap().drain();
         t.push(99, Event::FallbackRaw);
         assert_eq!(t.events()[0].seq, t.dropped() + t.drained());
         assert_eq!(t.recorded(), 12);
