@@ -68,83 +68,79 @@ commands:
 /// Returns a message suitable for the user on unknown commands, missing
 /// arguments, unknown workloads, or I/O failures.
 pub fn dispatch(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        None | Some("help" | "--help" | "-h") => {
+    let Some(cmd) = args.first() else {
+        println!("{USAGE}");
+        return Ok(());
+    };
+    let no_flags = |_: &str, _: &mut FlagValues| Ok(false);
+    match cmd.as_str() {
+        "help" | "--help" | "-h" => {
+            positionals(cmd, &args[1..], 0, no_flags)?;
             println!("{USAGE}");
             Ok(())
         }
-        Some("workloads") => {
+        "workloads" => {
+            positionals(cmd, &args[1..], 0, no_flags)?;
             workloads();
             Ok(())
         }
-        Some("bench") => {
-            let name = args.get(1).ok_or("bench needs a workload name")?;
-            let accesses = parse_or(args.get(2), 60_000)?;
+        "bench" => {
+            let rest = positionals(cmd, &args[1..], 2, no_flags)?;
+            let name = rest.first().ok_or("bench needs a workload name")?;
+            let accesses = parse_or(rest.get(1).copied(), 60_000)?;
             bench(name, accesses)
         }
-        Some("record") => {
-            let name = args.get(1).ok_or("record needs a workload name")?;
-            let n = parse_or(args.get(2), 0)?;
+        "record" => {
+            let rest = positionals(cmd, &args[1..], 3, no_flags)?;
+            let name = rest.first().ok_or("record needs a workload name")?;
+            let n = parse_or(rest.get(1).copied(), 0)?;
             if n == 0 {
                 return Err("record needs an access count".into());
             }
-            let path = args.get(3).ok_or("record needs an output file")?;
+            let path = rest.get(2).ok_or("record needs an output file")?;
             record(name, n, path)
         }
-        Some("replay") => {
-            let path = args.get(1).ok_or("replay needs a trace file")?;
+        "replay" => {
+            let rest = positionals(cmd, &args[1..], 1, no_flags)?;
+            let path = rest.first().ok_or("replay needs a trace file")?;
             replay(path)
         }
-        Some("throughput") => {
-            let name = args.get(1).ok_or("throughput needs a workload name")?;
-            let threads = parse_or(args.get(2), 2048)?;
+        "throughput" => {
+            let rest = positionals(cmd, &args[1..], 2, no_flags)?;
+            let name = rest.first().ok_or("throughput needs a workload name")?;
+            let threads = parse_or(rest.get(1).copied(), 2048)?;
             throughput(name, threads as usize)
         }
-        Some("fabric") => {
+        "fabric" => {
             let mut opts = FabricOpts::default();
-            let mut rest: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            let parse_rate = |flag: &str, s: &str| {
+            let rate = |flag: &str, values: &mut FlagValues| {
+                let s = values.next().ok_or(format!("{flag} needs a value"))?;
                 s.parse::<f64>()
                     .ok()
                     .filter(|r| *r > 0.0 && *r < 1.0)
                     .ok_or_else(|| format!("`{s}` is not a per-bit fault rate in (0, 1) ({flag})"))
             };
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--fault-rate" => {
-                        let s = it.next().ok_or("--fault-rate needs a value")?;
-                        opts.fault_rate = Some(parse_rate("--fault-rate", s)?);
-                    }
-                    "--mesh-fault-rate" => {
-                        let s = it.next().ok_or("--mesh-fault-rate needs a value")?;
-                        opts.mesh_fault_rate = Some(parse_rate("--mesh-fault-rate", s)?);
-                    }
+            let rest = positionals(cmd, &args[1..], 3, |flag, values| {
+                match flag {
+                    "--fault-rate" => opts.fault_rate = Some(rate(flag, values)?),
+                    "--mesh-fault-rate" => opts.mesh_fault_rate = Some(rate(flag, values)?),
                     "--mesh-fault-hop" => {
-                        let s = it.next().ok_or("--mesh-fault-hop needs a value")?;
+                        let s = values.next().ok_or("--mesh-fault-hop needs a value")?;
                         opts.mesh_fault_hop = Some(
                             s.parse::<u32>()
                                 .map_err(|_| format!("`{s}` is not a mesh hop index"))?,
                         );
                     }
                     "--trace" => {
-                        let s = it.next().ok_or("--trace needs an output prefix")?;
+                        let s = values.next().ok_or("--trace needs an output prefix")?;
                         opts.trace_prefix = Some(s.clone());
                     }
                     "--degrade" => opts.degrade = true,
-                    flag if flag.starts_with("--") => {
-                        return Err(format!("fabric: unknown flag `{flag}`"));
-                    }
-                    _ => rest.push(a),
+                    _ => return Ok(false),
                 }
-            }
-            if let Some(extra) = rest.get(3) {
-                return Err(format!("fabric: unexpected argument `{extra}`"));
-            }
-            let name = rest
-                .first()
-                .copied()
-                .ok_or("fabric needs a workload name")?;
+                Ok(true)
+            })?;
+            let name = rest.first().ok_or("fabric needs a workload name")?;
             let nodes = parse_or(rest.get(1).copied(), 4)? as usize;
             let gbps = rest
                 .get(2)
@@ -156,42 +152,43 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
                 .unwrap_or(2.4);
             fabric(name, nodes, gbps, &opts)
         }
-        Some("stats") => {
-            let name = args.get(1).ok_or("stats needs a workload name")?;
-            let lines = parse_or(args.get(2), 50_000)?;
+        "stats" => {
+            let rest = positionals(cmd, &args[1..], 2, no_flags)?;
+            let name = rest.first().ok_or("stats needs a workload name")?;
+            let lines = parse_or(rest.get(1).copied(), 50_000)?;
             stats(name, lines)
         }
-        Some("area") => {
+        "area" => {
+            positionals(cmd, &args[1..], 0, no_flags)?;
             area();
             Ok(())
         }
-        Some("trace") => {
-            let stream = args[1..].iter().any(|a| a == "--stream");
-            let rest: Vec<&String> = args[1..].iter().filter(|a| *a != "--stream").collect();
-            let name = rest.first().copied().ok_or("trace needs a workload name")?;
+        "trace" => {
+            let mut stream = false;
+            let rest = positionals(cmd, &args[1..], 3, |flag, _| {
+                stream |= flag == "--stream";
+                Ok(flag == "--stream")
+            })?;
+            let name = rest.first().ok_or("trace needs a workload name")?;
             let instructions = parse_or(rest.get(1).copied(), 20_000)?;
-            let prefix = rest.get(2).copied().unwrap_or(name);
+            let prefix = rest.get(2).unwrap_or(name);
             trace(name, instructions, prefix, stream)
         }
-        Some("report") => {
+        "report" => {
             let (mut threshold, mut top, mut slo) = (None, None, None);
             let (mut diff, mut hops) = (false, false);
-            let mut paths: Vec<&str> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--threshold" => {
-                        threshold = Some(it.next().ok_or("--threshold needs a value")?)
-                    }
-                    "--top" => top = Some(it.next().ok_or("--top needs a value")?),
-                    "--slo" => slo = Some(it.next().ok_or("--slo needs a value")?),
+            let paths = positionals(cmd, &args[1..], 2, |flag, values| {
+                let mut value = || values.next().ok_or(format!("{flag} needs a value"));
+                match flag {
+                    "--threshold" => threshold = Some(value()?),
+                    "--top" => top = Some(value()?),
+                    "--slo" => slo = Some(value()?),
                     "--diff" => diff = true,
                     "--hops" => hops = true,
-                    // Other flags are ignored.
-                    flag if flag.starts_with("--") => {}
-                    path => paths.push(path),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             let threshold = threshold
                 .map(|s| {
                     s.parse::<u64>()
@@ -210,7 +207,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
                 .unwrap_or(cable_telemetry::DEFAULT_HOP_TOP);
             let slo = slo.map(|s| SloSpec::parse(s)).transpose()?;
             if diff {
-                let [a, b, ..] = paths[..] else {
+                let [a, b] = paths[..] else {
                     return Err("report --diff needs two report.json files".into());
                 };
                 report_diff(a, b, threshold, slo.as_ref())
@@ -219,11 +216,44 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
                 report(trace_path, paths.get(1).copied(), hops, top, slo.as_ref())
             }
         }
-        Some(other) => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`")),
     }
 }
 
-fn parse_or(arg: Option<&String>, default: u64) -> Result<u64, String> {
+/// The arguments after a `--` flag, from which a flag takes its value.
+type FlagValues<'a> = std::slice::Iter<'a, String>;
+
+/// Splits `cmd`'s arguments into at most `max` positionals. Each `--`
+/// argument goes to `flag`, which takes the flag's value, if it has one,
+/// from the arguments after it and returns `Ok(false)` for a flag `cmd`
+/// does not know.
+///
+/// # Errors
+///
+/// `<cmd>: unknown flag` and `<cmd>: unexpected argument`, or the first
+/// error `flag` returns.
+fn positionals<'a>(
+    cmd: &str,
+    args: &'a [String],
+    max: usize,
+    mut flag: impl FnMut(&str, &mut FlagValues<'a>) -> Result<bool, String>,
+) -> Result<Vec<&'a str>, String> {
+    let mut rest = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            rest.push(a.as_str());
+        } else if !flag(a, &mut it)? {
+            return Err(format!("{cmd}: unknown flag `{a}`"));
+        }
+    }
+    match rest.get(max) {
+        Some(extra) => Err(format!("{cmd}: unexpected argument `{extra}`")),
+        None => Ok(rest),
+    }
+}
+
+fn parse_or(arg: Option<&str>, default: u64) -> Result<u64, String> {
     match arg {
         None => Ok(default),
         Some(s) => s.parse().map_err(|_| format!("`{s}` is not a number")),
@@ -845,6 +875,58 @@ mod tests {
     }
 
     #[test]
+    fn every_command_rejects_unknown_flags() {
+        // A misspelt flag fails before the command runs instead of being
+        // dropped (`--hop` would print the full report, `--strem` would
+        // trace without streaming).
+        for args in [
+            &["help", "--bogus"][..],
+            &["workloads", "--bogus"],
+            &["bench", "mcf", "--bogus"],
+            &["record", "gcc", "10", "t.cbtr", "--bogus"],
+            &["replay", "t.cbtr", "--bogus"],
+            &["throughput", "gcc", "--bogus"],
+            &["fabric", "gcc", "--bogus"],
+            &["stats", "mcf", "--bogus"],
+            &["area", "--bogus"],
+            &["trace", "mcf", "100", "p", "--strem"],
+            &["report", "t.jsonl", "--hop"],
+            &["report", "--diff", "a.json", "b.json", "--bogus"],
+        ] {
+            let flag = args.last().unwrap();
+            assert_eq!(
+                run(args).unwrap_err(),
+                format!("{}: unknown flag `{flag}`", args[0]),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_extra_positionals() {
+        for args in [
+            &["help", "x"][..],
+            &["workloads", "x"],
+            &["bench", "mcf", "100", "x"],
+            &["record", "gcc", "10", "t.cbtr", "x"],
+            &["replay", "t.cbtr", "x"],
+            &["throughput", "gcc", "8", "x"],
+            &["fabric", "gcc", "2", "2.4", "x"],
+            &["stats", "mcf", "100", "x"],
+            &["area", "x"],
+            &["trace", "mcf", "100", "p", "--stream", "x"],
+            &["report", "t.jsonl", "out.json", "x"],
+            &["report", "--diff", "a.json", "b.json", "x"],
+        ] {
+            assert_eq!(
+                run(args).unwrap_err(),
+                format!("{}: unexpected argument `x`", args[0]),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
     fn fabric_validates_fault_flags() {
         assert!(run(&["fabric", "gcc", "--fault-rate"])
             .unwrap_err()
@@ -970,6 +1052,35 @@ mod tests {
         ])
         .is_ok());
         assert!(run(&["fabric", "--degrade", "povray", "2", "2.4"]).is_ok());
+    }
+
+    #[test]
+    fn degrade_armed_fabric_trace_carries_the_ladder() {
+        // mcf at 1e-3 faults/bit walks the ladder within the CLI's run,
+        // so the streamed trace must carry the transition markers and the
+        // rung gauge, and `cable report` must read it.
+        let prefix = std::env::temp_dir().join("cable_cli_degrade_trace_test");
+        let prefix = prefix.to_str().unwrap();
+        assert!(run(&[
+            "fabric",
+            "mcf",
+            "2",
+            "2.4",
+            "--fault-rate",
+            "1e-3",
+            "--degrade",
+            "--trace",
+            prefix
+        ])
+        .is_ok());
+        let jsonl_path = format!("{prefix}.jsonl");
+        let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
+        validate_jsonl(&jsonl).expect("streamed JSONL parses");
+        assert!(jsonl.contains("\"name\":\"degrade.demote\""));
+        assert!(jsonl.contains("\"id\":\"adaptive.degrade_level\""));
+        assert!(run(&["report", &jsonl_path]).is_ok());
+        std::fs::remove_file(jsonl_path).ok();
+        std::fs::remove_file(format!("{prefix}.report.json")).ok();
     }
 
     #[test]

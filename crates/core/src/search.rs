@@ -173,7 +173,7 @@ impl SearchScratch {
 /// the wire.
 ///
 /// Allocation-free variant: results land in `scratch.selected()`.
-#[allow(clippy::too_many_arguments)] // mirrors `search_references` plus the scratch
+#[allow(clippy::too_many_arguments)]
 pub fn search_references_into(
     line: &LineData,
     extractor: &SignatureExtractor,
@@ -266,33 +266,6 @@ pub fn search_references_into(
     selected.extend(sel_idx.iter().map(|&i| candidates[i].clone()));
     stats.selected = selected.len();
     stats
-}
-
-/// Vec-returning wrapper around [`search_references_into`]. Kept as the
-/// reference API: the determinism regression test drives both entry points
-/// over the same workload and asserts identical selections.
-#[must_use]
-pub fn search_references(
-    line: &LineData,
-    extractor: &SignatureExtractor,
-    table: &SignatureTable,
-    cache: &SetAssocCache,
-    wmt: Option<&WayMapTable>,
-    data_access_count: usize,
-    max_refs: usize,
-) -> (Vec<Reference>, SearchStats) {
-    let mut scratch = SearchScratch::new();
-    let stats = search_references_into(
-        line,
-        extractor,
-        table,
-        cache,
-        wmt,
-        data_access_count,
-        max_refs,
-        &mut scratch,
-    );
-    (scratch.selected, stats)
 }
 
 /// Core of the greedy CBV set-cover, operating on candidate indices so the
@@ -404,6 +377,30 @@ mod tests {
     use super::*;
     use cable_cache::{CacheGeometry, CoherenceState};
     use cable_common::Address;
+
+    /// One search through a fresh scratch.
+    fn search_references(
+        line: &LineData,
+        extractor: &SignatureExtractor,
+        table: &SignatureTable,
+        cache: &SetAssocCache,
+        wmt: Option<&WayMapTable>,
+        data_access_count: usize,
+        max_refs: usize,
+    ) -> (Vec<Reference>, SearchStats) {
+        let mut scratch = SearchScratch::new();
+        let stats = search_references_into(
+            line,
+            extractor,
+            table,
+            cache,
+            wmt,
+            data_access_count,
+            max_refs,
+            &mut scratch,
+        );
+        (scratch.selected, stats)
+    }
 
     fn make_ref(cbv: u16) -> Reference {
         Reference {

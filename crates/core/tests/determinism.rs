@@ -1,19 +1,43 @@
-//! Determinism regression: the allocation-free search pipeline must select
-//! exactly what the original Vec-returning API selects.
+//! Determinism regression: a search through a reused scratch must select
+//! exactly what a search through a fresh one selects.
 //!
 //! The scratch-based entry point (`search_references_into`) reuses buffers
 //! across calls — signature buffer, open-addressed dedup table with
 //! generation stamps, candidate and selection vectors. Any state leaking
 //! from one search into the next would silently change reference
 //! selections and every downstream figure. This test replays a seeded
-//! workload through both entry points, one of them with a single scratch
-//! reused for every query, and demands bit-identical outcomes.
+//! workload through a fresh scratch per query and through a single
+//! scratch reused for every query, and demands bit-identical outcomes.
 
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
 use cable_common::{Address, LineData, SplitMix64};
 use cable_core::hash_table::SignatureTable;
-use cable_core::search::{search_references, search_references_into, SearchScratch};
+use cable_core::search::{search_references_into, Reference, SearchScratch, SearchStats};
 use cable_core::signature::SignatureExtractor;
+
+/// The search as a one-shot call: a fresh scratch per query, results
+/// returned by value.
+fn search_references(
+    line: &LineData,
+    extractor: &SignatureExtractor,
+    table: &SignatureTable,
+    cache: &SetAssocCache,
+    data_access_count: usize,
+    max_refs: usize,
+) -> (Vec<Reference>, SearchStats) {
+    let mut scratch = SearchScratch::new();
+    let stats = search_references_into(
+        line,
+        extractor,
+        table,
+        cache,
+        None,
+        data_access_count,
+        max_refs,
+        &mut scratch,
+    );
+    (scratch.selected().to_vec(), stats)
+}
 
 /// Builds a populated cache + signature table from a seeded stream of
 /// near-duplicate lines, mirroring how a CABLE endpoint's dictionary looks
@@ -90,7 +114,6 @@ fn scratch_reuse_matches_vec_api() {
                 &extractor,
                 &table,
                 &cache,
-                None,
                 data_access_count,
                 max_refs,
             );

@@ -1,6 +1,7 @@
-//! The on/off compression control of §VI-D.
+//! The two link controllers of `cable-sim`, one per job.
 //!
-//! "We tried a simple on/off compression control scheme where, when sampled
+//! [`OnOffController`] is the on/off compression control of §VI-D: "We
+//! tried a simple on/off compression control scheme where, when sampled
 //! with a 1ms period, compression is turned off when effective bandwidth
 //! usage is below 80% and turned on when it is over 90%." This nullifies
 //! the single-threaded latency penalty while costing only ~2.3% throughput
@@ -14,10 +15,10 @@
 //!
 //! # The degradation ladder
 //!
-//! When a [`DegradePolicy`] is armed the controller also closes the fault
-//! loop: per sample window (counted in *link operations*, never sim time,
-//! so decisions do not depend on link bandwidth or scheduling) it inspects
-//! its own NACK-window observables and steps a ladder
+//! [`DegradeLadder`] closes the fault loop: per sample window (counted in
+//! *link operations*, never sim time, so decisions do not depend on link
+//! bandwidth or scheduling) it inspects its link's NACK-window
+//! observables and steps a ladder
 //!
 //! ```text
 //! Compressed ──demote──▶ RawOnly ──demote──▶ LinkOff (reliable mode)
@@ -27,22 +28,26 @@
 //! demoting one rung when NACK density or retry cost exceeds the policy
 //! thresholds and re-arming one rung per quiet window. Every transition
 //! is emitted as a telemetry marker and counted in [`DegradationStats`].
-//! The controller also schedules periodic `audit_and_resync` repairs,
-//! whose wire cost callers charge to link busy time.
+//! The ladder also schedules periodic `audit_and_resync` repairs, whose
+//! wire cost callers charge to link busy time.
 
 use crate::thread::CompressedLink;
 use cable_telemetry::{Counter, Event, Gauge, Telemetry};
 
-/// Sampling period (1 ms in picoseconds).
-pub const SAMPLE_PERIOD_PS: u64 = 1_000_000_000;
+/// The §VI-D sampling period (1 ms in picoseconds).
+pub(crate) const SAMPLE_PERIOD_PS: u64 = 1_000_000_000;
+/// §VI-D turns compression off below this effective bandwidth usage...
+const OFF_BELOW: f64 = 0.8;
+/// ...and back on above this one.
+const ON_ABOVE: f64 = 0.9;
 
 /// One rung of the degradation ladder, healthiest first.
 ///
 /// The ordinal order is meaningful: `Compressed < RawOnly < LinkOff`,
-/// and the controller only ever moves one rung at a time.
+/// and the ladder only ever moves one rung at a time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DegradeLevel {
-    /// Healthy: compression follows the §VI-D hysteresis decision.
+    /// Healthy: the link compresses.
     #[default]
     Compressed = 0,
     /// Sustained fault pressure: compression forced off so every frame is
@@ -166,12 +171,10 @@ impl DegradationStats {
     }
 }
 
-/// The hysteresis controller for one link pipeline.
+/// The §VI-D hysteresis controller for one link pipeline.
 #[derive(Clone, Debug)]
 pub struct OnOffController {
     period_ps: u64,
-    off_below: f64,
-    on_above: f64,
     capacity_bits_per_sec: f64,
     window_start_ps: u64,
     window_start_demand_bits: u64,
@@ -181,34 +184,12 @@ pub struct OnOffController {
     /// NACK count at the previous sample boundary).
     window_start_wire_bits: u64,
     window_start_nacks: u64,
-    /// Degradation state machine; `None` (the default) leaves the
-    /// controller a pure §VI-D hysteresis observer.
-    policy: Option<DegradePolicy>,
-    level: DegradeLevel,
-    /// Consecutive NACK-free fault windows.
-    quiet_streak: u32,
-    /// Link operations seen since the policy was armed (the fault-window
-    /// and resync clock — never sim time, see [`DegradePolicy`]).
-    ops: u64,
-    /// Link width for pricing resync traffic.
-    link_width_bits: u32,
-    /// Fault-window baselines (values at the previous window boundary).
-    fw_nacks: u64,
-    fw_retrans_bits: u64,
-    fw_wire_bits: u64,
-    /// Next operation count at which a scheduled resync fires.
-    next_resync_op: u64,
-    deg: DegradationStats,
-    tel: Telemetry,
     tel_usage: Gauge,
     tel_ratio: Gauge,
     tel_nacks: Gauge,
     tel_enabled: Gauge,
-    tel_level: Gauge,
     tel_windows: Counter,
     tel_toggles: Counter,
-    tel_demotions: Counter,
-    tel_promotions: Counter,
 }
 
 impl OnOffController {
@@ -221,32 +202,9 @@ impl OnOffController {
     /// Panics if the capacity is not positive.
     #[must_use]
     pub fn new(capacity_bytes_per_sec: f64) -> Self {
-        Self::with_thresholds(capacity_bytes_per_sec, SAMPLE_PERIOD_PS, 0.8, 0.9)
-    }
-
-    /// Creates a controller with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the capacity and period are positive and
-    /// `0 <= off_below <= on_above <= 1`.
-    #[must_use]
-    pub fn with_thresholds(
-        capacity_bytes_per_sec: f64,
-        period_ps: u64,
-        off_below: f64,
-        on_above: f64,
-    ) -> Self {
         assert!(capacity_bytes_per_sec > 0.0, "capacity must be positive");
-        assert!(period_ps > 0, "period must be positive");
-        assert!(
-            (0.0..=1.0).contains(&off_below) && off_below <= on_above && on_above <= 1.0,
-            "thresholds must satisfy 0 <= off <= on <= 1"
-        );
         OnOffController {
-            period_ps,
-            off_below,
-            on_above,
+            period_ps: SAMPLE_PERIOD_PS,
             capacity_bits_per_sec: capacity_bytes_per_sec * 8.0,
             window_start_ps: 0,
             window_start_demand_bits: 0,
@@ -254,26 +212,23 @@ impl OnOffController {
             toggles: 0,
             window_start_wire_bits: 0,
             window_start_nacks: 0,
-            policy: None,
-            level: DegradeLevel::Compressed,
-            quiet_streak: 0,
-            ops: 0,
-            link_width_bits: 16,
-            fw_nacks: 0,
-            fw_retrans_bits: 0,
-            fw_wire_bits: 0,
-            next_resync_op: 0,
-            deg: DegradationStats::default(),
-            tel: Telemetry::default(),
             tel_usage: Gauge::default(),
             tel_ratio: Gauge::default(),
             tel_nacks: Gauge::default(),
             tel_enabled: Gauge::default(),
-            tel_level: Gauge::default(),
             tel_windows: Counter::default(),
             tel_toggles: Counter::default(),
-            tel_demotions: Counter::default(),
-            tel_promotions: Counter::default(),
+        }
+    }
+
+    /// The paper's controller sampling every `period_ps` instead of every
+    /// 1 ms, so short test runs close windows.
+    #[cfg(test)]
+    pub(crate) fn with_period(capacity_bytes_per_sec: f64, period_ps: u64) -> Self {
+        assert!(period_ps > 0, "period must be positive");
+        OnOffController {
+            period_ps,
+            ..Self::new(capacity_bytes_per_sec)
         }
     }
 
@@ -290,26 +245,14 @@ impl OnOffController {
     /// - `adaptive.window_nacks` (gauge) — NACKs observed this window;
     /// - `adaptive.compression_enabled` (gauge) — the decision, 0/1;
     /// - `adaptive.windows` / `adaptive.toggles` (counters).
-    ///
-    /// Additionally, when a [`DegradePolicy`] is armed:
-    ///
-    /// - `adaptive.degrade_level` (gauge) — the current rung, 0/1/2;
-    /// - `adaptive.demotions` / `adaptive.promotions` (counters);
-    /// - `degrade.demote` / `degrade.promote` trace markers carrying the
-    ///   new rung as their value.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.tel = tel.clone();
         self.tel_usage = tel.gauge("adaptive.usage_permille");
         self.tel_ratio = tel.gauge("adaptive.window_ratio_permille");
         self.tel_nacks = tel.gauge("adaptive.window_nacks");
         self.tel_enabled = tel.gauge("adaptive.compression_enabled");
-        self.tel_level = tel.gauge("adaptive.degrade_level");
         self.tel_windows = tel.counter("adaptive.windows");
         self.tel_toggles = tel.counter("adaptive.toggles");
-        self.tel_demotions = tel.counter("adaptive.demotions");
-        self.tel_promotions = tel.counter("adaptive.promotions");
         self.tel_enabled.set(u64::from(self.enabled));
-        self.tel_level.set(self.level as u64);
     }
 
     /// Whether compression is currently enabled.
@@ -336,9 +279,9 @@ impl OnOffController {
             .uncompressed_bits
             .saturating_sub(self.window_start_demand_bits);
         let usage = demand_delta as f64 / (self.capacity_bits_per_sec * elapsed_s);
-        let next = if usage < self.off_below {
+        let next = if usage < OFF_BELOW {
             false
-        } else if usage > self.on_above {
+        } else if usage > ON_ABOVE {
             true
         } else {
             self.enabled
@@ -346,9 +289,7 @@ impl OnOffController {
         if next != self.enabled {
             self.enabled = next;
             self.toggles += 1;
-            // The ladder outranks the hysteresis: a degraded link stays
-            // raw no matter what the demand metric wants.
-            link.set_compression_enabled(self.effective_compression());
+            link.set_compression_enabled(next);
             self.tel_toggles.inc();
         }
         // Observability: publish the window's view before resetting the
@@ -372,100 +313,132 @@ impl OnOffController {
         self.window_start_wire_bits = link.stats().wire_bits;
         self.window_start_nacks = nacks_now;
     }
+}
 
-    // ---- degradation state machine ------------------------------------
+/// The closed-loop degradation ladder for one link pipeline.
+#[derive(Clone, Debug)]
+pub struct DegradeLadder {
+    policy: DegradePolicy,
+    /// Link width for pricing resync traffic.
+    link_width_bits: u32,
+    level: DegradeLevel,
+    /// Consecutive NACK-free fault windows.
+    quiet_streak: u32,
+    /// Link operations seen so far (the fault-window and resync clock —
+    /// never sim time, see [`DegradePolicy`]).
+    ops: u64,
+    /// Fault-window baselines (values at the previous window boundary).
+    window_nacks: u64,
+    window_retrans_bits: u64,
+    window_wire_bits: u64,
+    stats: DegradationStats,
+    tel: Telemetry,
+    tel_level: Gauge,
+    tel_demotions: Counter,
+    tel_promotions: Counter,
+}
 
-    /// Arms the closed-loop degradation ladder. `link_width_bits` prices
-    /// scheduled-resync wire traffic (control flits are one link width
-    /// each). The ladder starts at [`DegradeLevel::Compressed`] with fresh
-    /// window baselines; arm before driving traffic through the link.
+impl DegradeLadder {
+    /// A ladder at [`DegradeLevel::Compressed`] for a fresh link.
+    /// `link_width_bits` prices scheduled-resync wire traffic (control
+    /// flits are one link width each).
     ///
     /// # Panics
     ///
     /// Panics if `policy.validate()` fails or the link width is zero.
-    pub fn arm_degradation(&mut self, policy: DegradePolicy, link_width_bits: u32) {
+    #[must_use]
+    pub fn new(policy: DegradePolicy, link_width_bits: u32) -> Self {
         if let Err(e) = policy.validate() {
             panic!("invalid DegradePolicy: {e}");
         }
         assert!(link_width_bits > 0, "link width must be positive");
-        self.policy = Some(policy);
-        self.link_width_bits = link_width_bits;
-        self.level = DegradeLevel::Compressed;
-        self.quiet_streak = 0;
-        self.ops = 0;
-        self.fw_nacks = 0;
-        self.fw_retrans_bits = 0;
-        self.fw_wire_bits = 0;
-        self.next_resync_op = if policy.resync_interval_ops == 0 {
-            u64::MAX
-        } else {
-            policy.resync_interval_ops
-        };
+        DegradeLadder {
+            policy,
+            link_width_bits,
+            level: DegradeLevel::Compressed,
+            quiet_streak: 0,
+            ops: 0,
+            window_nacks: 0,
+            window_retrans_bits: 0,
+            window_wire_bits: 0,
+            stats: DegradationStats::default(),
+            tel: Telemetry::default(),
+            tel_level: Gauge::default(),
+            tel_demotions: Counter::default(),
+            tel_promotions: Counter::default(),
+        }
     }
 
-    /// The current rung of the degradation ladder.
+    /// Publishes the ladder through `tel`. Pure observation: decisions
+    /// are bit-identical with telemetry on or off.
+    ///
+    /// - `adaptive.degrade_level` (gauge) — the current rung, 0/1/2;
+    /// - `adaptive.demotions` / `adaptive.promotions` (counters);
+    /// - `degrade.demote` / `degrade.promote` trace markers carrying the
+    ///   new rung as their value.
+    pub fn set_telemetry(&mut self, tel: &Telemetry) {
+        self.tel = tel.clone();
+        self.tel_level = tel.gauge("adaptive.degrade_level");
+        self.tel_demotions = tel.counter("adaptive.demotions");
+        self.tel_promotions = tel.counter("adaptive.promotions");
+        self.tel_level.set(self.level as u64);
+    }
+
+    /// The current rung.
     #[must_use]
     pub fn level(&self) -> DegradeLevel {
         self.level
     }
 
-    /// Everything the degradation state machine did so far.
+    /// Everything the ladder did so far.
     #[must_use]
     pub fn degradation_stats(&self) -> DegradationStats {
-        self.deg
+        self.stats
     }
 
-    /// What the hysteresis and the ladder jointly allow the link to do:
-    /// compression runs only when the §VI-D decision says on *and* the
-    /// ladder sits at its healthy rung.
-    #[must_use]
-    pub fn effective_compression(&self) -> bool {
-        self.enabled && self.level == DegradeLevel::Compressed
-    }
-
-    /// Notes one link operation (fill, write-back or remote hit) against
-    /// the armed policy: closes a fault window every `window_ops`
-    /// operations (stepping the ladder if its thresholds say so) and fires
-    /// a scheduled `audit_and_resync` every `resync_interval_ops`.
+    /// Notes one link operation (fill, write-back or remote hit): closes a
+    /// fault window every `window_ops` operations (stepping the ladder if
+    /// its thresholds say so) and fires a scheduled `audit_and_resync`
+    /// every `resync_interval_ops`.
     ///
     /// Returns the wire cost in bits of a scheduled resync when one fired
     /// on this operation (at most one per call) so the caller can charge
     /// it to link busy time; `None` otherwise. Purely functional: decision
     /// state never reads the simulation clock.
     pub fn note_op(&mut self, link: &mut CompressedLink) -> Option<u64> {
-        let policy = self.policy?;
         self.ops += 1;
-        if self.ops.is_multiple_of(u64::from(policy.window_ops)) {
-            self.sample_fault_window(&policy, link);
+        if self.ops.is_multiple_of(u64::from(self.policy.window_ops)) {
+            self.sample_fault_window(link);
         }
-        if self.ops >= self.next_resync_op {
-            self.next_resync_op = self.ops + policy.resync_interval_ops;
-            return Some(self.scheduled_resync(link));
-        }
-        None
+        // A zero interval never fires: no positive count is a multiple
+        // of zero.
+        self.ops
+            .is_multiple_of(self.policy.resync_interval_ops)
+            .then(|| self.scheduled_resync(link))
     }
 
     /// Closes one fault window: demote one rung when NACK density or
     /// retry cost exceeds the thresholds, re-arm one rung after enough
     /// consecutive quiet windows.
-    fn sample_fault_window(&mut self, policy: &DegradePolicy, link: &mut CompressedLink) {
-        self.deg.windows += 1;
+    fn sample_fault_window(&mut self, link: &mut CompressedLink) {
+        self.stats.windows += 1;
         match self.level {
-            DegradeLevel::Compressed => self.deg.windows_compressed += 1,
-            DegradeLevel::RawOnly => self.deg.windows_raw_only += 1,
-            DegradeLevel::LinkOff => self.deg.windows_link_off += 1,
+            DegradeLevel::Compressed => self.stats.windows_compressed += 1,
+            DegradeLevel::RawOnly => self.stats.windows_raw_only += 1,
+            DegradeLevel::LinkOff => self.stats.windows_link_off += 1,
         }
         let (nacks, retrans) = link
             .fault_stats()
             .map_or((0, 0), |fs| (fs.nacks, fs.retransmitted_bits));
         let wire = link.stats().wire_bits;
-        let nacks_delta = nacks.saturating_sub(self.fw_nacks);
-        let retrans_delta = retrans.saturating_sub(self.fw_retrans_bits);
-        let wire_delta = wire.saturating_sub(self.fw_wire_bits);
-        self.fw_nacks = nacks;
-        self.fw_retrans_bits = retrans;
-        self.fw_wire_bits = wire;
+        let nacks_delta = nacks.saturating_sub(self.window_nacks);
+        let retrans_delta = retrans.saturating_sub(self.window_retrans_bits);
+        let wire_delta = wire.saturating_sub(self.window_wire_bits);
+        self.window_nacks = nacks;
+        self.window_retrans_bits = retrans;
+        self.window_wire_bits = wire;
 
+        let policy = self.policy;
         let nacks_per_1k = nacks_delta * 1000 / u64::from(policy.window_ops);
         let retry_permille = retrans_delta * 1000 / wire_delta.max(1);
         if nacks_per_1k > policy.demote_nacks_per_1k
@@ -490,25 +463,21 @@ impl OnOffController {
         if next == self.level {
             return;
         }
-        let demote = next > self.level;
-        self.level = next;
-        if demote {
-            self.deg.demotions += 1;
-            self.tel_demotions.inc();
-            self.tel.record(Event::Marker {
-                name: "degrade.demote",
-                value: next as u64,
-            });
+        let (name, counter) = if next > self.level {
+            self.stats.demotions += 1;
+            ("degrade.demote", &self.tel_demotions)
         } else {
-            self.deg.promotions += 1;
-            self.tel_promotions.inc();
-            self.tel.record(Event::Marker {
-                name: "degrade.promote",
-                value: next as u64,
-            });
-        }
+            self.stats.promotions += 1;
+            ("degrade.promote", &self.tel_promotions)
+        };
+        counter.inc();
+        self.tel.record(Event::Marker {
+            name,
+            value: next as u64,
+        });
+        self.level = next;
         self.tel_level.set(next as u64);
-        link.set_compression_enabled(self.effective_compression());
+        link.set_compression_enabled(next == DegradeLevel::Compressed);
         link.set_reliable_mode(next == DegradeLevel::LinkOff);
     }
 
@@ -519,9 +488,9 @@ impl OnOffController {
         let report = link.audit_and_resync();
         let repairs = report.total_repairs();
         let cost_bits = (2 + report.replayed_notices + repairs) * u64::from(self.link_width_bits);
-        self.deg.scheduled_resyncs += 1;
-        self.deg.resync_repairs += repairs;
-        self.deg.resync_cost_bits += cost_bits;
+        self.stats.scheduled_resyncs += 1;
+        self.stats.resync_repairs += repairs;
+        self.stats.resync_cost_bits += cost_bits;
         cost_bits
     }
 }
@@ -549,7 +518,7 @@ mod tests {
         );
         let mut wire = SharedLink::from_config(&cfg);
         let mut dram = DramModel::from_config(&cfg);
-        let mut ctl = OnOffController::with_thresholds(19.2e9, 1_000_000, 0.8, 0.9);
+        let mut ctl = OnOffController::with_period(19.2e9, 1_000_000);
         for _ in 0..20_000 {
             thread.step(&mut wire, &mut dram);
             let now = thread.now_ps();
@@ -575,7 +544,7 @@ mod tests {
         );
         let mut wire = SharedLink::new(share, cfg.link_setup_ps);
         let mut dram = DramModel::from_config(&cfg);
-        let mut ctl = OnOffController::with_thresholds(share, 1_000_000, 0.8, 0.9);
+        let mut ctl = OnOffController::with_period(share, 1_000_000);
         for _ in 0..20_000 {
             thread.step(&mut wire, &mut dram);
             let now = thread.now_ps();
@@ -606,7 +575,7 @@ mod tests {
         let demand_bits = thread.link().stats().uncompressed_bits as f64;
         let elapsed_s = thread.now_ps() as f64 * 1e-12;
         let capacity = demand_bits / elapsed_s / 8.0 / 0.85; // usage = 85%
-        let mut ctl = OnOffController::with_thresholds(capacity, thread.now_ps().max(1), 0.8, 0.9);
+        let mut ctl = OnOffController::with_period(capacity, thread.now_ps().max(1));
         let now = thread.now_ps() + 1;
         ctl.observe(now, thread.link_mut());
         assert!(ctl.enabled(), "in-band demand keeps the current state");
@@ -628,7 +597,7 @@ mod tests {
             );
             let mut wire = SharedLink::from_config(&cfg);
             let mut dram = DramModel::from_config(&cfg);
-            let mut ctl = OnOffController::with_thresholds(19.2e9, 1_000_000, 0.8, 0.9);
+            let mut ctl = OnOffController::with_period(19.2e9, 1_000_000);
             if let Some(tel) = tel {
                 ctl.set_telemetry(tel);
             }
@@ -661,11 +630,9 @@ mod tests {
 
     #[test]
     fn controller_validates_parameters() {
-        let r = std::panic::catch_unwind(|| OnOffController::with_thresholds(0.0, 1, 0.8, 0.9));
+        let r = std::panic::catch_unwind(|| OnOffController::new(0.0));
         assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| OnOffController::with_thresholds(1e9, 0, 0.8, 0.9));
-        assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| OnOffController::with_thresholds(1e9, 1, 0.95, 0.9));
+        let r = std::panic::catch_unwind(|| OnOffController::with_period(1e9, 0));
         assert!(r.is_err());
     }
 
@@ -678,7 +645,7 @@ mod tests {
         )
     }
 
-    fn drive(link: &mut CompressedLink, ctl: &mut OnOffController, ops: u64, salt: u64) -> u64 {
+    fn drive(link: &mut CompressedLink, ladder: &mut DegradeLadder, ops: u64, salt: u64) -> u64 {
         use cable_common::{Address, LineData};
         let mut resync_bits = 0;
         for i in 0..ops {
@@ -686,7 +653,7 @@ mod tests {
                 Address::from_line_number(salt.wrapping_add(i * 3) % 4096),
                 LineData::splat_word(((i % 7) as u32) * 0x0101_0101),
             );
-            resync_bits += ctl.note_op(link).unwrap_or(0);
+            resync_bits += ladder.note_op(link).unwrap_or(0);
         }
         resync_bits
     }
@@ -696,11 +663,10 @@ mod tests {
         use cable_core::FaultConfig;
         let mut link = degrade_link();
         link.enable_fault_injection(FaultConfig::with_rate(11, 2e-2));
-        let mut ctl = OnOffController::new(19.2e9);
-        ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-        assert_eq!(ctl.level(), DegradeLevel::Compressed);
-        drive(&mut link, &mut ctl, 2_048, 0);
-        let deg = ctl.degradation_stats();
+        let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+        assert_eq!(ladder.level(), DegradeLevel::Compressed);
+        drive(&mut link, &mut ladder, 2_048, 0);
+        let deg = ladder.degradation_stats();
         assert!(deg.windows >= 8);
         assert!(deg.demotions >= 2, "dense NACKs must walk the ladder down");
         assert!(
@@ -717,12 +683,11 @@ mod tests {
         use cable_core::FaultConfig;
         let mut link = degrade_link();
         link.enable_fault_injection(FaultConfig::lossless(3));
-        let mut ctl = OnOffController::new(19.2e9);
-        ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-        drive(&mut link, &mut ctl, 2_048, 0);
-        let deg = ctl.degradation_stats();
+        let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+        drive(&mut link, &mut ladder, 2_048, 0);
+        let deg = ladder.degradation_stats();
         assert_eq!(deg.demotions, 0);
-        assert_eq!(ctl.level(), DegradeLevel::Compressed);
+        assert_eq!(ladder.level(), DegradeLevel::Compressed);
         assert_eq!(deg.windows, deg.windows_compressed);
         assert!(link.compression_enabled());
     }
@@ -732,17 +697,19 @@ mod tests {
         use cable_core::FaultConfig;
         let mut link = degrade_link();
         link.enable_fault_injection(FaultConfig::with_rate(17, 2e-2));
-        let mut ctl = OnOffController::new(19.2e9);
-        ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-        drive(&mut link, &mut ctl, 1_536, 0);
-        assert!(ctl.degradation_stats().demotions >= 1, "burst must demote");
+        let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+        drive(&mut link, &mut ladder, 1_536, 0);
+        assert!(
+            ladder.degradation_stats().demotions >= 1,
+            "burst must demote"
+        );
         // Burst over: the channel becomes lossless and the quiet-window
         // streak must climb the ladder all the way back up.
         link.disable_fault_injection();
         link.enable_fault_injection(FaultConfig::lossless(17));
-        drive(&mut link, &mut ctl, 4_096, 9999);
-        assert_eq!(ctl.level(), DegradeLevel::Compressed, "full re-arm");
-        assert!(ctl.degradation_stats().promotions >= 1);
+        drive(&mut link, &mut ladder, 4_096, 9999);
+        assert_eq!(ladder.level(), DegradeLevel::Compressed, "full re-arm");
+        assert!(ladder.degradation_stats().promotions >= 1);
         assert!(link.compression_enabled(), "compression re-enabled");
         assert!(!link.reliable_mode());
     }
@@ -752,15 +719,24 @@ mod tests {
         use cable_core::FaultConfig;
         let mut link = degrade_link();
         link.enable_fault_injection(FaultConfig::with_rate(5, 1e-3));
-        let mut ctl = OnOffController::new(19.2e9);
-        ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-        let resync_bits = drive(&mut link, &mut ctl, 4_096, 0);
-        let deg = ctl.degradation_stats();
+        let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+        let resync_bits = drive(&mut link, &mut ladder, 4_096, 0);
+        let deg = ladder.degradation_stats();
         // 4096 ops / 1024-op cadence = 4 scheduled resyncs.
         assert_eq!(deg.scheduled_resyncs, 4);
         assert_eq!(deg.resync_cost_bits, resync_bits);
         // Each resync costs at least its request/ack flit pair.
         assert!(resync_bits >= deg.scheduled_resyncs * 2 * 16);
+        // A zero cadence disables scheduled resync.
+        let mut ladder = DegradeLadder::new(
+            DegradePolicy {
+                resync_interval_ops: 0,
+                ..DegradePolicy::paper_defaults()
+            },
+            16,
+        );
+        assert_eq!(drive(&mut link, &mut ladder, 2_048, 0), 0);
+        assert_eq!(ladder.degradation_stats().scheduled_resyncs, 0);
     }
 
     #[test]
@@ -769,13 +745,12 @@ mod tests {
         let run = |tel: Option<&Telemetry>| {
             let mut link = degrade_link();
             link.enable_fault_injection(FaultConfig::with_rate(23, 1e-2));
-            let mut ctl = OnOffController::new(19.2e9);
+            let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
             if let Some(tel) = tel {
-                ctl.set_telemetry(tel);
+                ladder.set_telemetry(tel);
             }
-            ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-            drive(&mut link, &mut ctl, 2_048, 0);
-            (ctl.level(), ctl.degradation_stats(), *link.stats())
+            drive(&mut link, &mut ladder, 2_048, 0);
+            (ladder.level(), ladder.degradation_stats(), *link.stats())
         };
         let tel = Telemetry::enabled();
         let plain = run(None);

@@ -53,9 +53,9 @@ pub struct SystemConfig {
     /// frames and NACK/retry recovery; retransmissions consume shared-link
     /// bandwidth like any other wire bits.
     pub fault: Option<FaultConfig>,
-    /// Closed-loop degradation policy (`None` = controller observes
-    /// only). When set, every CABLE pipeline gets its own
-    /// [`OnOffController`](crate::OnOffController) stepping the
+    /// Closed-loop degradation policy (`None` = no ladder). When set,
+    /// every `FabricSim` pipeline gets its own
+    /// [`DegradeLadder`](crate::DegradeLadder) stepping the
     /// `Compressed → RawOnly → LinkOff` ladder on its NACK-window
     /// observables and firing scheduled resyncs whose wire cost is
     /// charged to link busy time.

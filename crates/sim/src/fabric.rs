@@ -31,7 +31,7 @@
 //! functional half runs, pipeline events stamp at the chip's clock plus
 //! the access's compute gap: the time the access issues.
 
-use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
+use crate::adaptive::{DegradationStats, DegradeLadder, DegradeLevel};
 use crate::config::{CompressionLatency, SystemConfig};
 use crate::hier::fill_l2_l1;
 use crate::numa::home_node;
@@ -174,7 +174,7 @@ struct WritebackTrace {
     delta_bits: u64,
 }
 
-/// One scheduled `audit_and_resync` fired by the degradation controller:
+/// One scheduled `audit_and_resync` fired by a degradation ladder:
 /// its repair traffic is replayed onto the `(chip, home)` wire so recovery
 /// has an honest bandwidth cost.
 #[derive(Clone, Copy, Debug)]
@@ -198,11 +198,11 @@ struct ChipNode {
     /// `links[home]`: the compression pipeline toward `home`;
     /// `links[self]` is the local memory path.
     links: Vec<CompressedLink>,
-    /// `controllers[home]`: the closed-loop degradation controller of the
-    /// matching pipeline. Empty unless `config.degrade` armed a policy —
-    /// chip-private state, so ladder decisions and scheduled resyncs are
-    /// part of the functional half.
-    controllers: Vec<OnOffController>,
+    /// `ladders[home]`: the degradation ladder of the matching pipeline.
+    /// Empty unless `config.degrade` set a policy — chip-private state,
+    /// so ladder decisions and scheduled resyncs are part of the
+    /// functional half.
+    ladders: Vec<DegradeLadder>,
 }
 
 impl ChipNode {
@@ -304,11 +304,11 @@ impl ChipNode {
     }
 
     /// Notes one pipeline operation against that pipeline's degradation
-    /// controller (a no-op unless a policy armed controllers). Returns the
-    /// wire charge of a scheduled resync when one fired.
+    /// ladder (a no-op without one). Returns the wire charge of a
+    /// scheduled resync when one fired.
     fn note_pipeline_op(&mut self, home: usize) -> Option<ResyncTrace> {
-        let ctl = self.controllers.get_mut(home)?;
-        let cost_bits = ctl.note_op(&mut self.links[home])?;
+        let ladder = self.ladders.get_mut(home)?;
+        let cost_bits = ladder.note_op(&mut self.links[home])?;
         Some(ResyncTrace { home, cost_bits })
     }
 
@@ -353,8 +353,8 @@ impl ChipNode {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
-        for c in &mut self.controllers {
-            c.set_telemetry(tel);
+        for ladder in &mut self.ladders {
+            ladder.set_telemetry(tel);
         }
     }
 }
@@ -455,17 +455,13 @@ impl FabricSim {
                         link
                     })
                     .collect();
-                // One closed-loop controller per pipeline (local path
-                // included) when a degradation policy is armed.
-                let controllers = config
+                // One degradation ladder per pipeline (local path
+                // included) when a policy is set.
+                let ladders = config
                     .degrade
                     .map(|policy| {
                         (0..nodes)
-                            .map(|_| {
-                                let mut ctl = OnOffController::new(config.link_bytes_per_sec());
-                                ctl.arm_degradation(policy, config.link_width_bits);
-                                ctl
-                            })
+                            .map(|_| DegradeLadder::new(policy, config.link_width_bits))
                             .collect()
                     })
                     .unwrap_or_default();
@@ -477,7 +473,7 @@ impl FabricSim {
                     retired: 0,
                     accesses: 0,
                     links,
-                    controllers,
+                    ladders,
                 }
             })
             .collect();
@@ -763,22 +759,22 @@ impl FabricSim {
         out
     }
 
-    /// Aggregated degradation-controller statistics across every pipeline,
-    /// when `config.degrade` armed controllers.
+    /// Aggregated degradation-ladder statistics across every pipeline,
+    /// when `config.degrade` set a policy.
     #[must_use]
     pub fn degradation_stats(&self) -> Option<DegradationStats> {
         let mut total: Option<DegradationStats> = None;
         for chip in &self.chips {
-            for ctl in &chip.controllers {
+            for ladder in &chip.ladders {
                 total
                     .get_or_insert_with(DegradationStats::default)
-                    .accumulate(&ctl.degradation_stats());
+                    .accumulate(&ladder.degradation_stats());
             }
         }
         total
     }
 
-    /// Current ladder rung of every degradation controller, chip-major
+    /// Current rung of every degradation ladder, chip-major
     /// (`nodes * nodes` entries, the local path in the diagonal slot);
     /// empty when no policy is armed. `iter().max()` gives the fabric's
     /// worst rung.
@@ -786,7 +782,7 @@ impl FabricSim {
     pub fn degrade_levels(&self) -> Vec<DegradeLevel> {
         self.chips
             .iter()
-            .flat_map(|chip| chip.controllers.iter().map(OnOffController::level))
+            .flat_map(|chip| chip.ladders.iter().map(DegradeLadder::level))
             .collect()
     }
 

@@ -12,7 +12,8 @@
 //! - [`throughput`]: the group-of-eight bandwidth-sharing methodology of
 //!   the Fig. 14 throughput studies;
 //! - [`numa`]: multi-chip coherence-link compression (Fig. 13);
-//! - [`adaptive`]: the §VI-D on/off compression controller;
+//! - [`adaptive`]: the §VI-D on/off compression controller and the
+//!   fault-loop degradation ladder;
 //! - [`arena`]: the [`SimArena`] warm-state cache that amortises group
 //!   warm-up across sweep points.
 //!
@@ -51,7 +52,7 @@ mod test_lines;
 pub mod thread;
 pub mod throughput;
 
-pub use adaptive::{DegradationStats, DegradeLevel, DegradePolicy, OnOffController};
+pub use adaptive::{DegradationStats, DegradeLadder, DegradeLevel, DegradePolicy, OnOffController};
 pub use arena::SimArena;
 pub use config::{CompressionLatency, SystemConfig};
 pub use fabric::{wire_pair_index, FabricResult, FabricSim, HopStats};

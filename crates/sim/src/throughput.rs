@@ -512,8 +512,7 @@ mod tests {
         let (mut wire, mut dram, wire_bytes_per_sec) = group_resources(256, &cfg);
         let mut group = build_warmed_group(p, Scheme::Cable(EngineKind::Lbe), 2_000, &cfg);
         let share = wire_bytes_per_sec / GROUP_SIZE as f64;
-        let mut ctls =
-            vec![OnOffController::with_thresholds(share, 10_000_000, 0.8, 0.9); GROUP_SIZE];
+        let mut ctls = vec![OnOffController::with_period(share, 10_000_000); GROUP_SIZE];
         run_group_core(&mut group, &mut ctls, &mut wire, &mut dram, 20_000);
         let toggles: u64 = ctls.iter().map(OnOffController::toggles).sum();
         let r = summarize(256, &group);

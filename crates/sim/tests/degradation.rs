@@ -8,7 +8,7 @@ use cable_common::{Address, LineData};
 use cable_compress::EngineKind;
 use cable_core::FaultConfig;
 use cable_sim::{
-    CompressedLink, DegradeLevel, DegradePolicy, FabricSim, OnOffController, Scheme, SystemConfig,
+    CompressedLink, DegradeLadder, DegradeLevel, DegradePolicy, FabricSim, Scheme, SystemConfig,
 };
 use cable_trace::by_name;
 use proptest::prelude::*;
@@ -23,21 +23,21 @@ fn test_link() -> CompressedLink {
 }
 
 /// Drives `ops` fills through the link, noting each against the
-/// controller; returns the deepest rung the ladder reached.
+/// ladder; returns the deepest rung it reached.
 fn drive(
     link: &mut CompressedLink,
-    ctl: &mut OnOffController,
+    ladder: &mut DegradeLadder,
     ops: u64,
     salt: u64,
 ) -> DegradeLevel {
-    let mut deepest = ctl.level();
+    let mut deepest = ladder.level();
     for i in 0..ops {
         link.request(
             Address::from_line_number(salt.wrapping_add(i * 3) % 4096),
             LineData::splat_word(((i % 7) as u32) * 0x0101_0101),
         );
-        ctl.note_op(link);
-        deepest = deepest.max(ctl.level());
+        ladder.note_op(link);
+        deepest = deepest.max(ladder.level());
     }
     deepest
 }
@@ -83,9 +83,8 @@ proptest! {
             } else {
                 FaultConfig::with_rate(seed, rate)
             });
-            let mut ctl = OnOffController::new(19.2e9);
-            ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-            deepest_by_rate.push(drive(&mut link, &mut ctl, 2_048, 0));
+            let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+            deepest_by_rate.push(drive(&mut link, &mut ladder, 2_048, 0));
         }
         prop_assert_eq!(deepest_by_rate[0], DegradeLevel::Compressed);
         prop_assert!(deepest_by_rate[0] <= deepest_by_rate[1]);
@@ -99,14 +98,13 @@ proptest! {
     fn prop_quiet_windows_rearm_after_bursts(seed in any::<u64>()) {
         let mut link = test_link();
         link.enable_fault_injection(FaultConfig::with_rate(seed, 2e-2));
-        let mut ctl = OnOffController::new(19.2e9);
-        ctl.arm_degradation(DegradePolicy::paper_defaults(), 16);
-        drive(&mut link, &mut ctl, 1_536, 0);
-        prop_assert!(ctl.degradation_stats().demotions >= 1, "burst must demote");
+        let mut ladder = DegradeLadder::new(DegradePolicy::paper_defaults(), 16);
+        drive(&mut link, &mut ladder, 1_536, 0);
+        prop_assert!(ladder.degradation_stats().demotions >= 1, "burst must demote");
         link.disable_fault_injection();
-        drive(&mut link, &mut ctl, 2_048, 9_999);
-        prop_assert_eq!(ctl.level(), DegradeLevel::Compressed);
-        prop_assert!(ctl.degradation_stats().promotions >= 1);
+        drive(&mut link, &mut ladder, 2_048, 9_999);
+        prop_assert_eq!(ladder.level(), DegradeLevel::Compressed);
+        prop_assert!(ladder.degradation_stats().promotions >= 1);
         prop_assert!(link.compression_enabled(), "compression re-enabled");
         prop_assert!(!link.reliable_mode());
     }
@@ -115,7 +113,7 @@ proptest! {
 #[test]
 fn fabric_burst_degrades_and_recovers() {
     // The BENCH_degrade storyline as a test: healthy pre-phase, 1e-2
-    // burst, recovery phase — the fabric's controllers must step down
+    // burst, recovery phase — the fabric's ladders must step down
     // during the burst and fully re-arm after it.
     let cfg = SystemConfig {
         degrade: Some(quick_policy()),
@@ -129,7 +127,7 @@ fn fabric_burst_degrades_and_recovers() {
         &cfg,
     );
     sim.run(2_000);
-    let pre = sim.degradation_stats().expect("controllers armed");
+    let pre = sim.degradation_stats().expect("ladders armed");
     assert_eq!(pre.demotions, 0, "no faults, no demotions");
     assert!(sim
         .degrade_levels()
@@ -138,14 +136,14 @@ fn fabric_burst_degrades_and_recovers() {
 
     sim.set_fault_injection(Some(FaultConfig::with_rate(0xB00, 1e-2)));
     sim.run(8_000);
-    let burst = sim.degradation_stats().expect("controllers armed");
+    let burst = sim.degradation_stats().expect("ladders armed");
     assert!(burst.demotions > 0, "dense NACKs must step the ladder down");
     let fs = sim.fault_stats().expect("fault mode");
     assert!(fs.nacks > 0);
 
     sim.set_fault_injection(None);
     sim.run(22_000);
-    let post = sim.degradation_stats().expect("controllers armed");
+    let post = sim.degradation_stats().expect("ladders armed");
     assert!(post.promotions >= 1, "quiet windows must re-arm");
     assert!(
         sim.degrade_levels()
@@ -193,7 +191,7 @@ fn fabric_resync_cost_reaches_the_wires() {
     let (base_stats, base_deg, _, base_fp) = run(&base_cfg);
     let (deg_stats, deg_deg, _, deg_fp) = run(&degrade_cfg);
     assert!(base_deg.is_none());
-    let deg = deg_deg.expect("controllers armed");
+    let deg = deg_deg.expect("ladders armed");
     assert!(deg.scheduled_resyncs > 0);
     assert!(deg.resync_cost_bits >= deg.scheduled_resyncs * 2 * 16);
     // Functional compression outcomes are identical (a fault-free resync

@@ -70,7 +70,7 @@ pub use latency::{
     LATENCY_EDGES, LATENCY_METRIC_PREFIX, LATENCY_SPAN_STAGES,
 };
 pub use registry::{Counter, Gauge, Histogram, MetricValue};
-pub use report::{diff_reports, HistogramReport, Report, SloSpec, DEFAULT_HOP_TOP};
+pub use report::{diff_reports, HistogramReport, Percentile, Report, SloSpec, DEFAULT_HOP_TOP};
 pub use tracer::TracerConfig;
 
 use event::TraceEvent;

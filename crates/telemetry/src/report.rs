@@ -35,6 +35,34 @@ pub const DEFAULT_HOP_TOP: usize = 3;
 /// The reported percentiles in column order: label and rank in permille.
 const PERCENTILES: [(&str, u64); 4] = [("p50", 500), ("p90", 900), ("p99", 990), ("p999", 999)];
 
+/// One reported percentile column (`p50` ... `p999`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Percentile {
+    /// The median.
+    P50,
+    /// The 90th percentile.
+    P90,
+    /// The 99th percentile.
+    P99,
+    /// The 99.9th percentile.
+    P999,
+}
+
+impl Percentile {
+    /// Every column, in `PERCENTILES` order.
+    const ALL: [Percentile; 4] = [
+        Percentile::P50,
+        Percentile::P90,
+        Percentile::P99,
+        Percentile::P999,
+    ];
+
+    /// The column label (`p50` ... `p999`).
+    fn label(self) -> &'static str {
+        PERCENTILES[self as usize].0
+    }
+}
+
 /// Encode-outcome mix of one phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EncodeMix {
@@ -873,8 +901,8 @@ pub fn diff_reports(a: &Report, b: &Report, threshold_permille: u64) -> ReportDi
 pub struct SloSpec {
     /// Latency stage the gate applies to.
     pub stage: LatencyStage,
-    /// Percentile rank in permille (500, 900, 990, or 999).
-    pub rank_permille: u64,
+    /// Percentile column the gate reads.
+    pub percentile: Percentile,
     /// Largest tolerated percentile value, picoseconds.
     pub limit_ps: u64,
 }
@@ -898,10 +926,9 @@ impl SloSpec {
             .ok_or_else(|| format!("SLO field `{lhs}` must be `<stage>.<percentile>`"))?;
         let stage = LatencyStage::parse(stage_s)
             .ok_or_else(|| format!("unknown latency stage `{stage_s}`"))?;
-        let rank_permille = PERCENTILES
-            .iter()
-            .find(|(label, _)| *label == pct_s)
-            .map(|&(_, rank)| rank)
+        let percentile = Percentile::ALL
+            .into_iter()
+            .find(|p| p.label() == pct_s)
             .ok_or_else(|| format!("unknown percentile `{pct_s}` (use p50, p90, p99, or p999)"))?;
         let digits: String = rhs
             .trim()
@@ -918,24 +945,9 @@ impl SloSpec {
             .map_err(|e| format!("bad SLO bound `{rhs}`: {e}"))?;
         Ok(SloSpec {
             stage,
-            rank_permille,
+            percentile,
             limit_ps,
         })
-    }
-
-    /// The [`PERCENTILES`] column the gate reads; a rank outside the
-    /// table reads the last (p999) column.
-    fn column(&self) -> usize {
-        PERCENTILES
-            .iter()
-            .position(|&(_, rank)| rank == self.rank_permille)
-            .unwrap_or(PERCENTILES.len() - 1)
-    }
-
-    /// The percentile column label the gate reads (`p50` ... `p999`).
-    #[must_use]
-    pub fn rank_label(&self) -> &'static str {
-        PERCENTILES[self.column()].0
     }
 
     /// Evaluates the gate against every non-hop latency histogram of the
@@ -958,7 +970,7 @@ impl SloSpec {
                 continue;
             }
             matched += 1;
-            let value = h.percentiles()[self.column()];
+            let value = h.percentiles()[self.percentile as usize];
             if value > self.limit_ps {
                 breaches.push((h.id.clone(), value));
             }
@@ -979,7 +991,7 @@ impl std::fmt::Display for SloSpec {
             f,
             "{}.{}<={}_ps",
             self.stage.as_str(),
-            self.rank_label(),
+            self.percentile.label(),
             self.limit_ps
         )
     }
@@ -2051,7 +2063,7 @@ mod tests {
     fn slo_specs_parse_and_gate_percentiles() {
         let spec = SloSpec::parse("total.p99<=1_200_000_ps").expect("parses");
         assert_eq!(spec.stage, LatencyStage::Total);
-        assert_eq!(spec.rank_permille, 990);
+        assert_eq!(spec.percentile, Percentile::P99);
         assert_eq!(spec.limit_ps, 1_200_000);
         assert_eq!(spec.to_string(), "total.p99<=1200000_ps");
         assert_eq!(SloSpec::parse("queue.p50<=500").unwrap().limit_ps, 500);
