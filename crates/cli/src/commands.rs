@@ -12,6 +12,7 @@ use cable_telemetry::json::{self, validate_jsonl};
 use cable_telemetry::{diff_reports, JsonlSink, Report, SloSpec, Telemetry, TracerConfig};
 use cable_trace::record::{record_synthetic, TraceReader, TraceRecord};
 use cable_trace::WorkloadGen;
+use std::io::Write;
 
 /// Usage text shown on errors and `cable help`.
 pub const USAGE: &str = "\
@@ -112,45 +113,8 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             throughput(name, threads as usize)
         }
         "fabric" => {
-            let mut opts = FabricOpts::default();
-            let rate = |flag: &str, values: &mut FlagValues| {
-                let s = values.next().ok_or(format!("{flag} needs a value"))?;
-                s.parse::<f64>()
-                    .ok()
-                    .filter(|r| *r > 0.0 && *r < 1.0)
-                    .ok_or_else(|| format!("`{s}` is not a per-bit fault rate in (0, 1) ({flag})"))
-            };
-            let rest = positionals(cmd, &args[1..], 3, |flag, values| {
-                match flag {
-                    "--fault-rate" => opts.fault_rate = Some(rate(flag, values)?),
-                    "--mesh-fault-rate" => opts.mesh_fault_rate = Some(rate(flag, values)?),
-                    "--mesh-fault-hop" => {
-                        let s = values.next().ok_or("--mesh-fault-hop needs a value")?;
-                        opts.mesh_fault_hop = Some(
-                            s.parse::<u32>()
-                                .map_err(|_| format!("`{s}` is not a mesh hop index"))?,
-                        );
-                    }
-                    "--trace" => {
-                        let s = values.next().ok_or("--trace needs an output prefix")?;
-                        opts.trace_prefix = Some(s.clone());
-                    }
-                    "--degrade" => opts.degrade = true,
-                    _ => return Ok(false),
-                }
-                Ok(true)
-            })?;
-            let name = rest.first().ok_or("fabric needs a workload name")?;
-            let nodes = parse_or(rest.get(1).copied(), 4)? as usize;
-            let gbps = rest
-                .get(2)
-                .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| format!("`{s}` is not a number"))
-                })
-                .transpose()?
-                .unwrap_or(2.4);
-            fabric(name, nodes, gbps, &opts)
+            let (name, nodes, gbps, opts) = parse_fabric(&args[1..])?;
+            fabric(name, nodes, gbps, &opts, &mut std::io::stdout().lock())
         }
         "stats" => {
             let rest = positionals(cmd, &args[1..], 2, no_flags)?;
@@ -406,7 +370,58 @@ struct FabricOpts {
     trace_prefix: Option<String>,
 }
 
-fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), String> {
+/// Parses `fabric`'s arguments (after the command name) into the
+/// workload name, chip count, PTP bandwidth in GB/s and flags.
+fn parse_fabric(args: &[String]) -> Result<(&str, usize, f64, FabricOpts), String> {
+    let mut opts = FabricOpts::default();
+    let rate = |flag: &str, values: &mut FlagValues| {
+        let s = values.next().ok_or(format!("{flag} needs a value"))?;
+        s.parse::<f64>()
+            .ok()
+            .filter(|r| *r > 0.0 && *r < 1.0)
+            .ok_or_else(|| format!("`{s}` is not a per-bit fault rate in (0, 1) ({flag})"))
+    };
+    let rest = positionals("fabric", args, 3, |flag, values| {
+        match flag {
+            "--fault-rate" => opts.fault_rate = Some(rate(flag, values)?),
+            "--mesh-fault-rate" => opts.mesh_fault_rate = Some(rate(flag, values)?),
+            "--mesh-fault-hop" => {
+                let s = values.next().ok_or("--mesh-fault-hop needs a value")?;
+                opts.mesh_fault_hop = Some(
+                    s.parse::<u32>()
+                        .map_err(|_| format!("`{s}` is not a mesh hop index"))?,
+                );
+            }
+            "--trace" => {
+                let s = values.next().ok_or("--trace needs an output prefix")?;
+                opts.trace_prefix = Some(s.clone());
+            }
+            "--degrade" => opts.degrade = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let name = rest.first().ok_or("fabric needs a workload name")?;
+    let nodes = parse_or(rest.get(1).copied(), 4)? as usize;
+    let gbps = rest
+        .get(2)
+        .map(|s| {
+            s.parse::<f64>()
+                .map_err(|_| format!("`{s}` is not a number"))
+        })
+        .transpose()?
+        .unwrap_or(2.4);
+    Ok((name, nodes, gbps, opts))
+}
+
+fn fabric(
+    name: &str,
+    nodes: usize,
+    gbps: f64,
+    opts: &FabricOpts,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    let write_err = |e: std::io::Error| format!("cannot write output: {e}");
     if nodes < 2 {
         return Err("a fabric needs at least two chips".into());
     }
@@ -448,11 +463,15 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
         (Some(r), None) => format!(", {r:.0e} mesh faults/bit"),
         (None, _) => String::new(),
     };
-    println!("{name}: {nodes}-chip fabric, {gbps} GB/s per PTP link{loop_desc}{mesh_desc}\n");
+    writeln!(
+        out,
+        "{name}: {nodes}-chip fabric, {gbps} GB/s per PTP link{loop_desc}{mesh_desc}\n"
+    )
+    .map_err(write_err)?;
     let mut base =
         cable_sim::FabricSim::with_config(p, Scheme::Uncompressed, nodes, gbps * 1e9, &cfg);
     let rb = base.run(20_000);
-    println!("{:12} {:>12.3e} ins/s", "uncompressed", rb.ips());
+    writeln!(out, "{:12} {:>12.3e} ins/s", "uncompressed", rb.ips()).map_err(write_err)?;
     for scheme in [
         Scheme::Baseline(BaselineKind::Cpack),
         Scheme::Cable(EngineKind::Lbe),
@@ -478,36 +497,44 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
         };
         let r = f.run(20_000);
         let s = f.coherence_stats();
-        println!(
+        writeln!(
+            out,
             "{:12} {:>12.3e} ins/s  ({:.2}x, PTP ratio {:.2}x)",
             scheme.label(),
             r.ips(),
             r.ips() / rb.ips(),
             s.compression_ratio()
-        );
+        )
+        .map_err(write_err)?;
         if let Some(fs) = f.fault_stats() {
-            println!(
+            writeln!(
+                out,
                 "{:12} faults: {} injected, {} NACKs, {} reliable frames",
                 "", fs.injected_frames, fs.nacks, fs.reliable_frames
-            );
+            )
+            .map_err(write_err)?;
         }
         if cfg.mesh_fault.is_some() {
             for h in f.hop_stats() {
                 let (inj, nacks) = h.fault.map_or((0, 0), |fs| (fs.injected_frames, fs.nacks));
-                println!(
+                writeln!(
+                    out,
                     "{:12} hop {} ({}-{}): {} wire bits, {} ps busy, {} injected, {} NACKs",
                     "", h.hop, h.chips.0, h.chips.1, h.bits_sent, h.busy_ps, inj, nacks
-                );
+                )
+                .map_err(write_err)?;
             }
         }
         if let Some((tel, jsonl_path)) = tel {
             let (events, dropped) = tel
                 .finish_stream()
                 .map_err(|e| format!("cannot finish {jsonl_path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "{:12} wrote {jsonl_path} ({events} events, {dropped} dropped) — next: `cable report {jsonl_path} --hops`",
                 ""
-            );
+            )
+            .map_err(write_err)?;
         }
         if let Some(deg) = f.degradation_stats() {
             let worst = f
@@ -515,7 +542,8 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
                 .into_iter()
                 .max()
                 .unwrap_or(cable_sim::DegradeLevel::Compressed);
-            println!(
+            writeln!(
+                out,
                 "{:12} ladder: {} windows, {} demotions, {} promotions, {} resyncs \
                  ({} repair bits), final worst rung {:?}",
                 "",
@@ -525,7 +553,8 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
                 deg.scheduled_resyncs,
                 deg.resync_cost_bits,
                 worst
-            );
+            )
+            .map_err(write_err)?;
         }
     }
     Ok(())
@@ -1039,18 +1068,29 @@ mod tests {
         std::fs::remove_file(out_path).ok();
     }
 
+    /// Runs `cable fabric <args>` and returns what it printed.
+    fn fabric_output(args: &[&str]) -> String {
+        let owned: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+        let (name, nodes, gbps, opts) = parse_fabric(&owned).unwrap();
+        let mut out = Vec::new();
+        fabric(name, nodes, gbps, &opts, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The one printed ladder line (only the CABLE fabric arms ladders).
+    fn ladder_line(out: &str) -> &str {
+        let lines: Vec<&str> = out.lines().filter(|l| l.contains("ladder:")).collect();
+        assert_eq!(lines.len(), 1, "{out}");
+        lines[0]
+    }
+
     #[test]
     fn fabric_runs_the_closed_fault_loop() {
-        assert!(run(&[
-            "fabric",
-            "povray",
-            "2",
-            "2.4",
-            "--fault-rate",
-            "1e-3",
-            "--degrade"
-        ])
-        .is_ok());
+        // mcf reaches the ladder's 256-op window at the CLI's 20,000
+        // instructions per chip; povray does not.
+        let out = fabric_output(&["mcf", "2", "2.4", "--fault-rate", "1e-3", "--degrade"]);
+        let ladder = ladder_line(&out);
+        assert!(!ladder.contains("ladder: 0 windows"), "{ladder}");
         assert!(run(&["fabric", "--degrade", "povray", "2", "2.4"]).is_ok());
     }
 
@@ -1061,8 +1101,7 @@ mod tests {
         // rung gauge, and `cable report` must read it.
         let prefix = std::env::temp_dir().join("cable_cli_degrade_trace_test");
         let prefix = prefix.to_str().unwrap();
-        assert!(run(&[
-            "fabric",
+        let out = fabric_output(&[
             "mcf",
             "2",
             "2.4",
@@ -1070,14 +1109,20 @@ mod tests {
             "1e-3",
             "--degrade",
             "--trace",
-            prefix
-        ])
-        .is_ok());
+            prefix,
+        ]);
+        assert!(ladder_line(&out).ends_with("final worst rung LinkOff"));
         let jsonl_path = format!("{prefix}.jsonl");
         let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
         validate_jsonl(&jsonl).expect("streamed JSONL parses");
         assert!(jsonl.contains("\"name\":\"degrade.demote\""));
-        assert!(jsonl.contains("\"id\":\"adaptive.degrade_level\""));
+        // The gauge is the fabric's worst rung: LinkOff (2), not the
+        // rung of whichever pipeline stepped last.
+        let rung = jsonl
+            .lines()
+            .rfind(|l| l.contains("\"id\":\"adaptive.degrade_level\""))
+            .expect("the rung gauge is exported");
+        assert!(rung.ends_with("\"value\":2}"), "{rung}");
         assert!(run(&["report", &jsonl_path]).is_ok());
         std::fs::remove_file(jsonl_path).ok();
         std::fs::remove_file(format!("{prefix}.report.json")).ok();

@@ -333,7 +333,6 @@ pub struct DegradeLadder {
     window_wire_bits: u64,
     stats: DegradationStats,
     tel: Telemetry,
-    tel_level: Gauge,
     tel_demotions: Counter,
     tel_promotions: Counter,
 }
@@ -363,7 +362,6 @@ impl DegradeLadder {
             window_wire_bits: 0,
             stats: DegradationStats::default(),
             tel: Telemetry::default(),
-            tel_level: Gauge::default(),
             tel_demotions: Counter::default(),
             tel_promotions: Counter::default(),
         }
@@ -372,16 +370,16 @@ impl DegradeLadder {
     /// Publishes the ladder through `tel`. Pure observation: decisions
     /// are bit-identical with telemetry on or off.
     ///
-    /// - `adaptive.degrade_level` (gauge) — the current rung, 0/1/2;
     /// - `adaptive.demotions` / `adaptive.promotions` (counters);
     /// - `degrade.demote` / `degrade.promote` trace markers carrying the
     ///   new rung as their value.
+    ///
+    /// The rung gauge, `adaptive.degrade_level`, is the worst rung over
+    /// every ladder of a fabric, so `FabricSim` publishes it.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
-        self.tel_level = tel.gauge("adaptive.degrade_level");
         self.tel_demotions = tel.counter("adaptive.demotions");
         self.tel_promotions = tel.counter("adaptive.promotions");
-        self.tel_level.set(self.level as u64);
     }
 
     /// The current rung.
@@ -476,7 +474,6 @@ impl DegradeLadder {
             value: next as u64,
         });
         self.level = next;
-        self.tel_level.set(next as u64);
         link.set_compression_enabled(next == DegradeLevel::Compressed);
         link.set_reliable_mode(next == DegradeLevel::LinkOff);
     }
@@ -765,10 +762,9 @@ mod tests {
             snap.counter("adaptive.promotions").unwrap(),
             observed.1.promotions
         );
-        assert_eq!(
-            snap.gauge("adaptive.degrade_level").unwrap(),
-            observed.0 as u64
-        );
+        // The rung gauge is the fabric's worst rung, published by
+        // `FabricSim` (pinned in `fabric::tests`), never by one ladder.
+        assert_eq!(snap.gauge("adaptive.degrade_level"), None);
         // Every transition left a marker in the trace.
         let markers = tel
             .events()

@@ -20,6 +20,13 @@
 //! bit-identical to re-running warm-up, so sweep results do not change —
 //! this is covered by the arena tests in `throughput.rs`'s test module
 //! and by the byte-identical figure-JSON acceptance check.
+//!
+//! On a miss the snapshot is built by `build_warmed_group`, which builds
+//! and warms the eight threads on up to one host thread per available
+//! core. The snapshot does not depend on the core count: each thread
+//! warms alone on its own unconstrained wire and DRAM, reading only its
+//! own generator, caches and link, with its fault seed derived from its
+//! instance. The restore's copy stays on the calling thread.
 
 use crate::config::SystemConfig;
 use crate::thread::{Scheme, ThreadSim};

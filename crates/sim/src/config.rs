@@ -54,7 +54,7 @@ pub struct SystemConfig {
     /// bandwidth like any other wire bits.
     pub fault: Option<FaultConfig>,
     /// Closed-loop degradation policy (`None` = no ladder). When set,
-    /// every `FabricSim` pipeline gets its own
+    /// every CABLE `FabricSim` pipeline gets its own
     /// [`DegradeLadder`](crate::DegradeLadder) stepping the
     /// `Compressed → RawOnly → LinkOff` ladder on its NACK-window
     /// observables and firing scheduled resyncs whose wire cost is

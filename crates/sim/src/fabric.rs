@@ -42,7 +42,7 @@ use cable_cache::{CacheGeometry, SetAssocCache};
 use cable_common::Address;
 use cable_core::{FaultConfig, FaultStats, LinkStats, TransferKind};
 use cable_telemetry::{
-    latency_hop_metric_id, Histogram, LatencyRecorder, LatencyStage, StageSpans, Telemetry,
+    latency_hop_metric_id, Gauge, Histogram, LatencyRecorder, LatencyStage, StageSpans, Telemetry,
     LATENCY_EDGES,
 };
 use cable_trace::{WorkloadGen, WorkloadProfile};
@@ -199,10 +199,13 @@ struct ChipNode {
     /// `links[self]` is the local memory path.
     links: Vec<CompressedLink>,
     /// `ladders[home]`: the degradation ladder of the matching pipeline.
-    /// Empty unless `config.degrade` set a policy — chip-private state,
-    /// so ladder decisions and scheduled resyncs are part of the
-    /// functional half.
+    /// Empty unless `config.degrade` set a policy and the scheme is CABLE
+    /// — chip-private state, so ladder decisions and scheduled resyncs
+    /// are part of the functional half.
     ladders: Vec<DegradeLadder>,
+    /// Set when a ladder of this chip changed rung since the fabric last
+    /// published its worst rung.
+    rung_moved: bool,
 }
 
 impl ChipNode {
@@ -308,8 +311,13 @@ impl ChipNode {
     /// scheduled resync when one fired.
     fn note_pipeline_op(&mut self, home: usize) -> Option<ResyncTrace> {
         let ladder = self.ladders.get_mut(home)?;
-        let cost_bits = ladder.note_op(&mut self.links[home])?;
-        Some(ResyncTrace { home, cost_bits })
+        let level = ladder.level();
+        let resync = ladder.note_op(&mut self.links[home]);
+        self.rung_moved |= ladder.level() != level;
+        Some(ResyncTrace {
+            home,
+            cost_bits: resync?,
+        })
     }
 
     /// Functional half of the fill path: fills L2/L1, applies the store,
@@ -385,6 +393,8 @@ pub struct FabricSim {
     /// PTP link bandwidth in bytes/s.
     ptp_bytes_per_sec: f64,
     tel: Telemetry,
+    /// `adaptive.degrade_level`: the worst rung over every ladder.
+    tel_worst_rung: Gauge,
     lat: Option<FabricLatency>,
 }
 
@@ -456,9 +466,13 @@ impl FabricSim {
                     })
                     .collect();
                 // One degradation ladder per pipeline (local path
-                // included) when a policy is set.
+                // included) when a policy is set. Only CABLE pipelines
+                // take faults and hold reference state; on any other a
+                // ladder would never step, and its scheduled resyncs
+                // would charge repair flits for state that does not exist.
                 let ladders = config
                     .degrade
+                    .filter(|_| matches!(scheme, Scheme::Cable(_)))
                     .map(|policy| {
                         (0..nodes)
                             .map(|_| DegradeLadder::new(policy, config.link_width_bits))
@@ -474,6 +488,7 @@ impl FabricSim {
                     accesses: 0,
                     links,
                     ladders,
+                    rung_moved: false,
                 }
             })
             .collect();
@@ -497,6 +512,7 @@ impl FabricSim {
             latency: scheme.latency(),
             ptp_bytes_per_sec,
             tel: Telemetry::disabled(),
+            tel_worst_rung: Gauge::default(),
             lat: None,
         }
     }
@@ -521,6 +537,10 @@ impl FabricSim {
         }
         for d in &mut self.drams {
             d.set_telemetry(tel.clone());
+        }
+        if let Some(worst) = self.worst_rung() {
+            self.tel_worst_rung = tel.gauge("adaptive.degrade_level");
+            self.tel_worst_rung.set(worst as u64);
         }
         self.lat = tel.is_enabled().then(|| {
             let label = self.scheme.label();
@@ -598,6 +618,10 @@ impl FabricSim {
     /// One fused step: functional half, then its timing replay.
     fn step_chip(&mut self, idx: usize) {
         let trace = self.chips[idx].step_functional(self.nodes, &self.config, &self.tel);
+        if std::mem::take(&mut self.chips[idx].rung_moved) {
+            let worst = self.worst_rung().expect("a ladder moved");
+            self.tel_worst_rung.set(worst as u64);
+        }
         self.apply_step_timing(idx, &trace);
     }
 
@@ -760,7 +784,7 @@ impl FabricSim {
     }
 
     /// Aggregated degradation-ladder statistics across every pipeline,
-    /// when `config.degrade` set a policy.
+    /// when ladders are armed (`config.degrade` on a CABLE fabric).
     #[must_use]
     pub fn degradation_stats(&self) -> Option<DegradationStats> {
         let mut total: Option<DegradationStats> = None;
@@ -776,7 +800,7 @@ impl FabricSim {
 
     /// Current rung of every degradation ladder, chip-major
     /// (`nodes * nodes` entries, the local path in the diagonal slot);
-    /// empty when no policy is armed. `iter().max()` gives the fabric's
+    /// empty when no ladder is armed. `iter().max()` gives the fabric's
     /// worst rung.
     #[must_use]
     pub fn degrade_levels(&self) -> Vec<DegradeLevel> {
@@ -784,6 +808,11 @@ impl FabricSim {
             .iter()
             .flat_map(|chip| chip.ladders.iter().map(DegradeLadder::level))
             .collect()
+    }
+
+    /// The fabric's worst rung; `None` when no ladder is armed.
+    fn worst_rung(&self) -> Option<DegradeLevel> {
+        self.degrade_levels().into_iter().max()
     }
 
     /// Arms (`Some`) or disarms (`None`) fault injection on every CABLE
@@ -883,6 +912,7 @@ impl fmt::Debug for FabricSim {
 mod tests {
     use super::*;
     use cable_compress::EngineKind;
+    use cable_core::BaselineKind;
     use cable_trace::by_name;
 
     #[test]
@@ -1093,5 +1123,72 @@ mod tests {
         f.run(20_000);
         let fs = f.fault_stats().expect("fault mode must be armed");
         assert!(fs.injected_bit_flips > 0, "rate 1e-3 must flip bits");
+    }
+
+    /// Small caches and a fast ladder, so a short run walks every rung.
+    fn ladder_config() -> SystemConfig {
+        SystemConfig {
+            l1_bytes: 4 << 10,
+            l1_ways: 2,
+            l2_bytes: 16 << 10,
+            l2_ways: 4,
+            llc_bytes: 16 << 10,
+            llc_ways: 4,
+            l4_bytes: 64 << 10,
+            l4_ways: 8,
+            fault: Some(cable_core::FaultConfig::with_rate(0xB00, 1e-2)),
+            degrade: Some(crate::DegradePolicy {
+                window_ops: 64,
+                resync_interval_ops: 256,
+                ..crate::DegradePolicy::paper_defaults()
+            }),
+            ..SystemConfig::paper_defaults()
+        }
+    }
+
+    #[test]
+    fn rung_gauge_tracks_the_worst_ladder() {
+        let mut f = FabricSim::with_config(
+            by_name("mcf").unwrap(),
+            Scheme::Cable(EngineKind::Lbe),
+            3,
+            19.2e9,
+            &ladder_config(),
+        );
+        let tel = Telemetry::enabled();
+        f.set_telemetry(tel.clone());
+        let mut rungs = std::collections::BTreeSet::new();
+        for target in (250..=6_000).step_by(250) {
+            f.run(target);
+            let worst = f.degrade_levels().into_iter().max().expect("armed");
+            rungs.insert(worst);
+            let gauge = tel.snapshot().gauge("adaptive.degrade_level");
+            assert_eq!(gauge, Some(worst as u64), "at {target} instructions");
+        }
+        assert!(rungs.len() > 1, "the worst rung never moved: {rungs:?}");
+    }
+
+    #[test]
+    fn only_cable_fabrics_arm_ladders() {
+        // CPACK and uncompressed pipelines hold no reference state: a
+        // degrade policy arms nothing there, fires no resync and leaves
+        // the timing of the unarmed run.
+        let armed = ladder_config();
+        let unarmed = SystemConfig {
+            degrade: None,
+            ..armed
+        };
+        for scheme in [Scheme::Uncompressed, Scheme::Baseline(BaselineKind::Cpack)] {
+            let run = |cfg: &SystemConfig| {
+                let mut f = FabricSim::with_config(by_name("mcf").unwrap(), scheme, 2, 2.4e9, cfg);
+                f.run(6_000);
+                f
+            };
+            let (a, u) = (run(&armed), run(&unarmed));
+            let resyncs = a.degradation_stats().map_or(0, |d| d.scheduled_resyncs);
+            assert_eq!(resyncs, 0, "{scheme}");
+            assert!(a.degrade_levels().is_empty(), "{scheme}");
+            assert_eq!(a.timing_fingerprint(), u.timing_fingerprint(), "{scheme}");
+        }
     }
 }

@@ -83,19 +83,55 @@ fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramMo
     (wire, dram, wire_bytes_per_sec)
 }
 
+/// Builds the group's eight threads (instances 0–7) and warms each one,
+/// on up to one host thread per available core.
 pub(crate) fn build_warmed_group(
     profile: &'static WorkloadProfile,
     scheme: Scheme,
     warm_accesses: u64,
     config: &SystemConfig,
 ) -> Vec<ThreadSim> {
-    (0..GROUP_SIZE)
-        .map(|i| {
-            let mut t = ThreadSim::new(profile, i as u64, scheme, *config);
-            t.warm(warm_accesses);
-            t
-        })
-        .collect()
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    build_warmed_group_on(profile, scheme, warm_accesses, config, workers)
+}
+
+/// [`build_warmed_group`] on `workers` host threads (clamped to
+/// `1..=GROUP_SIZE`), each building and warming one contiguous chunk of
+/// instances; the calling thread takes the first chunk. The result does
+/// not depend on `workers`: a thread's warm-up runs on its own
+/// unconstrained wire and DRAM and reads only its own generator, caches
+/// and link, and its fault seed is derived from its instance.
+fn build_warmed_group_on(
+    profile: &'static WorkloadProfile,
+    scheme: Scheme,
+    warm_accesses: u64,
+    config: &SystemConfig,
+    workers: usize,
+) -> Vec<ThreadSim> {
+    let warm_chunk = &|instances: std::ops::Range<usize>| -> Vec<ThreadSim> {
+        instances
+            .map(|i| {
+                let mut t = ThreadSim::new(profile, i as u64, scheme, *config);
+                t.warm(warm_accesses);
+                t
+            })
+            .collect()
+    };
+    let chunk = GROUP_SIZE.div_ceil(workers.clamp(1, GROUP_SIZE));
+    let mut chunks = (0..GROUP_SIZE)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(GROUP_SIZE));
+    let first = chunks.next().expect("a group has threads");
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|instances| scope.spawn(move || warm_chunk(instances)))
+            .collect();
+        let mut group = warm_chunk(first);
+        for worker in rest {
+            group.extend(worker.join().expect("warm-up worker panicked"));
+        }
+        group
+    })
 }
 
 fn summarize(threads: usize, group: &[ThreadSim]) -> ThroughputResult {
@@ -406,6 +442,60 @@ mod tests {
             (6, 3),
             "one warm-up per scheme, rest restored"
         );
+    }
+
+    #[test]
+    fn warm_up_on_any_worker_count_matches_a_serial_build() {
+        // One worker, an uneven split (3 + 3 + 2) and one worker per
+        // thread must each build the group a serial loop builds, and the
+        // threads must then run on identically. The faulted config covers
+        // the per-instance fault seeds.
+        let p = by_name("mcf").unwrap();
+        let paper = SystemConfig::paper_defaults();
+        let faulted = SystemConfig {
+            fault: Some(cable_core::FaultConfig::with_rate(0x5eed, 1e-3)),
+            ..paper
+        };
+        let lbe = Scheme::Cable(EngineKind::Lbe);
+        let cases = [
+            (Scheme::Uncompressed, paper),
+            (Scheme::Baseline(BaselineKind::Cpack), paper),
+            (lbe, paper),
+            (lbe, faulted),
+        ];
+        let state = |t: &ThreadSim| {
+            (
+                t.now_ps(),
+                t.retired(),
+                *t.counts(),
+                *t.link().stats(),
+                t.link().fault_stats().copied(),
+            )
+        };
+        for (scheme, cfg) in cases {
+            let serial: Vec<ThreadSim> = (0..GROUP_SIZE)
+                .map(|i| {
+                    let mut t = ThreadSim::new(p, i as u64, scheme, cfg);
+                    t.warm(1_000);
+                    t
+                })
+                .collect();
+            for workers in [1, 2, 3, 8] {
+                let mut group = build_warmed_group_on(p, scheme, 1_000, &cfg, workers);
+                let mut reference = serial.clone();
+                for (i, (a, b)) in group.iter_mut().zip(&mut reference).enumerate() {
+                    let at = format!("{scheme} {cfg:?}, {workers} workers, thread {i}");
+                    assert_eq!(state(a), state(b), "after warm-up: {at}");
+                    for t in [&mut *a, &mut *b] {
+                        let (mut wire, mut dram, _) = group_resources(2048, &cfg);
+                        for _ in 0..500 {
+                            t.step(&mut wire, &mut dram);
+                        }
+                    }
+                    assert_eq!(state(a), state(b), "after 500 steps: {at}");
+                }
+            }
+        }
     }
 
     #[test]
