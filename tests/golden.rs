@@ -124,20 +124,22 @@ fn golden_engine_dispatch_sizes_are_stable() {
     }
 }
 
-/// `LinkStats` of a CABLE+LBE link with the given home and remote caches
-/// (16-bit link, §VI-A engine setup) after a fixed dealII stream sent in
-/// 64-access batches: 20,480 warm-up accesses, `reset_stats`, then 20,480
-/// measured ones.
-fn dealii_link_stats(
+/// `LinkStats` of a `scheme` link with the given home and remote caches
+/// (16-bit link, §VI-A engine setup) after a fixed stream of `workload`
+/// instance 0 sent in 64-access batches: 20,480 warm-up accesses,
+/// `reset_stats`, then 20,480 measured ones.
+fn link_stats(
+    scheme: cable::sim::Scheme,
+    workload: &str,
     home: cable::cache::CacheGeometry,
     remote: cable::cache::CacheGeometry,
 ) -> cable::core::LinkStats {
     use cable::core::BatchAccess;
-    use cable::sim::{CompressedLink, Scheme};
+    use cable::sim::CompressedLink;
     use cable::trace::WorkloadGen;
 
-    let mut link = CompressedLink::build(Scheme::Cable(EngineKind::Lbe), home, remote, 16);
-    let mut gen = WorkloadGen::new(cable::trace::by_name("dealII").unwrap(), 0);
+    let mut link = CompressedLink::build(scheme, home, remote, 16);
+    let mut gen = WorkloadGen::new(cable::trace::by_name(workload).unwrap(), 0);
     let mut batch = Vec::new();
     let mut xfers = Vec::new();
     let mut drive = |link: &mut CompressedLink, batches: usize| {
@@ -171,6 +173,7 @@ fn dealii_link_stats(
 fn golden_section_vi_a_link_stats() {
     use cable::cache::CacheGeometry;
     use cable::core::LinkStats;
+    use cable::sim::Scheme;
 
     let expect = LinkStats {
         fills: 6_582,
@@ -190,11 +193,73 @@ fn golden_section_vi_a_link_stats() {
         bit_toggles: 400_043,
         flits: 51_172,
     };
-    let stats = dealii_link_stats(
+    let stats = link_stats(
+        Scheme::Cable(EngineKind::Lbe),
+        "dealII",
         CacheGeometry::new(4 << 20, 16),
         CacheGeometry::new(1 << 20, 8),
     );
     assert_eq!(stats, expect);
+}
+
+/// Every `LinkStats` field of the Uncompressed and the CPACK
+/// `BaselineLink` on the Table IV thread shape perfbench's `starved-mcf`
+/// runs (4 MB 16-way home L4, 1 MB 8-way remote LLC, 16-bit link) over the
+/// fixed mcf stream. Reads, exclusive fills, remote-hit upgrades and
+/// remote stores all run, so a change to the baseline link's tag walks
+/// that moves a modelled count fails here.
+#[test]
+fn golden_baseline_link_stats() {
+    use cable::cache::CacheGeometry;
+    use cable::core::{BaselineKind, LinkStats};
+    use cable::sim::Scheme;
+
+    let stats = |scheme| {
+        link_stats(
+            scheme,
+            "mcf",
+            CacheGeometry::new(4 << 20, 16),
+            CacheGeometry::new(1 << 20, 8),
+        )
+    };
+    let uncompressed = LinkStats {
+        fills: 9_238,
+        remote_hits: 11_242,
+        writebacks: 1_072,
+        home_hits: 115,
+        raw_transfers: 10_310,
+        unseeded_transfers: 0,
+        diff_transfers: 0,
+        refs_sent: 0,
+        uncompressed_bits: 5_278_720,
+        payload_bits: 5_278_720,
+        wire_bits: 5_278_720,
+        wire_bits_packed: 5_340_580,
+        data_array_reads: 0,
+        compression_ops: 0,
+        bit_toggles: 854_087,
+        flits: 329_920,
+    };
+    let cpack = LinkStats {
+        fills: 9_238,
+        remote_hits: 11_242,
+        writebacks: 1_072,
+        home_hits: 115,
+        raw_transfers: 0,
+        unseeded_transfers: 10_310,
+        diff_transfers: 0,
+        refs_sent: 0,
+        uncompressed_bits: 5_278_720,
+        payload_bits: 1_261_270,
+        wire_bits: 1_291_296,
+        wire_bits_packed: 1_332_612,
+        data_array_reads: 0,
+        compression_ops: 20_620,
+        bit_toggles: 552_668,
+        flits: 80_706,
+    };
+    assert_eq!(stats(Scheme::Uncompressed), uncompressed);
+    assert_eq!(stats(Scheme::Baseline(BaselineKind::Cpack)), cpack);
 }
 
 /// The same stream on a small CABLE+LBE link: 128 KB 4-way home, 64 KB
@@ -207,8 +272,11 @@ fn golden_section_vi_a_link_stats() {
 fn golden_small_cache_link_stats() {
     use cable::cache::CacheGeometry;
     use cable::core::LinkStats;
+    use cable::sim::Scheme;
 
-    let stats = dealii_link_stats(
+    let stats = link_stats(
+        Scheme::Cable(EngineKind::Lbe),
+        "dealII",
         CacheGeometry::new(128 << 10, 4),
         CacheGeometry::new(64 << 10, 8),
     );
