@@ -184,8 +184,7 @@ impl Bdi {
 
     /// Serializes `line` under the chosen encoding, using a stack segment
     /// buffer (no per-line allocation).
-    fn emit(line: &LineData, enc: Encoding) -> Encoded {
-        let mut out = BitWriter::new();
+    fn emit(line: &LineData, enc: Encoding, out: &mut BitWriter) {
         out.write_bits(enc.tag(), TAG_BITS);
         match enc {
             Encoding::Zeros => {}
@@ -209,7 +208,6 @@ impl Bdi {
                 }
             }
         }
-        Encoded::new(out)
     }
 
     /// Compressed size in bits for `line` (without round-tripping).
@@ -235,8 +233,8 @@ impl Compressor for Bdi {
         "BDI"
     }
 
-    fn compress(&mut self, line: &LineData) -> Encoded {
-        Bdi::emit(line, Bdi::pick_encoding(line))
+    fn compress_into(&mut self, line: &LineData, out: &mut Encoded) {
+        Bdi::emit(line, Bdi::pick_encoding(line), out.restart());
     }
 
     fn clone_box(&self) -> Box<dyn Compressor + Send> {

@@ -403,13 +403,11 @@ impl Compressor for Cpack {
         }
     }
 
-    fn compress(&mut self, line: &LineData) -> Encoded {
+    fn compress_into(&mut self, line: &LineData, out: &mut Encoded) {
         if !self.persist {
             self.dict.clear();
         }
-        let mut out = BitWriter::new();
-        self.dict.encode_line(line, &mut out);
-        Encoded::new(out)
+        self.dict.encode_line(line, out.restart());
     }
 
     fn clone_box(&self) -> Box<dyn Compressor + Send> {

@@ -422,13 +422,16 @@ impl Compressor for Lbe {
         "LBE256"
     }
 
-    fn compress(&mut self, line: &LineData) -> Encoded {
-        let mut out = BitWriter::new();
-        encode_words(&self.window, self.offset_bits(), &line.to_words(), &mut out);
+    fn compress_into(&mut self, line: &LineData, out: &mut Encoded) {
+        encode_words(
+            &self.window,
+            self.offset_bits(),
+            &line.to_words(),
+            out.restart(),
+        );
         if self.persist {
             self.push_line(line);
         }
-        Encoded::new(out)
     }
 
     fn clone_box(&self) -> Box<dyn Compressor + Send> {

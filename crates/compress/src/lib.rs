@@ -67,7 +67,7 @@ use std::error::Error;
 use std::fmt;
 
 /// A compressed line payload: a bitstream plus its exact bit length.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Encoded {
     bits: BitWriter,
 }
@@ -77,6 +77,13 @@ impl Encoded {
     #[must_use]
     pub fn new(bits: BitWriter) -> Self {
         Encoded { bits }
+    }
+
+    /// Empties the payload for a new coding, keeping its storage, and
+    /// returns the writer to code into.
+    pub(crate) fn restart(&mut self) -> &mut BitWriter {
+        self.bits.clear();
+        &mut self.bits
     }
 
     /// Exact payload size in bits.
@@ -172,8 +179,18 @@ pub trait Compressor {
     /// Short engine name as used in the paper's figures (e.g. `"CPACK128"`).
     fn name(&self) -> &'static str;
 
-    /// Compresses one 64-byte line, updating any streaming dictionary.
-    fn compress(&mut self, line: &LineData) -> Encoded;
+    /// Compresses one 64-byte line into `out`, replacing its payload and
+    /// reusing its storage, and updates any streaming dictionary. A caller
+    /// that keeps `out` allocates nothing once it has grown.
+    fn compress_into(&mut self, line: &LineData, out: &mut Encoded);
+
+    /// Compresses one 64-byte line into a payload of its own
+    /// ([`Compressor::compress_into`]).
+    fn compress(&mut self, line: &LineData) -> Encoded {
+        let mut out = Encoded::default();
+        self.compress_into(line, &mut out);
+        out
+    }
 
     /// Boxed deep copy including any streaming-dictionary state, so a
     /// warmed link can be snapshotted and resumed bit-identically.

@@ -247,10 +247,8 @@ impl Compressor for Lzss {
         "gzip"
     }
 
-    fn compress(&mut self, line: &LineData) -> Encoded {
-        let mut out = BitWriter::new();
-        self.encode_line(line, &mut out);
-        Encoded::new(out)
+    fn compress_into(&mut self, line: &LineData, out: &mut Encoded) {
+        self.encode_line(line, out.restart());
     }
 
     fn clone_box(&self) -> Box<dyn Compressor + Send> {

@@ -15,7 +15,7 @@ use crate::link::{
 };
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
 use cable_common::{Address, LineData, LINE_BYTES};
-use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Lbe, Lzss};
+use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Encoded, Lbe, Lzss};
 use cable_telemetry::{Event, Telemetry};
 use std::fmt;
 
@@ -120,6 +120,9 @@ pub struct BaselineLink {
     stats: LinkStats,
     last_flit: u64,
     tel: LinkTelemetry,
+    /// The buffer every send codes its payload into. It carries nothing
+    /// from one send to the next, so a restore keeps its own.
+    payload: Encoded,
 }
 
 impl Clone for BaselineLink {
@@ -133,6 +136,7 @@ impl Clone for BaselineLink {
             stats: self.stats,
             last_flit: self.last_flit,
             tel: self.tel.clone(),
+            payload: Encoded::default(),
         }
     }
 
@@ -146,6 +150,7 @@ impl Clone for BaselineLink {
             stats,
             last_flit,
             tel,
+            payload: _,
         } = self;
         *kind = source.kind;
         home.clone_from(&source.home);
@@ -186,6 +191,7 @@ impl BaselineLink {
             stats: LinkStats::default(),
             last_flit: 0,
             tel: LinkTelemetry::default(),
+            payload: Encoded::default(),
         }
     }
 
@@ -196,21 +202,21 @@ impl BaselineLink {
         grant: CoherenceState,
     ) -> Transfer {
         let addr = addr.line_aligned();
-        if self.remote.access(addr).is_some() {
+        if let Some(lid) = self.remote.access(addr) {
             self.stats.remote_hits += 1;
             self.tel.remote_hits.inc();
             if grant != CoherenceState::Shared {
-                self.remote.set_state(addr, CoherenceState::Modified);
+                self.remote.set_state_by_id(lid, CoherenceState::Modified);
                 self.home.set_state(addr, CoherenceState::Modified);
             }
             return transfer_remote_hit();
         }
         self.stats.fills += 1;
 
-        let home_hit = self.home.access(addr).is_some();
-        let line = if home_hit {
+        let home_lid = self.home.access(addr);
+        let home_hit = home_lid.is_some();
+        let line = if let Some(lid) = home_lid {
             self.stats.home_hits += 1;
-            let lid = self.home.lookup(addr).expect("hit implies present");
             self.home.read_by_id(lid).expect("valid")
         } else {
             let outcome = self.home.insert(addr, memory, CoherenceState::Shared);
@@ -244,9 +250,7 @@ impl BaselineLink {
         let addr = addr.line_aligned();
         self.stats.writebacks += 1;
         let t = self.send_writeback_to_home(addr, data);
-        if self.remote.lookup(addr).is_some() {
-            self.remote.invalidate(addr);
-        }
+        self.remote.invalidate(addr);
         t
     }
 
@@ -270,23 +274,25 @@ impl BaselineLink {
     /// compressed stream directly (mode is carried out of band), so a raw
     /// fallback costs exactly 512 bits.
     fn send(&mut self, line: &LineData, direction: Direction) -> Transfer {
-        let encoded = match &mut self.engines {
-            None => None,
+        let compressed = match &mut self.engines {
+            None => false,
             Some((enc, dec)) => {
-                let encoded = enc.compress(line);
+                enc.compress_into(line, &mut self.payload);
                 self.stats.compression_ops += 2; // compress + decompress
                 let back = dec
-                    .decompress(&encoded)
+                    .decompress(&self.payload)
                     .expect("baseline payload round-trips");
                 assert_eq!(back, *line, "{} round-trip mismatch", self.kind);
-                Some(encoded).filter(|e| e.len_bits() < LINE_BYTES * 8)
+                self.payload.len_bits() < LINE_BYTES * 8
             }
         };
         // The payload is accounted where it already lives: the encoder's
         // bitstream, or the raw line itself.
-        let (bytes, payload_bits, kind) = match &encoded {
-            Some(e) => (e.as_bytes(), e.len_bits(), TransferKind::Unseeded),
-            None => (&line.as_bytes()[..], LINE_BYTES * 8, TransferKind::Raw),
+        let (bytes, payload_bits, kind) = if compressed {
+            let e = &self.payload;
+            (e.as_bytes(), e.len_bits(), TransferKind::Unseeded)
+        } else {
+            (&line.as_bytes()[..], LINE_BYTES * 8, TransferKind::Raw)
         };
 
         let width = u64::from(self.link_width_bits);
@@ -333,10 +339,9 @@ impl Link for BaselineLink {
 
     fn remote_store(&mut self, addr: Address, data: LineData) -> bool {
         let addr = addr.line_aligned();
-        if self.remote.lookup(addr).is_none() {
+        if !self.remote.write(addr, data) {
             return false;
         }
-        self.remote.write(addr, data);
         self.home.set_state(addr, CoherenceState::Modified);
         true
     }

@@ -787,12 +787,25 @@ impl Clone for CableLink {
 }
 
 /// A link's reusable per-transfer buffers: the search scratch and the two
-/// frames the §III-E policy writes each candidate payload into once.
-#[derive(Clone, Default)]
+/// frames the §III-E policy writes each candidate payload into once. They
+/// carry nothing from one transfer to the next, so a restore
+/// (`clone_from`) keeps the destination's grown buffers.
+#[derive(Default)]
 struct LinkScratch {
     search: SearchScratch,
     /// `[unseeded or raw, DIFF]`.
     frames: [BitWriter; 2],
+}
+
+impl Clone for LinkScratch {
+    fn clone(&self) -> Self {
+        LinkScratch {
+            search: self.search.clone(),
+            frames: self.frames.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, _: &Self) {}
 }
 
 impl LinkScratch {

@@ -26,7 +26,11 @@
 //! core. The snapshot does not depend on the core count: each thread
 //! warms alone on its own unconstrained wire and DRAM, reading only its
 //! own generator, caches and link, with its fault seed derived from its
-//! instance. The restore's copy stays on the calling thread.
+//! instance. The restore's copy stays on the calling thread. The measured
+//! run on the working group then makes its threads' functional halves on
+//! every core too (`throughput::run_group_core`); restores copy the
+//! snapshot's state but keep the working links' scratch buffers, which
+//! carry nothing from one transfer to the next.
 
 use crate::config::SystemConfig;
 use crate::thread::{Scheme, ThreadSim};

@@ -7,9 +7,15 @@
 //! [`crate::resources::DramModel`]) are passed into [`ThreadSim::step`] so
 //! groups of threads contend for bandwidth (§VI-A's throughput
 //! methodology).
+//!
+//! A step has a functional half, which reads only the thread's own state,
+//! and a timing half, which alone touches the clock and the shared
+//! resources; a `StepTrace` carries what the second needs from the
+//! first. The group loop in [`crate::throughput`] runs the functional
+//! halves ahead of the timing halves.
 
 use crate::config::{CompressionLatency, SystemConfig};
-use crate::hier::fill_l2_l1;
+use crate::hier::{fill_l2_l1, DirtyVictim};
 use crate::resources::{DramModel, SharedLink};
 use cable_cache::{CacheGeometry, SetAssocCache};
 use cable_common::{Address, LineData};
@@ -156,6 +162,74 @@ pub struct ThreadCounts {
     pub l4: u64,
     /// DRAM accesses.
     pub dram: u64,
+}
+
+/// How far down the hierarchy an access went before it was served.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Level {
+    /// Private L1 hit.
+    L1,
+    /// Private L2 hit.
+    L2,
+    /// LLC hit: the link's remote cache held the line.
+    Llc,
+    /// Off-chip, served by the L4 (the link's home cache).
+    L4,
+    /// Off-chip, missed the L4 too and read DRAM.
+    Dram,
+}
+
+impl Level {
+    /// Where a link transfer was served.
+    fn reached(transfer: Transfer) -> Self {
+        if transfer.kind() == TransferKind::RemoteHit {
+            Level::Llc
+        } else if transfer.home_hit() {
+            Level::L4
+        } else {
+            Level::Dram
+        }
+    }
+}
+
+/// The timing-relevant record of one functional step of a [`ThreadSim`]
+/// ([`ThreadSim::step_functional`]), replayed against the shared wire and
+/// DRAM by [`ThreadSim::apply_step_timing`]. 40 bytes: the group loop
+/// buffers up to a thousand of these per thread.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StepTrace {
+    /// The accessed line (its DRAM bank when the fill reads DRAM).
+    addr: Address,
+    /// The spilled dirty L2 victim, when its request went off-chip.
+    spill_addr: Address,
+    /// Wire bits of the fill, internal write-backs included.
+    fill_bits: u32,
+    /// Of `fill_bits`, the fault-recovery retransmissions.
+    retry_bits: u32,
+    /// Wire bits of the spill's read-for-ownership.
+    spill_bits: u32,
+    /// Compute instructions before the access.
+    gap: u16,
+    /// Codec cycles charged to the fill.
+    fill_codec_cy: u16,
+    /// Codec cycles charged to the spill.
+    spill_codec_cy: u16,
+    /// Where the access was served.
+    fill: Level,
+    /// Where a dirty L2 victim's spill was served, if the fill made one.
+    spill: Option<Level>,
+}
+
+impl StepTrace {
+    /// Instructions the step retires: the compute gap and the access.
+    pub(crate) fn instructions(&self) -> u64 {
+        u64::from(self.gap) + 1
+    }
+}
+
+/// A per-step count narrowed to a [`StepTrace`] field.
+fn narrow<T: TryFrom<u64>>(n: u64) -> T {
+    T::try_from(n).unwrap_or_else(|_| panic!("{n} overflows a step record field"))
 }
 
 /// One simulated in-order hardware thread.
@@ -340,77 +414,104 @@ impl ThreadSim {
 
     /// Advances the thread by one memory access (plus its preceding
     /// compute instructions), contending on the shared link and DRAM.
+    ///
+    /// The step is its two halves, `step_functional` and
+    /// `apply_step_timing`, each a fill part and a spill part.
+    /// Here the fill's timing runs before the spill's functional part, so
+    /// with telemetry on the spill's link events follow the fill's wire and
+    /// DRAM events and stamp at the fill's arrival, where the model places
+    /// the spill. Run back to back, the two halves give the same state.
     pub fn step(&mut self, wire: &mut SharedLink, dram: &mut DramModel) {
-        let access = self.gen.next_access();
-        let c = &self.config;
-        self.retired += u64::from(access.compute_gap) + 1;
-        self.now_ps += c.cycles_to_ps(u64::from(access.compute_gap));
-        self.tel.set_now_ps(self.now_ps);
+        let (mut trace, victim) = self.fill_functional();
+        self.apply_fill_timing(&trace, wire, dram);
+        if let Some(v) = victim {
+            self.spill_dirty_to_llc(&mut trace, v);
+            self.apply_spill_timing(&trace, wire, dram);
+        }
+    }
 
-        // L1.
-        self.counts.l1 += 1;
-        let l1_ps = c.cycles_to_ps(c.l1_latency_cy);
-        self.now_ps += l1_ps;
+    /// The functional half of [`ThreadSim::step`]: the generator, the
+    /// private L1/L2, the link request and the L2 fill with its dirty
+    /// victim's spill. Reads no clock and touches no shared resource, so a
+    /// thread can run it ahead of the group loop; the returned record is
+    /// everything [`ThreadSim::apply_step_timing`] needs.
+    pub(crate) fn step_functional(&mut self) -> StepTrace {
+        let (mut trace, victim) = self.fill_functional();
+        if let Some(v) = victim {
+            self.spill_dirty_to_llc(&mut trace, v);
+        }
+        trace
+    }
+
+    /// The timing half of [`ThreadSim::step`]: replays `trace` against the
+    /// thread's clock, its counters and the shared wire and DRAM.
+    pub(crate) fn apply_step_timing(
+        &mut self,
+        trace: &StepTrace,
+        wire: &mut SharedLink,
+        dram: &mut DramModel,
+    ) {
+        self.apply_fill_timing(trace, wire, dram);
+        self.apply_spill_timing(trace, wire, dram);
+    }
+
+    /// The fill's functional part: the access through L1, L2 and, on an
+    /// L2 miss, the link, then the fill of L2 and L1. Returns the record
+    /// and the dirty L2 victim the fill displaced. With telemetry on, link
+    /// events stamp at the clock plus the latencies known before the
+    /// request: the compute gap, then L1 + L2 + LLC.
+    fn fill_functional(&mut self) -> (StepTrace, Option<DirtyVictim>) {
+        let access = self.gen.next_access();
+        let mut trace = StepTrace {
+            addr: access.addr,
+            spill_addr: Address::default(),
+            fill_bits: 0,
+            retry_bits: 0,
+            spill_bits: 0,
+            gap: u16::try_from(access.compute_gap).expect("compute gaps are at most 10,000"),
+            fill_codec_cy: 0,
+            spill_codec_cy: 0,
+            fill: Level::L1,
+            spill: None,
+        };
+        let c = &self.config;
+        let issue_ps = self.now_ps + c.cycles_to_ps(u64::from(access.compute_gap));
+        self.tel.set_now_ps(issue_ps);
+
         if self.l1.access(access.addr).is_some() {
             if access.is_write {
                 let data = self.gen.store_data(access.addr);
                 self.l1.write(access.addr, data);
             }
-            if let Some(lat) = &self.lat {
-                lat.record(&StageSpans {
-                    hier: l1_ps,
-                    ..StageSpans::default()
-                });
-            }
-            return;
+            return (trace, None);
         }
-
-        // L2.
-        self.counts.l2 += 1;
-        let hier_base = l1_ps + c.cycles_to_ps(c.l2_latency_cy);
-        self.now_ps += hier_base - l1_ps;
-        let line = if self.l2.access(access.addr).is_some() {
-            let lid = self.l2.lookup(access.addr).expect("hit");
-            if let Some(lat) = &self.lat {
-                lat.record(&StageSpans {
-                    hier: hier_base,
-                    ..StageSpans::default()
-                });
-            }
+        let line = if let Some(lid) = self.l2.access(access.addr) {
+            trace.fill = Level::L2;
             self.l2.read_by_id(lid).expect("valid")
         } else {
-            // LLC / off-chip level, through the compressed link.
-            self.fetch_from_llc(access.addr, access.is_write, hier_base, wire, dram)
+            if self.tel.is_enabled() {
+                let hier_ps = c.cycles_to_ps(c.l1_latency_cy)
+                    + c.cycles_to_ps(c.l2_latency_cy)
+                    + c.cycles_to_ps(c.llc_latency_cy);
+                self.tel.set_now_ps(issue_ps + hier_ps);
+            }
+            self.fetch_from_llc(&mut trace, access.is_write)
         };
-
-        // Fill L2 then L1 (shared mechanics); dirty L2 victims spill
-        // through the compressed link.
         let store = access.is_write.then(|| self.gen.store_data(access.addr));
         let victim = fill_l2_l1(&mut self.l1, &mut self.l2, access.addr, line, store);
-        if let Some(v) = victim {
-            self.spill_dirty_to_llc(v.addr, v.data, wire, dram);
-        }
+        (trace, victim)
     }
 
-    fn fetch_from_llc(
-        &mut self,
-        addr: Address,
-        is_write: bool,
-        hier_base: u64,
-        wire: &mut SharedLink,
-        dram: &mut DramModel,
-    ) -> LineData {
-        self.counts.llc += 1;
-        let llc_ps = self.config.cycles_to_ps(self.config.llc_latency_cy);
-        self.now_ps += llc_ps;
-        self.tel.set_now_ps(self.now_ps);
+    /// Requests an L2 miss's line through the link (one-element batch: the
+    /// timing model serializes accesses on the shared wire, so the step
+    /// cannot coalesce further, but it still enters the link through the
+    /// batch path) and records how far it went and what it put on the
+    /// wire, internal dirty write-backs included.
+    fn fetch_from_llc(&mut self, trace: &mut StepTrace, is_write: bool) -> LineData {
+        let addr = trace.addr;
         let memory = self.gen.content(addr);
         let bits_before = self.link.stats().wire_bits;
         let retry_before = self.link.retransmitted_wire_bits();
-        // One-element batch: the timing model serializes accesses on the
-        // shared wire, so the step loop cannot coalesce further — but it
-        // still enters the link through the batch path (one dispatch, same
-        // wire output as the per-call form).
         let access = if is_write {
             BatchAccess::exclusive(addr, memory)
         } else {
@@ -419,107 +520,139 @@ impl ThreadSim {
         self.xfers.clear();
         self.link.request_batch(&[access], &mut self.xfers);
         let transfer = self.xfers[0];
-        if transfer.kind() == TransferKind::RemoteHit {
-            if let Some(lat) = &self.lat {
-                lat.record(&StageSpans {
-                    hier: hier_base + llc_ps,
-                    ..StageSpans::default()
-                });
-            }
-            return memory;
+        trace.fill = Level::reached(transfer);
+        if trace.fill != Level::Llc {
+            trace.fill_codec_cy = self.compression_cycles(transfer.kind());
+            trace.fill_bits = narrow(self.link.stats().wire_bits - bits_before);
+            trace.retry_bits = narrow(self.link.retransmitted_wire_bits() - retry_before);
         }
-        // Off-chip: L4 lookup, optional DRAM, compression, wire transfer.
-        self.counts.l4 += 1;
-        let l4_ps = self.config.cycles_to_ps(self.config.l4_latency_cy);
-        let mut ready = self.now_ps + l4_ps;
-        let dram_in = ready;
-        if !transfer.home_hit() {
-            self.counts.dram += 1;
-            ready = dram.access(ready, addr);
-        }
-        let dram_ps = ready - dram_in;
-        let codec_ps = self
-            .config
-            .cycles_to_ps(self.compression_cycles(transfer.kind()));
-        ready += codec_ps;
-        // Charge the wire for everything this request put on the link,
-        // including any internal dirty-victim write-backs.
-        let delta_bits = self.link.stats().wire_bits - bits_before;
-        let wire_in = ready;
-        let queue_ps = wire.busy_until().saturating_sub(wire_in);
-        ready = wire.transfer(ready, delta_bits);
-        if let Some(lat) = &self.lat {
-            // The retry span is the marginal serialization cost of the
-            // retransmitted bits; deltas of the truncating serialize_ps
-            // keep every span u64-exact, so the stage sums reproduce the
-            // end-to-end total without rounding slop.
-            let retry_bits = self.link.retransmitted_wire_bits() - retry_before;
-            let retry_ps =
-                wire.serialize_ps(delta_bits) - wire.serialize_ps(delta_bits - retry_bits);
-            lat.record(&StageSpans {
-                hier: hier_base + llc_ps + l4_ps,
-                codec: codec_ps,
-                queue: queue_ps,
-                wire: ready - wire_in - queue_ps - retry_ps,
-                retry: retry_ps,
-                dram: dram_ps,
-            });
-        }
-        self.now_ps = ready;
-        self.tel.set_now_ps(self.now_ps);
         memory
     }
 
-    fn spill_dirty_to_llc(
-        &mut self,
-        addr: Address,
-        data: LineData,
-        wire: &mut SharedLink,
-        dram: &mut DramModel,
-    ) {
-        self.counts.llc += 1;
-        // Store hit in the LLC: silent upgrade, no link traffic now (the
-        // link compresses the eventual write-back when the LLC evicts it).
+    /// The spill's functional part: writes a dirty L2 victim into the LLC.
+    /// A store hit is a silent upgrade with no link traffic now (the link
+    /// compresses the eventual write-back when the LLC evicts it); a miss
+    /// reads the line for ownership through the link first.
+    fn spill_dirty_to_llc(&mut self, trace: &mut StepTrace, victim: DirtyVictim) {
+        let DirtyVictim { addr, data } = victim;
+        trace.spill = Some(Level::Llc);
         if self.link.remote_store(addr, data) {
             return;
         }
-        // LLC write miss: read-for-ownership through the link, then store.
         let bits_before = self.link.stats().wire_bits;
         let transfer = self.link.request_exclusive(addr, data);
         if transfer.kind() != TransferKind::RemoteHit {
-            self.counts.l4 += 1;
-            let mut ready = self.now_ps + self.config.cycles_to_ps(self.config.l4_latency_cy);
-            if !transfer.home_hit() {
-                self.counts.dram += 1;
-                ready = dram.access(ready, addr);
-            }
-            ready += self
-                .config
-                .cycles_to_ps(self.compression_cycles(transfer.kind()));
-            let delta_bits = self.link.stats().wire_bits - bits_before;
-            ready = wire.transfer(ready, delta_bits);
-            // Write-backs overlap execution: the store buffer hides them,
-            // so the thread does not stall on `ready` — but the wire time
-            // is consumed (bandwidth effect only).
-            let _ = ready;
+            trace.spill = Some(Level::reached(transfer));
+            trace.spill_addr = addr;
+            trace.spill_codec_cy = self.compression_cycles(transfer.kind());
+            trace.spill_bits = narrow(self.link.stats().wire_bits - bits_before);
         }
         self.link.remote_store(addr, data);
+    }
+
+    /// The fill's timing part: the thread waits through the compute gap
+    /// and each level's latency, and an off-chip fill through L4, DRAM,
+    /// the codec and the shared wire; the telemetry clock then moves to
+    /// the fill's arrival.
+    fn apply_fill_timing(
+        &mut self,
+        trace: &StepTrace,
+        wire: &mut SharedLink,
+        dram: &mut DramModel,
+    ) {
+        let c = &self.config;
+        self.retired += trace.instructions();
+        self.now_ps += c.cycles_to_ps(u64::from(trace.gap));
+        let mut spans = StageSpans::default();
+        for (level, latency_cy, count) in [
+            (Level::L1, c.l1_latency_cy, &mut self.counts.l1),
+            (Level::L2, c.l2_latency_cy, &mut self.counts.l2),
+            (Level::Llc, c.llc_latency_cy, &mut self.counts.llc),
+        ] {
+            *count += 1;
+            let ps = c.cycles_to_ps(latency_cy);
+            self.now_ps += ps;
+            spans.hier += ps;
+            if trace.fill == level {
+                break;
+            }
+        }
+        if trace.fill > Level::Llc {
+            self.counts.l4 += 1;
+            let l4_ps = c.cycles_to_ps(c.l4_latency_cy);
+            spans.hier += l4_ps;
+            let mut ready = self.now_ps + l4_ps;
+            let dram_in = ready;
+            if trace.fill == Level::Dram {
+                self.counts.dram += 1;
+                ready = dram.access(ready, trace.addr);
+            }
+            spans.dram = ready - dram_in;
+            spans.codec = c.cycles_to_ps(u64::from(trace.fill_codec_cy));
+            ready += spans.codec;
+            let bits = u64::from(trace.fill_bits);
+            let wire_in = ready;
+            spans.queue = wire.busy_until().saturating_sub(wire_in);
+            ready = wire.transfer(ready, bits);
+            if self.lat.is_some() {
+                // The retry span is the marginal serialization cost of the
+                // retransmitted bits; deltas of the truncating
+                // serialize_ps keep every span u64-exact, so the stage
+                // sums reproduce the end-to-end total without rounding
+                // slop.
+                let clean_bits = bits - u64::from(trace.retry_bits);
+                spans.retry = wire.serialize_ps(bits) - wire.serialize_ps(clean_bits);
+                spans.wire = ready - wire_in - spans.queue - spans.retry;
+            }
+            self.now_ps = ready;
+            self.tel.set_now_ps(ready);
+        }
+        if let Some(lat) = &self.lat {
+            lat.record(&spans);
+        }
+    }
+
+    /// The spill's timing part. Write-backs overlap execution: the store
+    /// buffer hides them, so the thread does not stall on the transfer,
+    /// but an off-chip spill consumes DRAM and wire time.
+    fn apply_spill_timing(
+        &mut self,
+        trace: &StepTrace,
+        wire: &mut SharedLink,
+        dram: &mut DramModel,
+    ) {
+        let Some(level) = trace.spill else {
+            return;
+        };
+        let c = &self.config;
+        self.counts.llc += 1;
+        if level > Level::Llc {
+            self.counts.l4 += 1;
+            let mut ready = self.now_ps + c.cycles_to_ps(c.l4_latency_cy);
+            if level == Level::Dram {
+                self.counts.dram += 1;
+                ready = dram.access(ready, trace.spill_addr);
+            }
+            ready += c.cycles_to_ps(u64::from(trace.spill_codec_cy));
+            wire.transfer(ready, u64::from(trace.spill_bits));
+        }
     }
 
     /// Compression cycles charged for one transfer: nothing while the
     /// §VI-D controller has compression off; only the compression side for
     /// a raw fallback (the attempt happens before the outcome is known,
     /// but the receiver skips decompression); both sides otherwise.
-    fn compression_cycles(&self, kind: TransferKind) -> u64 {
+    fn compression_cycles(&self, kind: TransferKind) -> u16 {
         if !self.link.compression_enabled() {
             return 0;
         }
         let (comp, decomp) = self.latency.cycles();
-        match kind {
+        let cycles = match kind {
             TransferKind::Raw => comp,
             TransferKind::RemoteHit => 0,
             _ => comp + decomp,
-        }
+        };
+        narrow(cycles)
     }
 
     /// Activity counts for the energy model. In fault mode the recovery

@@ -13,6 +13,11 @@
 //! Every group run goes through one event-driven loop: a `Scheduler`
 //! min-heap picks the earliest thread in O(log N) and a `DoneTracker` makes
 //! the completion check O(1), replacing the seed's two O(N) scans per step.
+//! A thread's step is a functional half (generator, private caches, link),
+//! which no other thread and no clock affects, and a timing half on the
+//! shared wire and DRAM. Uncontrolled, untraced runs make each thread's
+//! functional halves ahead of the loop, in bounded buffers filled on every
+//! host core, and the loop applies their timing halves in heap order.
 //! The seed linear-scan loop survives as the test-only
 //! `run_group_warmed_linear`, the reference implementation this module's
 //! equivalence tests compare against. [`run_group_arena`] additionally
@@ -25,9 +30,12 @@ use crate::arena::SimArena;
 use crate::config::SystemConfig;
 use crate::resources::{DramModel, SharedLink};
 use crate::sched::{DoneTracker, Scheduler};
-use crate::thread::{Scheme, ThreadSim};
+use crate::thread::{Scheme, StepTrace, ThreadSim};
 use cable_telemetry::{Event, Telemetry};
 use cable_trace::WorkloadProfile;
+use std::collections::VecDeque;
+use std::mem;
+use std::sync::mpsc;
 
 /// Threads that share bandwidth competitively (§VI-A).
 pub const GROUP_SIZE: usize = 8;
@@ -83,6 +91,12 @@ fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramMo
     (wire, dram, wire_bytes_per_sec)
 }
 
+/// Host threads a group run may use: one per available core (the `_on`
+/// functions clamp it to one per thread of the group).
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Builds the group's eight threads (instances 0–7) and warms each one,
 /// on up to one host thread per available core.
 pub(crate) fn build_warmed_group(
@@ -91,8 +105,7 @@ pub(crate) fn build_warmed_group(
     warm_accesses: u64,
     config: &SystemConfig,
 ) -> Vec<ThreadSim> {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    build_warmed_group_on(profile, scheme, warm_accesses, config, workers)
+    build_warmed_group_on(profile, scheme, warm_accesses, config, host_workers())
 }
 
 /// [`build_warmed_group`] on `workers` host threads (clamped to
@@ -148,18 +161,70 @@ fn summarize(threads: usize, group: &[ThreadSim]) -> ThroughputResult {
     }
 }
 
+/// Step records a thread's functional half runs ahead of the group loop
+/// per top-up: enough to spread a top-up's host threads over many steps,
+/// few enough (8 × 1024 × 40 bytes) that the buffers stay small.
+const LOOKAHEAD: usize = 1024;
+
 /// Event-driven group loop: advance the earliest thread until every thread
 /// reaches its target ("kept running until all have finished ... to
 /// sustain loads" — finished threads keep running, so every pop is pushed
 /// back; only the done-count decides termination). `ctls[i]`, when
 /// present, observes thread `i`'s link after each of its steps (the §VI-D
 /// controller); callers without controllers pass an empty slice.
+///
+/// Uncontrolled, untraced runs buffer each thread's functional halves
+/// ahead of the loop, on every host core (see [`run_group_core_on`]). A
+/// controller reads the clock and acts on the link between steps, and a
+/// trace interleaves link events with wire and DRAM events, so controlled
+/// and traced runs look no step ahead.
 pub(crate) fn run_group_core(
     group: &mut [ThreadSim],
     ctls: &mut [OnOffController],
     wire: &mut SharedLink,
     dram: &mut DramModel,
     instructions_per_thread: u64,
+) {
+    let traced = group.iter().any(|t| t.telemetry().is_enabled());
+    let lookahead = if ctls.is_empty() && !traced {
+        LOOKAHEAD
+    } else {
+        0
+    };
+    run_group_core_on(
+        group,
+        ctls,
+        wire,
+        dram,
+        instructions_per_thread,
+        host_workers(),
+        lookahead,
+    );
+}
+
+/// [`run_group_core`] looking up to `lookahead` steps ahead on `workers`
+/// host threads.
+///
+/// A thread's functional half ([`ThreadSim::step_functional`]) reads only
+/// that thread's generator, caches and link, never the clock or the shared
+/// wire and DRAM, so it can run before the loop reaches the step. When the
+/// loop pops a thread below its target whose buffer is empty, every
+/// unfinished thread's buffer is topped up to `lookahead` records, one
+/// contiguous chunk of threads per host thread: the calling thread fills
+/// the first chunk, and one worker per other chunk, spawned once for the
+/// whole run, fills its own. The loop then applies buffered records
+/// ([`ThreadSim::apply_step_timing`]) in the order it would have stepped.
+/// No record is made past a thread's target, so a thread only steps past
+/// it inline, as the fused loop does, and every thread ends in the fused
+/// loop's state whatever `workers` and `lookahead` are.
+fn run_group_core_on(
+    group: &mut [ThreadSim],
+    ctls: &mut [OnOffController],
+    wire: &mut SharedLink,
+    dram: &mut DramModel,
+    instructions_per_thread: u64,
+    workers: usize,
+    lookahead: usize,
 ) {
     let mut sched = Scheduler::with_capacity(group.len());
     let mut done = DoneTracker::new(group.len());
@@ -169,23 +234,93 @@ pub(crate) fn run_group_core(
         }
         sched.push(t.now_ps(), i);
     }
-    while !done.all_done() {
-        let (_, idx) = sched.pop().expect("undone threads remain scheduled");
-        let t = &mut group[idx];
-        if t.telemetry().is_enabled() {
-            // Stamped at pop time: the heap yields non-decreasing wake times.
-            t.telemetry()
-                .record_at(t.now_ps(), Event::SchedWake { actor: idx as u32 });
+    // Allocated here, once, so that the workers allocate no buffer.
+    let mut ahead: Vec<VecDeque<StepTrace>> = group
+        .iter()
+        .map(|_| VecDeque::with_capacity(lookahead))
+        .collect();
+    let chunk_len = if lookahead == 0 {
+        group.len()
+    } else {
+        group.len().div_ceil(workers.clamp(1, group.len()))
+    };
+    std::thread::scope(|scope| {
+        let mut chunks: Vec<Chunk<'_>> = group
+            .chunks_mut(chunk_len)
+            .zip(ahead.chunks_mut(chunk_len))
+            .collect();
+        let crew: Vec<_> = (1..chunks.len())
+            .map(|_| {
+                let (to_worker, work) = mpsc::sync_channel::<Chunk<'_>>(1);
+                let (to_caller, filled) = mpsc::sync_channel::<Chunk<'_>>(1);
+                let worker = scope.spawn(move || {
+                    for mut chunk in work {
+                        fill(&mut chunk, instructions_per_thread, lookahead);
+                        if to_caller.send(chunk).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (to_worker, filled, worker)
+            })
+            .collect();
+        while !done.all_done() {
+            let (_, idx) = sched.pop().expect("undone threads remain scheduled");
+            let (k, i) = (idx / chunk_len, idx % chunk_len);
+            let before = chunks[k].0[i].retired();
+            if lookahead > 0 && before < instructions_per_thread && chunks[k].1[i].is_empty() {
+                for ((to_worker, _, _), chunk) in crew.iter().zip(&mut chunks[1..]) {
+                    let handed = (mem::take(&mut chunk.0), mem::take(&mut chunk.1));
+                    to_worker.send(handed).expect("workers outlive the loop");
+                }
+                fill(&mut chunks[0], instructions_per_thread, lookahead);
+                for ((_, filled, _), chunk) in crew.iter().zip(&mut chunks[1..]) {
+                    *chunk = filled.recv().expect("a top-up worker panicked");
+                }
+            }
+            let (threads, buffers) = &mut chunks[k];
+            let t = &mut threads[i];
+            if t.telemetry().is_enabled() {
+                // Stamped at pop time: the heap yields non-decreasing wake times.
+                t.telemetry()
+                    .record_at(t.now_ps(), Event::SchedWake { actor: idx as u32 });
+            }
+            match buffers[i].pop_front() {
+                Some(trace) => t.apply_step_timing(&trace, wire, dram),
+                None => t.step(wire, dram),
+            }
+            if let Some(c) = ctls.get_mut(idx) {
+                c.observe(t.now_ps(), t.link_mut());
+            }
+            if before < instructions_per_thread && t.retired() >= instructions_per_thread {
+                done.mark_done();
+            }
+            sched.push(t.now_ps(), idx);
         }
-        let before = t.retired();
-        t.step(wire, dram);
-        if let Some(c) = ctls.get_mut(idx) {
-            c.observe(t.now_ps(), t.link_mut());
+        // Join each worker's thread, not only its closure as the scope
+        // would: an exiting thread still holds its malloc arena, and a
+        // thread spawned next (say, the next group's warm-up) that finds
+        // the arena taken starts a new one instead of reusing its memory.
+        for (to_worker, _, worker) in crew {
+            drop(to_worker);
+            worker.join().expect("a top-up worker panicked");
         }
-        if before < instructions_per_thread && t.retired() >= instructions_per_thread {
-            done.mark_done();
+    });
+}
+
+/// A contiguous chunk of a group's threads and their record buffers.
+type Chunk<'a> = (&'a mut [ThreadSim], &'a mut [VecDeque<StepTrace>]);
+
+/// Runs each thread of `chunk` functionally ahead until its buffer holds
+/// `lookahead` records or its records reach `instructions_per_thread`.
+fn fill(chunk: &mut Chunk<'_>, instructions_per_thread: u64, lookahead: usize) {
+    for (t, buffer) in chunk.0.iter_mut().zip(chunk.1.iter_mut()) {
+        let mut retired = t.retired() + buffer.iter().map(StepTrace::instructions).sum::<u64>();
+        while retired < instructions_per_thread && buffer.len() < lookahead {
+            let trace = t.step_functional();
+            retired += trace.instructions();
+            buffer.push_back(trace);
         }
-        sched.push(t.now_ps(), idx);
     }
 }
 
@@ -493,6 +628,79 @@ mod tests {
                         }
                     }
                     assert_eq!(state(a), state(b), "after 500 steps: {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookahead_on_any_worker_count_matches_the_fused_loop() {
+        // The group loop looking ahead must leave every thread, the wire
+        // and the DRAM as the fused loop (lookahead 0) does, on one
+        // worker, an uneven split, one worker per thread, for one record,
+        // an odd count and the production buffer. Each budget spans
+        // several top-ups. After the run every thread steps on alone, so a
+        // functional half run past the target (generator, caches) shows.
+        let p = by_name("mcf").unwrap();
+        let paper = SystemConfig::paper_defaults();
+        let faulted = SystemConfig {
+            fault: Some(cable_core::FaultConfig::with_rate(0x5eed, 1e-3)),
+            ..paper
+        };
+        let lbe = Scheme::Cable(EngineKind::Lbe);
+        let cases = [
+            (Scheme::Uncompressed, paper),
+            (Scheme::Baseline(BaselineKind::Cpack), paper),
+            (lbe, paper),
+            (lbe, faulted),
+        ];
+        let state = |t: &ThreadSim| {
+            (
+                t.now_ps(),
+                t.retired(),
+                *t.counts(),
+                *t.link().stats(),
+                t.link().fault_stats().copied(),
+            )
+        };
+        let run = |warmed: &[ThreadSim], cfg: &SystemConfig, budget, workers, lookahead| {
+            let mut group = warmed.to_vec();
+            let (mut wire, mut dram, _) = group_resources(2048, cfg);
+            run_group_core_on(
+                &mut group,
+                &mut [],
+                &mut wire,
+                &mut dram,
+                budget,
+                workers,
+                lookahead,
+            );
+            let shared = (wire.bits_sent(), wire.busy_ps_total(), dram.accesses());
+            let at_end: Vec<_> = group.iter().map(state).collect();
+            for t in &mut group {
+                let (mut wire, mut dram, _) = group_resources(2048, cfg);
+                for _ in 0..200 {
+                    t.step(&mut wire, &mut dram);
+                }
+            }
+            let stepped_on: Vec<_> = group.iter().map(state).collect();
+            (shared, at_end, stepped_on)
+        };
+        for (scheme, cfg) in cases {
+            let warmed = build_warmed_group(p, scheme, 1_000, &cfg);
+            for (lookahead, budget) in [(1, 400), (7, 1_000), (LOOKAHEAD, 8_000)] {
+                let fused = run(&warmed, &cfg, budget, 1, 0);
+                let fewest_steps = fused.1.iter().map(|s| s.2.l1).min().unwrap();
+                assert!(
+                    fewest_steps > 2 * lookahead as u64,
+                    "{scheme}: {budget} instructions take {fewest_steps} steps"
+                );
+                for workers in [1, 2, 3, 8] {
+                    let ahead = run(&warmed, &cfg, budget, workers, lookahead);
+                    let at = format!("{scheme} {cfg:?}, {workers} workers, lookahead {lookahead}");
+                    assert_eq!(ahead.0, fused.0, "wire and DRAM: {at}");
+                    assert_eq!(ahead.1, fused.1, "threads at the end: {at}");
+                    assert_eq!(ahead.2, fused.2, "threads stepped on: {at}");
                 }
             }
         }

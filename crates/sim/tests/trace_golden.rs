@@ -9,6 +9,9 @@
 //! - ring-only with small rings, so every track evicts, then exported as a
 //!   Chrome trace from the retained window.
 //!
+//! A longer-warmed run of the same group pins where the spills of dirty
+//! L2 victims land in the stream.
+//!
 //! A small 4-chip `FabricSim` run with mesh faults pinned to one wire is
 //! streamed the same way, so its trace carries hop-stamped slices and
 //! per-hop fault counters.
@@ -101,6 +104,35 @@ fn streamed_jsonl_bytes_are_pinned() {
     assert_eq!(
         pin(&report.render_text()),
         (1_450, 12_296_654_555_191_919_981)
+    );
+}
+
+/// The group above after 3,000 warm-up accesses, so its L2s are full and
+/// fills displace dirty victims. A victim's spill runs after its fill
+/// arrives: its link events (an upgrade's dropped or delayed notices, a
+/// read-for-ownership's encodes) follow the fill's DRAM and wire events
+/// and stamp at the arrival. The pin was recorded from the fused step
+/// before it was split into functional and timing halves.
+#[test]
+fn streamed_spills_behind_fills_are_pinned() {
+    let mut cfg = SystemConfig::paper_defaults();
+    cfg.fault = Some(FaultConfig::with_rate(0x90_1d, 2e-3));
+    let (tel, buf) = streaming_tel();
+    let r = run_group_telemetry(
+        by_name("mcf").expect("workload"),
+        Scheme::Cable(EngineKind::Lbe),
+        64,
+        3_000,
+        1_500,
+        &cfg,
+        &tel,
+    );
+    assert_eq!((r.group_instructions, r.elapsed_ps), (12_411, 46_597_340));
+    let (events, dropped) = tel.finish_stream().expect("finish");
+    let bytes = buf.0.lock().unwrap().clone();
+    assert_eq!(
+        (events, dropped, bytes.len(), fnv1a(&bytes)),
+        (20_845, 0, 2_362_644, 6_869_402_198_409_188_210)
     );
 }
 
