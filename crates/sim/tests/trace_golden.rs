@@ -10,7 +10,9 @@
 //!   Chrome trace from the retained window.
 //!
 //! A longer-warmed run of the same group pins where the spills of dirty
-//! L2 victims land in the stream.
+//! L2 victims land in the stream, and so do longer-warmed runs of the
+//! group under the two baseline links (CPACK; Uncompressed with fault
+//! injection configured), streamed and ring-only.
 //!
 //! A small 4-chip `FabricSim` run with mesh faults pinned to one wire is
 //! streamed the same way, so its trace carries hop-stamped slices and
@@ -23,7 +25,7 @@
 //! how they work; these bytes may not.
 
 use cable_compress::EngineKind;
-use cable_core::FaultConfig;
+use cable_core::{BaselineKind, FaultConfig};
 use cable_sim::throughput::run_group_telemetry;
 use cable_sim::{FabricSim, Scheme, SystemConfig};
 use cable_telemetry::{chrome_trace, JsonlSink, Report, Telemetry, TracerConfig, DEFAULT_HOP_TOP};
@@ -133,6 +135,79 @@ fn streamed_spills_behind_fills_are_pinned() {
     assert_eq!(
         (events, dropped, bytes.len(), fnv1a(&bytes)),
         (20_845, 0, 2_362_644, 6_869_402_198_409_188_210)
+    );
+}
+
+/// The longer-warmed mcf group under `scheme` with `tel` attached.
+fn warm_baseline_group(scheme: Scheme, cfg: &SystemConfig, tel: &Telemetry) -> (u64, u64) {
+    let r = run_group_telemetry(
+        by_name("mcf").expect("workload"),
+        scheme,
+        64,
+        3_000,
+        1_500,
+        cfg,
+        tel,
+    );
+    (r.group_instructions, r.elapsed_ps)
+}
+
+/// `(events, dropped, length, FNV-1a)` of the longer-warmed mcf group
+/// under `scheme`, streamed.
+fn streamed_baseline_group(scheme: Scheme, cfg: &SystemConfig) -> (u64, u64, usize, u64) {
+    let (tel, buf) = streaming_tel();
+    warm_baseline_group(scheme, cfg, &tel);
+    let (events, dropped) = tel.finish_stream().expect("finish");
+    let bytes = buf.0.lock().unwrap().clone();
+    (events, dropped, bytes.len(), fnv1a(&bytes))
+}
+
+/// `BaselineLink`'s encode events ride the same stream as CABLE's.
+#[test]
+fn streamed_cpack_group_is_pinned() {
+    let cpack = Scheme::Baseline(BaselineKind::Cpack);
+    assert_eq!(
+        streamed_baseline_group(cpack, &SystemConfig::paper_defaults()),
+        (13_959, 0, 1_604_638, 2_355_329_256_937_898_182)
+    );
+}
+
+/// Fault injection is configured, but a baseline link injects no faults:
+/// the fault track stays empty and the rest of the stream is pinned.
+#[test]
+fn streamed_uncompressed_group_with_faults_is_pinned() {
+    let mut cfg = SystemConfig::paper_defaults();
+    cfg.fault = Some(FaultConfig::with_rate(0x90_1d, 2e-3));
+    assert_eq!(
+        streamed_baseline_group(Scheme::Uncompressed, &cfg),
+        (14_019, 0, 1_602_628, 3_354_200_216_692_512_120)
+    );
+}
+
+/// Ring-only, the CPACK group's tracer evicts on every track; the retained
+/// window is pinned through the JSONL export.
+#[test]
+fn ring_only_cpack_jsonl_bytes_are_pinned() {
+    let tel = Telemetry::with_config(TracerConfig::with_capacity(96));
+    let cpack = Scheme::Baseline(BaselineKind::Cpack);
+    let run = warm_baseline_group(cpack, &SystemConfig::paper_defaults(), &tel);
+    let text = tel.export_jsonl();
+    let got = (
+        run,
+        tel.events().len(),
+        tel.dropped_events(),
+        text.len(),
+        fnv1a(text.as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (
+            (12_371, 39_721_126),
+            385,
+            13_574,
+            60_406,
+            17_946_891_037_758_023_895
+        )
     );
 }
 
