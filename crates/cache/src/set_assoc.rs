@@ -375,21 +375,29 @@ impl SetAssocCache {
         (tag.state != CoherenceState::Invalid).then(|| std::mem::replace(&mut tag.state, state))
     }
 
-    /// Overwrites the data of a present line and marks it Modified.
+    /// Overwrites the data of a present line and marks it Modified (the
+    /// same update as an [`Self::insert`] of `addr` in that state).
     ///
     /// Returns `false` if `addr` is absent.
     pub fn write(&mut self, addr: Address, data: LineData) -> bool {
-        match self.lookup(addr) {
-            Some(lid) => {
-                self.clock += 1;
-                let pos = self.slot_pos(lid);
-                self.tags[pos].state = CoherenceState::Modified;
-                self.tags[pos].last_use = self.clock;
-                self.data[pos] = data;
-                true
-            }
-            None => false,
+        self.lookup(addr)
+            .is_some_and(|lid| self.write_by_id(lid, data))
+    }
+
+    /// [`Self::write`] on the slot a lookup or access already found,
+    /// without walking the tag set again.
+    ///
+    /// Returns `false` (changing nothing) if the slot is invalid.
+    pub fn write_by_id(&mut self, lid: LineId, data: LineData) -> bool {
+        let pos = self.slot_pos(lid);
+        if self.tags[pos].state == CoherenceState::Invalid {
+            return false;
         }
+        self.clock += 1;
+        self.tags[pos].state = CoherenceState::Modified;
+        self.tags[pos].last_use = self.clock;
+        self.data[pos] = data;
+        true
     }
 
     /// Iterates over all valid lines as `(LineId, Address, state)`.
@@ -819,6 +827,19 @@ mod tests {
                 true
             }
 
+            pub fn write_by_id(&mut self, lid: LineId, data: LineData) -> bool {
+                let pos = self.pos(lid);
+                if self.slots[pos].state == CoherenceState::Invalid {
+                    return false;
+                }
+                self.clock += 1;
+                let slot = &mut self.slots[pos];
+                slot.data = data;
+                slot.state = CoherenceState::Modified;
+                slot.last_use = self.clock;
+                true
+            }
+
             pub fn iter_valid(&self) -> Vec<(LineId, Address, CoherenceState)> {
                 let ways = self.geometry.ways() as usize;
                 let mut out = Vec::new();
@@ -881,7 +902,11 @@ mod tests {
                 let a = Address::from_line_number(u64::from(line) % universe);
                 let data = LineData::splat_word(word);
                 let state = STATES[1 + usize::from(extra) % 3];
-                match op % 7 {
+                let lid = LineId::new(
+                    (u64::from(line) % geometry.sets()) as u32,
+                    (u32::from(extra) % geometry.ways()) as u8,
+                );
+                match op % 8 {
                     0 => assert_eq!(
                         cache.insert(a, data, state),
                         model.insert_at_way(a, data, state, None)
@@ -900,17 +925,14 @@ mod tests {
                         model.set_state(a, STATES[usize::from(extra) % 4])
                     ),
                     5 => assert_eq!(cache.invalidate(a), model.invalidate(a)),
-                    _ => {
-                        let lid = LineId::new(
-                            (u64::from(line) % geometry.sets()) as u32,
-                            (u32::from(extra) % geometry.ways()) as u8,
-                        );
+                    6 => {
                         let state = STATES[usize::from(extra / 16) % 4];
                         assert_eq!(
                             cache.set_state_by_id(lid, state),
                             model.set_state_by_id(lid, state)
                         );
                     }
+                    _ => assert_eq!(cache.write_by_id(lid, data), model.write_by_id(lid, data)),
                 }
                 assert_agree(&cache, &model, universe);
             }

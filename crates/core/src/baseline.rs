@@ -121,7 +121,9 @@ pub struct BaselineLink {
     last_flit: u64,
     tel: LinkTelemetry,
     /// The buffer every send codes its payload into. It carries nothing
-    /// from one send to the next, so a restore keeps its own.
+    /// from one send to the next, but a clone or a restore copies the
+    /// source's grown storage, so that the first sends after it do not
+    /// grow the buffer again on whichever host thread runs them.
     payload: Encoded,
 }
 
@@ -136,7 +138,7 @@ impl Clone for BaselineLink {
             stats: self.stats,
             last_flit: self.last_flit,
             tel: self.tel.clone(),
-            payload: Encoded::default(),
+            payload: self.payload.clone(),
         }
     }
 
@@ -150,7 +152,7 @@ impl Clone for BaselineLink {
             stats,
             last_flit,
             tel,
-            payload: _,
+            payload,
         } = self;
         *kind = source.kind;
         home.clone_from(&source.home);
@@ -160,6 +162,7 @@ impl Clone for BaselineLink {
         *stats = source.stats;
         *last_flit = source.last_flit;
         tel.clone_from(&source.tel);
+        payload.clone_from(&source.payload);
     }
 }
 

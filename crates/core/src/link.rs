@@ -1007,12 +1007,16 @@ impl CableLink {
 
         let transfer = self.transmit(&data, Direction::WriteBack);
         // The home copy's old content is stale: drop its signatures, then
-        // absorb the new data as Modified (dirty lines are never inserted).
+        // absorb the new data as Modified (dirty lines are never inserted),
+        // in the slot the lookup found or in a new one.
         if let Some(home_lid) = self.home.lookup(addr) {
             self.remove_home_signatures(home_lid);
-        }
-        let outcome = self.home.insert(addr, data, CoherenceState::Modified);
-        if let Some(victim) = outcome.evicted {
+            self.home.write_by_id(home_lid, data);
+        } else if let Some(victim) = self
+            .home
+            .insert(addr, data, CoherenceState::Modified)
+            .evicted
+        {
             self.on_home_eviction(&victim);
         }
         // The remote's copy transitions out of Modified (write-through of

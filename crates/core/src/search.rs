@@ -127,7 +127,7 @@ impl DedupTable {
 /// (signature list, candidate counts, reference list, selection
 /// bookkeeping) into a buffer reuse. `search_references_into` leaves the
 /// chosen references in [`SearchScratch::selected`].
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SearchScratch {
     sigs: SignatureBuf,
     /// (packed LineId, duplication count, first-seen order).
@@ -165,6 +165,32 @@ impl SearchScratch {
     pub fn clear_selected(&mut self) {
         self.selected.clear();
     }
+}
+
+/// A copy that keeps each buffer's capacity, not only its length, so a
+/// clone of a used scratch (a restored thread's link) searches without
+/// growing its buffers again, on whichever host thread runs it.
+impl Clone for SearchScratch {
+    fn clone(&self) -> Self {
+        SearchScratch {
+            sigs: self.sigs,
+            counts: clone_with_capacity(&self.counts),
+            dedup: self.dedup.clone(),
+            candidates: clone_with_capacity(&self.candidates),
+            selected: clone_with_capacity(&self.selected),
+            sel_idx: clone_with_capacity(&self.sel_idx),
+            keep: clone_with_capacity(&self.keep),
+            datas: clone_with_capacity(&self.datas),
+            bucket_buf: clone_with_capacity(&self.bucket_buf),
+        }
+    }
+}
+
+/// A copy of `v` with `v`'s capacity.
+fn clone_with_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
 }
 
 /// Runs the search pipeline against `cache` (the searching side's own
@@ -488,6 +514,54 @@ mod tests {
         assert_eq!(refs[0].cbv.count_ones(), 15);
         assert!(stats.signatures >= 14);
         assert!(stats.data_reads >= 1);
+    }
+
+    #[test]
+    fn a_clone_keeps_the_buffer_capacities_of_a_used_scratch() {
+        // A search over sixteen similar lines grows the buffers, a search
+        // that finds nothing shortens them; the clone must keep the room
+        // the first search made.
+        let (ex, mut table, mut cache) = setup();
+        let base = LineData::from_words(core::array::from_fn(|i| 0x0400_0000 + i as u32));
+        for i in 0..16u32 {
+            let mut line = base;
+            line.set_word(i as usize, 0x0777_0000 + i);
+            let addr = 0x1000 + u64::from(i) * 64;
+            install(
+                &mut cache,
+                &mut table,
+                &ex,
+                addr,
+                line,
+                CoherenceState::Shared,
+            );
+        }
+        let mut scratch = SearchScratch::new();
+        for line in [base, LineData::splat_word(0x0123_4567)] {
+            search_references_into(&line, &ex, &table, &cache, None, 6, 3, &mut scratch);
+        }
+        let capacities = |s: &SearchScratch| {
+            [
+                s.counts.capacity(),
+                s.dedup.slots.capacity(),
+                s.candidates.capacity(),
+                s.selected.capacity(),
+                s.sel_idx.capacity(),
+                s.keep.capacity(),
+                s.datas.capacity(),
+                s.bucket_buf.capacity(),
+            ]
+        };
+        let (used, copy) = (capacities(&scratch), capacities(&scratch.clone()));
+        assert!(used.iter().all(|&c| c > 0), "{used:?}");
+        assert!(
+            scratch.candidates.len() < used[2],
+            "the second search found less"
+        );
+        assert!(
+            copy.iter().zip(used).all(|(&c, u)| c >= u),
+            "{copy:?} < {used:?}"
+        );
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! A step has a functional half, which reads only the thread's own state,
 //! and a timing half, which alone touches the clock and the shared
 //! resources; a `StepTrace` carries what the second needs from the
-//! first. The group loop in [`crate::throughput`] runs the functional
-//! halves ahead of the timing halves.
+//! first. With telemetry attached, the link records its events into a
+//! log of the thread's own, stamped relative to the step's start, and the
+//! timing half replays them into the shared trace at their simulated
+//! time. So the group loop in [`crate::throughput`] can run the functional
+//! halves ahead of the timing halves, traced or not.
 
 use crate::config::{CompressionLatency, SystemConfig};
 use crate::hier::{fill_l2_l1, DirtyVictim};
@@ -214,6 +217,10 @@ pub(crate) struct StepTrace {
     fill_codec_cy: u16,
     /// Codec cycles charged to the spill.
     spill_codec_cy: u16,
+    /// Link events the fill logged (see [`ThreadSim::set_telemetry`]).
+    fill_events: u16,
+    /// Link events the spill logged.
+    spill_events: u16,
     /// Where the access was served.
     fill: Level,
     /// Where a dirty L2 victim's spill was served, if the fill made one.
@@ -251,6 +258,10 @@ pub struct ThreadSim {
     retired: u64,
     counts: ThreadCounts,
     tel: Telemetry,
+    /// The link's handle: a deferred handle on `tel`, whose log the
+    /// timing half replays into `tel`'s tracer. Its clock, the offset
+    /// logged events carry, is 0 except during a fill's link request.
+    link_tel: Telemetry,
     /// Per-stage latency histograms (`lat.{scheme}.measure.{stage}`),
     /// resolved once when an enabled telemetry handle attaches. `None`
     /// keeps the uninstrumented hot path span-free.
@@ -260,9 +271,11 @@ pub struct ThreadSim {
     xfers: Vec<Transfer>,
 }
 
+/// `Clone` gives the copy's link a log of its own: a clone of a traced
+/// thread shares the telemetry but must not replay the source's events.
 impl Clone for ThreadSim {
     fn clone(&self) -> Self {
-        ThreadSim {
+        let mut t = ThreadSim {
             gen: self.gen.clone(),
             l1: self.l1.clone(),
             l2: self.l2.clone(),
@@ -274,9 +287,12 @@ impl Clone for ThreadSim {
             retired: self.retired,
             counts: self.counts,
             tel: self.tel.clone(),
+            link_tel: Telemetry::disabled(),
             lat: self.lat.clone(),
             xfers: self.xfers.clone(),
-        }
+        };
+        t.attach_link_log();
+        t
     }
 
     fn clone_from(&mut self, source: &Self) {
@@ -292,6 +308,7 @@ impl Clone for ThreadSim {
             retired,
             counts,
             tel,
+            link_tel: _,
             lat,
             xfers,
         } = self;
@@ -308,6 +325,7 @@ impl Clone for ThreadSim {
         tel.clone_from(&source.tel);
         lat.clone_from(&source.lat);
         xfers.clone_from(&source.xfers);
+        self.attach_link_log();
     }
 }
 
@@ -344,22 +362,43 @@ impl ThreadSim {
             retired: 0,
             counts: ThreadCounts::default(),
             tel: Telemetry::disabled(),
+            link_tel: Telemetry::disabled(),
             lat: None,
             xfers: Vec::with_capacity(1),
         }
     }
 
-    /// Attaches a [`Telemetry`] handle: the thread advances the handle's
-    /// sim-time clock as it executes, and the same handle is propagated to
-    /// the link endpoints so their events carry this thread's timestamps.
+    /// Attaches a [`Telemetry`] handle. The link records through a
+    /// deferred handle on it ([`Telemetry::deferred`]): its metrics go to
+    /// `tel`'s registry at once, and its events into a log of this thread's
+    /// own, stamped relative to the step's start. Each step's timing half
+    /// replays them into `tel`'s trace at the thread's simulated time: the
+    /// fill's at the clock plus the compute gap and L1 + L2 + LLC, the
+    /// spill's at the fill's arrival (or, on-chip, at the fill's request).
+    /// Events the link records between steps (a §VI-D controller acting on
+    /// it) reach the trace at the start of the next [`ThreadSim::step`],
+    /// stamped with the thread's clock.
     ///
     /// Attach *after* [`ThreadSim::warm`] so warm-up traffic is not traced.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.link.set_telemetry(tel.clone());
         self.lat = tel
             .is_enabled()
             .then(|| LatencyRecorder::new(&tel, &self.scheme.label(), "measure"));
         self.tel = tel;
+        self.attach_link_log();
+    }
+
+    /// Gives the link a new deferred handle on the thread's telemetry.
+    fn attach_link_log(&mut self) {
+        self.link_tel = self.tel.deferred();
+        self.link.set_telemetry(self.link_tel.clone());
+    }
+
+    /// Makes the link's event log able to hold `events` events without
+    /// growing, so that a thread that runs functional halves ahead need
+    /// not allocate.
+    pub(crate) fn reserve_link_events(&self, events: usize) {
+        self.link_tel.reserve_deferred(events);
     }
 
     /// The thread's telemetry handle (disabled unless attached).
@@ -413,53 +452,51 @@ impl ThreadSim {
     }
 
     /// Advances the thread by one memory access (plus its preceding
-    /// compute instructions), contending on the shared link and DRAM.
-    ///
-    /// The step is its two halves, `step_functional` and
-    /// `apply_step_timing`, each a fill part and a spill part.
-    /// Here the fill's timing runs before the spill's functional part, so
-    /// with telemetry on the spill's link events follow the fill's wire and
-    /// DRAM events and stamp at the fill's arrival, where the model places
-    /// the spill. Run back to back, the two halves give the same state.
+    /// compute instructions), contending on the shared link and DRAM: its
+    /// two halves, `step_functional` and `apply_step_timing`, back to
+    /// back. Link events logged since the last step (a controller acting
+    /// on the link) go into the trace first, at the thread's clock.
     pub fn step(&mut self, wire: &mut SharedLink, dram: &mut DramModel) {
-        let (mut trace, victim) = self.fill_functional();
-        self.apply_fill_timing(&trace, wire, dram);
-        if let Some(v) = victim {
-            self.spill_dirty_to_llc(&mut trace, v);
-            self.apply_spill_timing(&trace, wire, dram);
-        }
+        self.link_tel.replay_deferred(usize::MAX, self.now_ps);
+        let trace = self.step_functional();
+        self.apply_step_timing(&trace, wire, dram);
     }
 
     /// The functional half of [`ThreadSim::step`]: the generator, the
     /// private L1/L2, the link request and the L2 fill with its dirty
-    /// victim's spill. Reads no clock and touches no shared resource, so a
-    /// thread can run it ahead of the group loop; the returned record is
-    /// everything [`ThreadSim::apply_step_timing`] needs.
+    /// victim's spill, each a part. Reads no clock and touches no shared
+    /// resource, so a thread can run it ahead of the group loop; the
+    /// returned record is everything [`ThreadSim::apply_step_timing`]
+    /// needs, the count of each part's logged link events included.
     pub(crate) fn step_functional(&mut self) -> StepTrace {
         let (mut trace, victim) = self.fill_functional();
         if let Some(v) = victim {
+            let logged = self.link_tel.deferred_recorded();
             self.spill_dirty_to_llc(&mut trace, v);
+            trace.spill_events = narrow(self.link_tel.deferred_recorded() - logged);
         }
         trace
     }
 
     /// The timing half of [`ThreadSim::step`]: replays `trace` against the
-    /// thread's clock, its counters and the shared wire and DRAM.
+    /// thread's clock, its counters and the shared wire and DRAM, and the
+    /// link events of its parts into the trace, each part's before its
+    /// DRAM and wire events.
     pub(crate) fn apply_step_timing(
         &mut self,
         trace: &StepTrace,
         wire: &mut SharedLink,
         dram: &mut DramModel,
     ) {
-        self.apply_fill_timing(trace, wire, dram);
-        self.apply_spill_timing(trace, wire, dram);
+        let spill_events_ps = self.apply_fill_timing(trace, wire, dram);
+        self.apply_spill_timing(trace, spill_events_ps, wire, dram);
     }
 
     /// The fill's functional part: the access through L1, L2 and, on an
     /// L2 miss, the link, then the fill of L2 and L1. Returns the record
-    /// and the dirty L2 victim the fill displaced. With telemetry on, link
-    /// events stamp at the clock plus the latencies known before the
-    /// request: the compute gap, then L1 + L2 + LLC.
+    /// and the dirty L2 victim the fill displaced. With telemetry on, the
+    /// link's events are logged at the latencies known before the request:
+    /// the compute gap, then L1 + L2 + LLC.
     fn fill_functional(&mut self) -> (StepTrace, Option<DirtyVictim>) {
         let access = self.gen.next_access();
         let mut trace = StepTrace {
@@ -471,13 +508,11 @@ impl ThreadSim {
             gap: u16::try_from(access.compute_gap).expect("compute gaps are at most 10,000"),
             fill_codec_cy: 0,
             spill_codec_cy: 0,
+            fill_events: 0,
+            spill_events: 0,
             fill: Level::L1,
             spill: None,
         };
-        let c = &self.config;
-        let issue_ps = self.now_ps + c.cycles_to_ps(u64::from(access.compute_gap));
-        self.tel.set_now_ps(issue_ps);
-
         if self.l1.access(access.addr).is_some() {
             if access.is_write {
                 let data = self.gen.store_data(access.addr);
@@ -489,13 +524,19 @@ impl ThreadSim {
             trace.fill = Level::L2;
             self.l2.read_by_id(lid).expect("valid")
         } else {
-            if self.tel.is_enabled() {
-                let hier_ps = c.cycles_to_ps(c.l1_latency_cy)
+            if self.link_tel.is_enabled() {
+                let c = &self.config;
+                let offset_ps = c.cycles_to_ps(u64::from(access.compute_gap))
+                    + c.cycles_to_ps(c.l1_latency_cy)
                     + c.cycles_to_ps(c.l2_latency_cy)
                     + c.cycles_to_ps(c.llc_latency_cy);
-                self.tel.set_now_ps(issue_ps + hier_ps);
+                self.link_tel.set_now_ps(offset_ps);
             }
-            self.fetch_from_llc(&mut trace, access.is_write)
+            let logged = self.link_tel.deferred_recorded();
+            let line = self.fetch_from_llc(&mut trace, access.is_write);
+            trace.fill_events = narrow(self.link_tel.deferred_recorded() - logged);
+            self.link_tel.set_now_ps(0);
+            line
         };
         let store = access.is_write.then(|| self.gen.store_data(access.addr));
         let victim = fill_l2_l1(&mut self.l1, &mut self.l2, access.addr, line, store);
@@ -550,19 +591,25 @@ impl ThreadSim {
         self.link.remote_store(addr, data);
     }
 
-    /// The fill's timing part: the thread waits through the compute gap
-    /// and each level's latency, and an off-chip fill through L4, DRAM,
-    /// the codec and the shared wire; the telemetry clock then moves to
-    /// the fill's arrival.
+    /// The fill's timing part: the fill's link events go into the trace
+    /// at the step's start plus their offsets, then the thread waits
+    /// through the compute gap and each level's latency, and an off-chip
+    /// fill through L4, DRAM, the codec and the shared wire. Returns the
+    /// clock the spill's link events stamp at: the fill's arrival when it
+    /// went off-chip, otherwise the clock at which its link request (LLC)
+    /// or its access (L1, L2) issued.
     fn apply_fill_timing(
         &mut self,
         trace: &StepTrace,
         wire: &mut SharedLink,
         dram: &mut DramModel,
-    ) {
+    ) -> u64 {
+        self.link_tel
+            .replay_deferred(usize::from(trace.fill_events), self.now_ps);
         let c = &self.config;
         self.retired += trace.instructions();
         self.now_ps += c.cycles_to_ps(u64::from(trace.gap));
+        let issue_ps = self.now_ps;
         let mut spans = StageSpans::default();
         for (level, latency_cy, count) in [
             (Level::L1, c.l1_latency_cy, &mut self.counts.l1),
@@ -605,22 +652,30 @@ impl ThreadSim {
                 spans.wire = ready - wire_in - spans.queue - spans.retry;
             }
             self.now_ps = ready;
-            self.tel.set_now_ps(ready);
         }
         if let Some(lat) = &self.lat {
             lat.record(&spans);
         }
+        if trace.fill >= Level::Llc {
+            self.now_ps
+        } else {
+            issue_ps
+        }
     }
 
-    /// The spill's timing part. Write-backs overlap execution: the store
-    /// buffer hides them, so the thread does not stall on the transfer,
-    /// but an off-chip spill consumes DRAM and wire time.
+    /// The spill's timing part: its link events go into the trace at
+    /// `events_ps`. Write-backs overlap execution: the store buffer hides
+    /// them, so the thread does not stall on the transfer, but an off-chip
+    /// spill consumes DRAM and wire time.
     fn apply_spill_timing(
         &mut self,
         trace: &StepTrace,
+        events_ps: u64,
         wire: &mut SharedLink,
         dram: &mut DramModel,
     ) {
+        self.link_tel
+            .replay_deferred(usize::from(trace.spill_events), events_ps);
         let Some(level) = trace.spill else {
             return;
         };
@@ -748,6 +803,41 @@ mod tests {
             assert_eq!(work.counts(), fresh.counts(), "{label}");
             assert_eq!(work.link().stats(), fresh.link().stats(), "{label}");
         }
+    }
+
+    #[test]
+    fn a_step_record_stays_40_bytes() {
+        // The group loop buffers a thousand records per thread.
+        assert_eq!(std::mem::size_of::<StepTrace>(), 40);
+    }
+
+    #[test]
+    fn link_events_between_steps_reach_the_trace_at_the_next_step() {
+        // A controller switching compression off between two steps makes
+        // the link log a phase mark; the next step puts it into the trace
+        // first, stamped with the thread's clock.
+        let cfg = SystemConfig::paper_defaults();
+        let lbe = Scheme::Cable(EngineKind::Lbe);
+        let mut t = ThreadSim::new(by_name("mcf").unwrap(), 0, lbe, cfg);
+        let tel = Telemetry::enabled();
+        t.set_telemetry(tel.clone());
+        let mut wire = SharedLink::from_config(&cfg);
+        let mut dram = DramModel::from_config(&cfg);
+        for _ in 0..100 {
+            t.step(&mut wire, &mut dram);
+        }
+        let (now, traced) = (t.now_ps(), tel.events().len());
+        t.link_mut().set_compression_enabled(false);
+        assert_eq!(tel.events().len(), traced, "logged, not yet traced");
+        t.step(&mut wire, &mut dram);
+        let mark = tel.events()[traced];
+        let off = cable_telemetry::Event::Phase {
+            name: "compression_off",
+        };
+        assert_eq!(
+            (mark.seq, mark.now_ps, mark.event),
+            (traced as u64, now, off)
+        );
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! the completion check O(1), replacing the seed's two O(N) scans per step.
 //! A thread's step is a functional half (generator, private caches, link),
 //! which no other thread and no clock affects, and a timing half on the
-//! shared wire and DRAM. Uncontrolled, untraced runs make each thread's
-//! functional halves ahead of the loop, in bounded buffers filled on every
-//! host core, and the loop applies their timing halves in heap order.
+//! shared wire and DRAM. Uncontrolled runs, traced or not, make each
+//! thread's functional halves ahead of the loop, in bounded buffers filled
+//! on every host core, and the loop applies their timing halves in heap
+//! order; a traced thread's link events wait in its own log until its
+//! timing half stamps them into the trace.
 //! The seed linear-scan loop survives as the test-only
 //! `run_group_warmed_linear`, the reference implementation this module's
 //! equivalence tests compare against. [`run_group_arena`] additionally
@@ -166,6 +168,12 @@ fn summarize(threads: usize, group: &[ThreadSim]) -> ThroughputResult {
 /// few enough (8 × 1024 × 40 bytes) that the buffers stay small.
 const LOOKAHEAD: usize = 1024;
 
+/// Link events a traced thread's log is reserved for per buffered step
+/// record. A full buffer of mcf, gcc, dealII or lbm steps at 2048 threads
+/// logs at most 1.4 events per record under CABLE+LBE with faults at 1e-3
+/// and 0.5 under CPACK; a link retrying far more often grows its log.
+const LINK_EVENTS_PER_STEP: usize = 2;
+
 /// Event-driven group loop: advance the earliest thread until every thread
 /// reaches its target ("kept running until all have finished ... to
 /// sustain loads" — finished threads keep running, so every pop is pushed
@@ -173,11 +181,13 @@ const LOOKAHEAD: usize = 1024;
 /// present, observes thread `i`'s link after each of its steps (the §VI-D
 /// controller); callers without controllers pass an empty slice.
 ///
-/// Uncontrolled, untraced runs buffer each thread's functional halves
-/// ahead of the loop, on every host core (see [`run_group_core_on`]). A
-/// controller reads the clock and acts on the link between steps, and a
-/// trace interleaves link events with wire and DRAM events, so controlled
-/// and traced runs look no step ahead.
+/// Uncontrolled runs, traced or not, buffer each thread's functional
+/// halves ahead of the loop, on every host core (see
+/// [`run_group_core_on`]); a traced thread's link events wait in its own
+/// log until the timing half stamps them (see [`ThreadSim::set_telemetry`]).
+/// A controller reads the clock and acts on the link between steps, so
+/// what a functional half does depends on the timing halves before it:
+/// controlled runs look no step ahead.
 pub(crate) fn run_group_core(
     group: &mut [ThreadSim],
     ctls: &mut [OnOffController],
@@ -185,12 +195,7 @@ pub(crate) fn run_group_core(
     dram: &mut DramModel,
     instructions_per_thread: u64,
 ) {
-    let traced = group.iter().any(|t| t.telemetry().is_enabled());
-    let lookahead = if ctls.is_empty() && !traced {
-        LOOKAHEAD
-    } else {
-        0
-    };
+    let lookahead = if ctls.is_empty() { LOOKAHEAD } else { 0 };
     run_group_core_on(
         group,
         ctls,
@@ -237,7 +242,10 @@ fn run_group_core_on(
     // Allocated here, once, so that the workers allocate no buffer.
     let mut ahead: Vec<VecDeque<StepTrace>> = group
         .iter()
-        .map(|_| VecDeque::with_capacity(lookahead))
+        .map(|t| {
+            t.reserve_link_events(lookahead * LINK_EVENTS_PER_STEP);
+            VecDeque::with_capacity(lookahead)
+        })
         .collect();
     let chunk_len = if lookahead == 0 {
         group.len()
@@ -492,9 +500,13 @@ fn run_group_warmed_linear(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thread::ThreadCounts;
     use cable_compress::EngineKind;
-    use cable_core::BaselineKind;
+    use cable_core::{BaselineKind, FaultStats, LinkStats};
+    use cable_telemetry::{JsonlSink, TracerConfig};
     use cable_trace::{by_name, ALL_WORKLOADS};
+    use std::io::{self, Write};
+    use std::sync::{Arc, Mutex};
 
     /// Throughput speedup of `scheme` over the uncompressed system at the
     /// same thread count (one Fig. 14 bar).
@@ -633,74 +645,194 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lookahead_on_any_worker_count_matches_the_fused_loop() {
-        // The group loop looking ahead must leave every thread, the wire
-        // and the DRAM as the fused loop (lookahead 0) does, on one
-        // worker, an uneven split, one worker per thread, for one record,
-        // an odd count and the production buffer. Each budget spans
-        // several top-ups. After the run every thread steps on alone, so a
-        // functional half run past the target (generator, caches) shows.
-        let p = by_name("mcf").unwrap();
+    /// The scheme and configuration pairs the lookahead tests cover:
+    /// both baseline links, CABLE+LBE, and CABLE+LBE with faults.
+    fn lookahead_cases() -> [(Scheme, SystemConfig); 4] {
         let paper = SystemConfig::paper_defaults();
         let faulted = SystemConfig {
             fault: Some(cable_core::FaultConfig::with_rate(0x5eed, 1e-3)),
             ..paper
         };
         let lbe = Scheme::Cable(EngineKind::Lbe);
-        let cases = [
+        [
             (Scheme::Uncompressed, paper),
             (Scheme::Baseline(BaselineKind::Cpack), paper),
             (lbe, paper),
             (lbe, faulted),
-        ];
-        let state = |t: &ThreadSim| {
-            (
-                t.now_ps(),
-                t.retired(),
-                *t.counts(),
-                *t.link().stats(),
-                t.link().fault_stats().copied(),
-            )
-        };
-        let run = |warmed: &[ThreadSim], cfg: &SystemConfig, budget, workers, lookahead| {
-            let mut group = warmed.to_vec();
+        ]
+    }
+
+    /// `(lookahead, instructions per thread)`: one record, an odd count
+    /// and the production buffer, each budget spanning several top-ups.
+    const LOOKAHEAD_BUDGETS: [(usize, u64); 3] = [(1, 400), (7, 1_000), (LOOKAHEAD, 8_000)];
+
+    type ThreadState = (u64, u64, ThreadCounts, LinkStats, Option<FaultStats>);
+
+    fn thread_state(t: &ThreadSim) -> ThreadState {
+        (
+            t.now_ps(),
+            t.retired(),
+            *t.counts(),
+            *t.link().stats(),
+            t.link().fault_stats().copied(),
+        )
+    }
+
+    /// The state a group run leaves: the wire and DRAM, every thread at
+    /// the end, and every thread after stepping on alone for 200 steps,
+    /// so a functional half run past the target (generator, caches) shows.
+    type RunState = ((u64, u64, u64), Vec<ThreadState>, Vec<ThreadState>);
+
+    /// Runs a copy of `warmed` for `budget` instructions per thread,
+    /// looking `lookahead` steps ahead on `workers` host threads, with
+    /// `tel` attached to the threads, the wire and the DRAM.
+    fn run_ahead(
+        warmed: &[ThreadSim],
+        cfg: &SystemConfig,
+        budget: u64,
+        workers: usize,
+        lookahead: usize,
+        tel: &Telemetry,
+    ) -> RunState {
+        let mut group = warmed.to_vec();
+        let (mut wire, mut dram, _) = group_resources(2048, cfg);
+        for t in &mut group {
+            t.set_telemetry(tel.clone());
+        }
+        wire.set_telemetry(tel.clone());
+        dram.set_telemetry(tel.clone());
+        run_group_core_on(
+            &mut group,
+            &mut [],
+            &mut wire,
+            &mut dram,
+            budget,
+            workers,
+            lookahead,
+        );
+        let shared = (wire.bits_sent(), wire.busy_ps_total(), dram.accesses());
+        let at_end: Vec<_> = group.iter().map(thread_state).collect();
+        for t in &mut group {
+            t.set_telemetry(Telemetry::disabled());
             let (mut wire, mut dram, _) = group_resources(2048, cfg);
-            run_group_core_on(
-                &mut group,
-                &mut [],
-                &mut wire,
-                &mut dram,
-                budget,
-                workers,
-                lookahead,
-            );
-            let shared = (wire.bits_sent(), wire.busy_ps_total(), dram.accesses());
-            let at_end: Vec<_> = group.iter().map(state).collect();
-            for t in &mut group {
-                let (mut wire, mut dram, _) = group_resources(2048, cfg);
-                for _ in 0..200 {
-                    t.step(&mut wire, &mut dram);
-                }
+            for _ in 0..200 {
+                t.step(&mut wire, &mut dram);
             }
-            let stepped_on: Vec<_> = group.iter().map(state).collect();
-            (shared, at_end, stepped_on)
-        };
-        for (scheme, cfg) in cases {
+        }
+        let stepped_on: Vec<_> = group.iter().map(thread_state).collect();
+        (shared, at_end, stepped_on)
+    }
+
+    #[test]
+    fn lookahead_on_any_worker_count_matches_the_fused_loop() {
+        // The group loop looking ahead must leave every thread, the wire
+        // and the DRAM as the fused loop (lookahead 0) does, on one
+        // worker, an uneven split and one worker per thread.
+        let p = by_name("mcf").unwrap();
+        let off = Telemetry::disabled();
+        for (scheme, cfg) in lookahead_cases() {
             let warmed = build_warmed_group(p, scheme, 1_000, &cfg);
-            for (lookahead, budget) in [(1, 400), (7, 1_000), (LOOKAHEAD, 8_000)] {
-                let fused = run(&warmed, &cfg, budget, 1, 0);
+            for (lookahead, budget) in LOOKAHEAD_BUDGETS {
+                let fused = run_ahead(&warmed, &cfg, budget, 1, 0, &off);
                 let fewest_steps = fused.1.iter().map(|s| s.2.l1).min().unwrap();
                 assert!(
                     fewest_steps > 2 * lookahead as u64,
                     "{scheme}: {budget} instructions take {fewest_steps} steps"
                 );
                 for workers in [1, 2, 3, 8] {
-                    let ahead = run(&warmed, &cfg, budget, workers, lookahead);
+                    let ahead = run_ahead(&warmed, &cfg, budget, workers, lookahead, &off);
                     let at = format!("{scheme} {cfg:?}, {workers} workers, lookahead {lookahead}");
                     assert_eq!(ahead.0, fused.0, "wire and DRAM: {at}");
                     assert_eq!(ahead.1, fused.1, "threads at the end: {at}");
                     assert_eq!(ahead.2, fused.2, "threads stepped on: {at}");
+                }
+            }
+        }
+    }
+
+    /// A clonable in-memory writer for a streaming sink.
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Buf {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(events, dropped, length, FNV-1a)` of the fused loop's streamed
+    /// trace for each of [`lookahead_cases`] and [`LOOKAHEAD_BUDGETS`],
+    /// recorded before link events were deferred, when the fused step
+    /// stamped them on the shared telemetry clock.
+    const FUSED_TRACES: [[(u64, u64, usize, u64); 3]; 4] = [
+        [
+            (3_794, 0, 447_442, 11_239_353_043_334_743_182),
+            (9_231, 0, 1_075_592, 6_841_496_522_040_283_462),
+            (73_656, 0, 8_645_829, 6_000_969_960_061_496_549),
+        ],
+        [
+            (3_794, 0, 447_186, 12_761_545_073_641_641_457),
+            (9_231, 0, 1_075_364, 2_878_380_121_599_507_289),
+            (73_656, 0, 8_631_542, 17_884_394_621_006_047_662),
+        ],
+        [
+            (4_788, 0, 558_815, 4_137_273_001_001_608_320),
+            (11_632, 0, 1_348_085, 2_387_164_293_924_914_973),
+            (93_194, 0, 10_860_705, 17_528_775_576_060_906_348),
+        ],
+        [
+            (5_168, 0, 599_244, 614_623_396_819_490_344),
+            (12_546, 0, 1_447_248, 3_223_614_356_778_701_437),
+            (99_820, 0, 11_585_424, 16_069_795_504_559_067_490),
+        ],
+    ];
+
+    #[test]
+    fn traced_lookahead_on_any_worker_count_matches_the_fused_loop() {
+        // Traced, the run looking ahead must also stream the fused loop's
+        // trace byte for byte and end with its metrics: each functional
+        // half logs its link events, and its timing half stamps and orders
+        // them among the wire and DRAM events. The fused traces are pinned
+        // too, so a stamp that both loops get wrong shows. After 3,000
+        // warm-up accesses the L2s are full, so fills spill dirty victims,
+        // and small rings drain the stream often.
+        let p = by_name("mcf").unwrap();
+        let traced = |warmed: &[ThreadSim], cfg: &SystemConfig, budget, workers, lookahead| {
+            let buf = Buf::default();
+            let sink = JsonlSink::streaming(buf.clone()).expect("header");
+            let mut tracer = TracerConfig::with_capacity(48);
+            tracer.drain_threshold = Some(160);
+            let tel = Telemetry::streaming(tracer, Box::new(sink));
+            let state = run_ahead(warmed, cfg, budget, workers, lookahead, &tel);
+            let counts = tel.finish_stream().expect("finish");
+            let bytes = mem::take(&mut *buf.0.lock().unwrap());
+            (state, counts, tel.snapshot(), bytes)
+        };
+        for ((scheme, cfg), pins) in lookahead_cases().into_iter().zip(FUSED_TRACES) {
+            let warmed = build_warmed_group(p, scheme, 3_000, &cfg);
+            for ((lookahead, budget), pin) in LOOKAHEAD_BUDGETS.into_iter().zip(pins) {
+                let fused = traced(&warmed, &cfg, budget, 1, 0);
+                let (events, dropped) = fused.1;
+                let got = (events, dropped, fused.3.len(), fnv1a(&fused.3));
+                assert_eq!(got, pin, "{scheme} {cfg:?}, {budget} instructions");
+                for workers in [1, 2, 3, 8] {
+                    let ahead = traced(&warmed, &cfg, budget, workers, lookahead);
+                    let at = format!("{scheme} {cfg:?}, {workers} workers, lookahead {lookahead}");
+                    assert_eq!(ahead.0, fused.0, "simulated state: {at}");
+                    assert_eq!(ahead.1, fused.1, "events and dropped: {at}");
+                    assert_eq!(ahead.2, fused.2, "metrics: {at}");
+                    assert!(ahead.3 == fused.3, "streamed bytes differ: {at}");
                 }
             }
         }

@@ -29,6 +29,18 @@
 //! handle threaded through a link, its channel, and the timing simulator
 //! aggregates into one registry and one trace.
 //!
+//! # Deferred handles
+//!
+//! A handle made by [`Telemetry::deferred`] shares its parent's registry
+//! but records each event into a log of its own, with its own clock,
+//! instead of into the shared tracer. A simulator that runs a thread's
+//! functional work ahead of its timing gives the thread's link such a
+//! handle: the link's events wait in the log, stamped with an offset from
+//! a time only the timing knows, until [`Telemetry::replay_deferred`]
+//! moves them into the parent's tracer at that time. Metric updates are
+//! commutative atomics, so they go straight to the shared registry from
+//! whichever host thread runs the work.
+//!
 //! # Examples
 //!
 //! ```
@@ -77,10 +89,11 @@ use event::TraceEvent;
 use export::jsonl;
 use registry::{Registry, Snapshot};
 use sink::EventSink;
+use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tracer::Tracer;
 
 /// Shared state behind an enabled [`Telemetry`] handle.
@@ -91,8 +104,31 @@ struct Inner {
     now_ps: AtomicU64,
 }
 
+/// The log behind a deferred handle ([`Telemetry::deferred`]).
+struct Deferred {
+    /// The handle whose registry takes this one's metrics and whose
+    /// tracer takes its replayed events.
+    parent: Arc<Inner>,
+    /// This handle's clock: the offset the next recorded event carries.
+    offset_ps: AtomicU64,
+    /// Events ever recorded into the log.
+    recorded: AtomicU64,
+    /// `(offset_ps, event)`, oldest first.
+    log: Mutex<VecDeque<(u64, Event)>>,
+}
+
+/// Where an enabled handle records its events.
+#[derive(Clone)]
+enum Target {
+    /// The shared tracer, stamped with the shared clock.
+    Shared(Arc<Inner>),
+    /// A log of its own, until [`Telemetry::replay_deferred`].
+    Deferred(Arc<Deferred>),
+}
+
 /// A cloneable telemetry handle: either a no-op (disabled, the default) or
-/// a shared registry + tracer.
+/// a shared registry + tracer, which a deferred handle
+/// ([`Telemetry::deferred`]) reaches through a log of its own.
 ///
 /// All methods take `&self`; the handle is `Send + Sync` so it can ride
 /// inside links and simulators that cross threads (`cable-bench`'s
@@ -100,7 +136,7 @@ struct Inner {
 /// disabled handle is free.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Target>,
 }
 
 impl Telemetry {
@@ -120,11 +156,11 @@ impl Telemetry {
     #[must_use]
     pub fn with_config(cfg: TracerConfig) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Target::Shared(Arc::new(Inner {
                 registry: Registry::new(),
                 tracer: Tracer::new(cfg),
                 now_ps: AtomicU64::new(0),
-            })),
+            }))),
         }
     }
 
@@ -136,11 +172,72 @@ impl Telemetry {
     #[must_use]
     pub fn streaming(cfg: TracerConfig, sink: Box<dyn EventSink>) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Target::Shared(Arc::new(Inner {
                 registry: Registry::new(),
                 tracer: Tracer::with_sink(cfg, sink),
                 now_ps: AtomicU64::new(0),
-            })),
+            }))),
+        }
+    }
+
+    /// A handle on this handle's registry that records events into a new
+    /// log of its own instead of the shared tracer, stamped with a clock
+    /// of its own ([`Self::set_now_ps`] on it sets only that clock).
+    /// [`Self::replay_deferred`] moves the logged events into the tracer.
+    /// Clones of the returned handle share its log. A disabled handle's
+    /// deferred handle is disabled.
+    #[must_use]
+    pub fn deferred(&self) -> Self {
+        let Some(parent) = self.core() else {
+            return Telemetry::disabled();
+        };
+        Telemetry {
+            inner: Some(Target::Deferred(Arc::new(Deferred {
+                parent: Arc::clone(parent),
+                offset_ps: AtomicU64::new(0),
+                recorded: AtomicU64::new(0),
+                log: Mutex::new(VecDeque::new()),
+            }))),
+        }
+    }
+
+    /// Events ever recorded into a deferred handle's log (zero for any
+    /// other handle). The difference over a stretch of work counts the
+    /// events that work logged.
+    #[must_use]
+    pub fn deferred_recorded(&self) -> u64 {
+        match &self.inner {
+            Some(Target::Deferred(d)) => d.recorded.load(Ordering::Relaxed),
+            _ => 0,
+        }
+    }
+
+    /// Makes a deferred handle's log able to hold `events` events without
+    /// growing (a no-op on any other handle), so that the thread that
+    /// allocates the log need not be the one that records into it.
+    pub fn reserve_deferred(&self, events: usize) {
+        if let Some(Target::Deferred(d)) = &self.inner {
+            let mut log = d.log.lock().expect("deferred log poisoned");
+            let len = log.len();
+            log.reserve(events.saturating_sub(len));
+        }
+    }
+
+    /// Moves up to the `n` oldest events of a deferred handle's log into
+    /// the parent's tracer, in the order they were recorded, each stamped
+    /// `base_ps` plus the offset it was recorded with; the tracer is locked
+    /// once for them all. A no-op on any other handle.
+    pub fn replay_deferred(&self, n: usize, base_ps: u64) {
+        if n == 0 {
+            return;
+        }
+        if let Some(Target::Deferred(d)) = &self.inner {
+            let mut log = d.log.lock().expect("deferred log poisoned");
+            let n = n.min(log.len());
+            if n > 0 {
+                let events = log.drain(..n).map(|(offset, e)| (base_ps + offset, e));
+                d.parent.tracer.push_all(events);
+            }
         }
     }
 
@@ -150,12 +247,21 @@ impl Telemetry {
         self.inner.is_some()
     }
 
+    /// The registry and tracer this handle's metrics and reads go to.
+    fn core(&self) -> Option<&Arc<Inner>> {
+        match &self.inner {
+            Some(Target::Shared(inner)) => Some(inner),
+            Some(Target::Deferred(d)) => Some(&d.parent),
+            None => None,
+        }
+    }
+
     /// Resolves (registering on first use) the counter named `id`.
     /// Returns a handle costing one atomic add per update — resolve once
     /// and cache it on hot paths.
     #[must_use]
     pub fn counter(&self, id: &'static str) -> Counter {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.registry.counter(id),
             None => Counter::noop(),
         }
@@ -164,7 +270,7 @@ impl Telemetry {
     /// Resolves (registering on first use) the gauge named `id`.
     #[must_use]
     pub fn gauge(&self, id: &'static str) -> Gauge {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.registry.gauge(id),
             None => Gauge::noop(),
         }
@@ -175,7 +281,7 @@ impl Telemetry {
     /// last edge land in an implicit overflow bucket).
     #[must_use]
     pub fn histogram(&self, id: &'static str, edges: &'static [u64]) -> Histogram {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.registry.histogram(id, edges),
             None => Histogram::noop(),
         }
@@ -183,7 +289,7 @@ impl Telemetry {
 
     /// One-shot counter add without caching the handle (cold paths only).
     pub fn count(&self, id: &'static str, n: u64) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.core() {
             inner.registry.counter(id).add(n);
         }
     }
@@ -191,37 +297,47 @@ impl Telemetry {
     /// Sets the simulated clock that stamps subsequently recorded events.
     /// Timing simulators call this as their actors advance; pure link
     /// drivers may leave it at zero (stamps then stay constant, which
-    /// still satisfies the monotonicity contract).
+    /// still satisfies the monotonicity contract). On a deferred handle it
+    /// sets that handle's own clock, the offset its events are logged with.
     pub fn set_now_ps(&self, now_ps: u64) {
-        if let Some(inner) = &self.inner {
-            inner.now_ps.store(now_ps, Ordering::Relaxed);
+        match &self.inner {
+            Some(Target::Shared(inner)) => inner.now_ps.store(now_ps, Ordering::Relaxed),
+            Some(Target::Deferred(d)) => d.offset_ps.store(now_ps, Ordering::Relaxed),
+            None => {}
         }
     }
 
-    /// The current simulated clock.
+    /// The current simulated clock (a deferred handle's own clock).
     #[must_use]
     pub fn now_ps(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.now_ps.load(Ordering::Relaxed),
+            Some(Target::Shared(inner)) => inner.now_ps.load(Ordering::Relaxed),
+            Some(Target::Deferred(d)) => d.offset_ps.load(Ordering::Relaxed),
             None => 0,
         }
     }
 
     /// Records `event` stamped with the current simulated clock. Bounded:
     /// once the ring is full the oldest event is dropped (and counted).
+    /// A deferred handle logs it with its own clock instead.
     pub fn record(&self, event: Event) {
-        if let Some(inner) = &self.inner {
-            inner
-                .tracer
-                .push(inner.now_ps.load(Ordering::Relaxed), event);
-        }
+        self.record_at(self.now_ps(), event);
     }
 
     /// Records `event` with an explicit timestamp (busy-interval events
-    /// whose start precedes the current clock).
+    /// whose start precedes the current clock); a deferred handle logs it
+    /// with `now_ps` as its offset.
     pub fn record_at(&self, now_ps: u64, event: Event) {
-        if let Some(inner) = &self.inner {
-            inner.tracer.push(now_ps, event);
+        match &self.inner {
+            Some(Target::Shared(inner)) => inner.tracer.push(now_ps, event),
+            Some(Target::Deferred(d)) => {
+                d.log
+                    .lock()
+                    .expect("deferred log poisoned")
+                    .push_back((now_ps, event));
+                d.recorded.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
         }
     }
 
@@ -229,7 +345,7 @@ impl Telemetry {
     /// Disabled handles return an empty snapshot.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.registry.snapshot(),
             None => Snapshot::default(),
         }
@@ -238,7 +354,7 @@ impl Telemetry {
     /// The buffered trace events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.tracer.events(),
             None => Vec::new(),
         }
@@ -247,7 +363,7 @@ impl Telemetry {
     /// Events dropped because the ring buffer was full.
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.tracer.dropped(),
             None => 0,
         }
@@ -263,7 +379,7 @@ impl Telemetry {
     /// Surfaces the first I/O error encountered by any drain or by the
     /// sink's finish.
     pub fn finish_stream(&self) -> io::Result<(u64, u64)> {
-        match &self.inner {
+        match self.core() {
             Some(inner) => inner.tracer.finish(&inner.registry.snapshot()),
             None => Ok((0, 0)),
         }
@@ -287,11 +403,17 @@ impl Telemetry {
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.inner {
-            Some(inner) => write!(
+            Some(Target::Shared(inner)) => write!(
                 f,
                 "Telemetry(enabled, {} events, now {} ps)",
                 inner.tracer.len(),
                 inner.now_ps.load(Ordering::Relaxed)
+            ),
+            Some(Target::Deferred(d)) => write!(
+                f,
+                "Telemetry(deferred, {} logged, now {} ps)",
+                d.log.lock().expect("deferred log poisoned").len(),
+                d.offset_ps.load(Ordering::Relaxed)
             ),
             None => write!(f, "Telemetry(disabled)"),
         }
@@ -355,6 +477,58 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2], "sequence numbers are dense");
         let stamps: Vec<u64> = tel.events().iter().map(|e| e.now_ps).collect();
         assert_eq!(stamps, vec![10, 25, 12]);
+    }
+
+    #[test]
+    fn deferred_handles_share_the_registry_and_replay_in_order() {
+        let tel = Telemetry::enabled();
+        let link = tel.deferred();
+        let other = tel.deferred();
+        link.counter("shared").add(2);
+        tel.counter("shared").inc();
+        assert_eq!(tel.snapshot().counter("shared"), Some(3));
+        link.set_now_ps(5);
+        link.record(Event::FallbackRaw);
+        other.record(Event::Escalation);
+        link.record_at(
+            7,
+            Event::Marker {
+                name: "m",
+                value: 1,
+            },
+        );
+        assert_eq!(tel.now_ps(), 0, "the shared clock is untouched");
+        assert!(tel.events().is_empty(), "nothing reaches the tracer");
+        assert_eq!(
+            (link.deferred_recorded(), other.deferred_recorded()),
+            (2, 1)
+        );
+        assert_eq!(tel.deferred_recorded(), 0);
+        tel.record_at(1, Event::EvictBufferHit);
+        link.replay_deferred(1, 100);
+        link.replay_deferred(0, 150);
+        link.replay_deferred(usize::MAX, 200);
+        link.replay_deferred(usize::MAX, 300);
+        let got: Vec<(u64, u64, Event)> = tel
+            .events()
+            .iter()
+            .map(|e| (e.seq, e.now_ps, e.event))
+            .collect();
+        let marker = Event::Marker {
+            name: "m",
+            value: 1,
+        };
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, Event::EvictBufferHit),
+                (1, 105, Event::FallbackRaw),
+                (2, 207, marker),
+            ]
+        );
+        assert_eq!(link.deferred_recorded(), 2, "a replay does not record");
+        assert!(!Telemetry::disabled().deferred().is_enabled());
+        assert!(format!("{other:?}").contains("deferred, 1 logged"));
     }
 
     #[test]

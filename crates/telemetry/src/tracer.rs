@@ -78,6 +78,29 @@ struct Shared {
 }
 
 impl Shared {
+    /// Appends `event` stamped `now_ps` (see [`Tracer::push`]).
+    fn push(&mut self, cfg: &TracerConfig, now_ps: u64, event: Event) {
+        let track = event.track_index();
+        if self.rings[track].len() == cfg.capacity_of(track) {
+            if self.sink.is_some() {
+                self.drain();
+            } else {
+                self.rings[track].pop_front();
+                self.dropped += 1;
+                self.buffered -= 1;
+            }
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.rings[track].push_back(TraceEvent { now_ps, seq, event });
+        self.buffered += 1;
+        if let Some(threshold) = cfg.drain_threshold {
+            if self.buffered >= threshold && self.sink.is_some() {
+                self.drain();
+            }
+        }
+    }
+
     /// Writes every buffered event to the sink in sequence order and
     /// empties the rings. Latches the first I/O error and stops writing
     /// (subsequent events are silently discarded — the stream is already
@@ -210,26 +233,16 @@ impl Tracer {
     /// full: streaming tracers drain everything to the sink; ring-only
     /// tracers evict that track's oldest event and count it as dropped.
     pub fn push(&self, now_ps: u64, event: Event) {
-        let track = event.track_index();
-        let cap = self.cfg.capacity_of(track);
         let mut s = self.shared.lock().expect("tracer poisoned");
-        if s.rings[track].len() == cap {
-            if s.sink.is_some() {
-                s.drain();
-            } else {
-                s.rings[track].pop_front();
-                s.dropped += 1;
-                s.buffered -= 1;
-            }
-        }
-        let seq = s.seq;
-        s.seq += 1;
-        s.rings[track].push_back(TraceEvent { now_ps, seq, event });
-        s.buffered += 1;
-        if let Some(threshold) = self.cfg.drain_threshold {
-            if s.buffered >= threshold && s.sink.is_some() {
-                s.drain();
-            }
+        s.push(&self.cfg, now_ps, event);
+    }
+
+    /// [`Tracer::push`] of each `(now_ps, event)` in order, under one
+    /// lock: the same rings, drains and drops as pushing them one by one.
+    pub fn push_all(&self, events: impl IntoIterator<Item = (u64, Event)>) {
+        let mut s = self.shared.lock().expect("tracer poisoned");
+        for (now_ps, event) in events {
+            s.push(&self.cfg, now_ps, event);
         }
     }
 
